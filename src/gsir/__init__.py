@@ -12,27 +12,16 @@ Library layout:
   experiments  config-driven experiment runners and CSV reports
   modelio      JSON persistence for fitted models
   cli          command-line front end
+
+The package re-exports the README's entry points; import everything else
+from its submodule.
 """
 
-from .kernels import KernelSpec, GramBundle, eval_kernel, gram_matrix, \
-    centered_gram, median_bandwidth
-from .linalg import SpectralFn, NumericalError, inv_shift, inv_sqrt_shift, \
-    sqrt, pinv_sqrt, spectral_apply, operator_norm, symmetric_eigh
-from .estimator import GsirFit, fit_gsir1, fit_gsir2, gsir_spectrum, \
-    evaluate_predictors, align_sign
-from .seqsim import SpectralModel, SpectralSample, EmpiricalOps, RegressionOps, \
-    ErrorRecord, build_model, simulate_sample, empirical_operators, \
-    estimate_regression_ops, error_report, span_projection_error, \
-    top_eigenvectors, power_spectrum, lemma_alpha_sum, truncation_tail_fraction
-from .rates import RateTheory, SlopeFit, optimal_rate_theory, rate_bound_terms, \
-    fit_loglog_slope
-from .datasets import SyntheticModel, true_predictors, generate, \
-    write_dataset_csv
-from .metrics import subspace_distance, max_canonical_correlation
-from .experiments import ConfigError, SimRateConfig, RecoveryConfig, \
-    TheoryConfig, SimModelParams, RateReport, parse_config, load_config, \
-    derive_seed, run_sim_rate, run_kernel_recovery, run_theory_table, \
-    run_experiment, sim_rate_csv, kernel_recovery_csv, theory_table_csv
-from .modelio import fit_to_json, fit_from_json, save_fit, load_fit
+from .kernels import KernelSpec, median_bandwidth
+from .estimator import fit_gsir1, fit_gsir2, evaluate_predictors
+from .seqsim import build_model, simulate_sample, estimate_regression_ops, \
+    error_report
+from .rates import optimal_rate_theory, rate_bound_terms, fit_loglog_slope
+from .modelio import save_fit, load_fit
 
 __version__ = "0.1.0"

@@ -2,8 +2,8 @@
 
 Subcommands: theory, sim-rate, kernel-recovery (experiment runners driven by
 a JSON config), plus fit and predict (train a model to JSON, evaluate it on
-new points).  Exit codes: 0 success, 2 config/usage error, 3 numerical
-failure.
+new points).  Exit codes: 0 success, 2 config, usage or input-data error
+(including a malformed model), 3 numerical failure.
 """
 
 import argparse
@@ -13,11 +13,10 @@ import sys
 
 import numpy as np
 
-from .datasets import SyntheticModel, generate
+from .datasets import generate
 from .estimator import evaluate_predictors, fit_gsir1, fit_gsir2
-from .experiments import (ConfigError, SCHEMA_VERSION, _as_int, _as_kernel,
-                          _as_real, _reject_unknown, _require, _resolve_kernel,
-                          load_config, run_experiment)
+from .experiments import (ConfigError, load_command_config, load_config,
+                          resolve_kernel, run_experiment)
 from .linalg import NumericalError
 from .modelio import load_fit, save_fit
 
@@ -48,8 +47,6 @@ def _columns(header, prefix, path):
             except ValueError:
                 continue
             found[j] = idx
-    if not found:
-        return []
     expected = list(range(1, len(found) + 1))
     if sorted(found) != expected:
         raise ConfigError(f"data file {path} has non-contiguous {prefix}_* "
@@ -59,9 +56,12 @@ def _columns(header, prefix, path):
 
 def _parse_block(body, idxs, path):
     try:
-        return np.array([[float(row[i]) for i in idxs] for row in body])
+        block = np.array([[float(row[i]) for i in idxs] for row in body])
     except (ValueError, IndexError) as exc:
         raise ConfigError(f"data file {path} has malformed rows: {exc}") from exc
+    if not np.all(np.isfinite(block)):
+        raise ConfigError(f"data file {path} contains NaN or infinite values")
+    return block
 
 
 def read_points_csv(path, need_response):
@@ -79,92 +79,39 @@ def read_points_csv(path, need_response):
     return x, _parse_block(body, y_idx, path)
 
 
-def _load_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-
-
 def _run_fit(args):
-    doc = _load_json(args.config)
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    allowed = ("schema_version", "data_csv", "dataset", "variant", "kernel_x",
-               "kernel_y", "epsilon", "d", "base_seed", "output_path")
-    _reject_unknown(doc, allowed, "fit config")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version "
-                          f"{doc.get('schema_version')!r}; expected {SCHEMA_VERSION}")
-    variant = _require(doc, "variant", "fit config")
-    if variant not in ("gsir1", "gsir2"):
-        raise ConfigError(f"field 'variant' must be gsir1 or gsir2, got {variant!r}")
-    epsilon = _as_real(_require(doc, "epsilon", "fit config"), "epsilon",
-                       positive=True)
-    d = _as_int(_require(doc, "d", "fit config"), "d", minimum=1)
-    has_csv = "data_csv" in doc
-    has_synth = "dataset" in doc
-    if has_csv == has_synth:
-        raise ConfigError("fit config needs exactly one of 'data_csv' or 'dataset'")
-    if has_csv:
-        x, y = read_points_csv(str(doc["data_csv"]), need_response=True)
+    config = load_command_config(args.config, "fit")
+    if config.dataset is None:
+        x, y = read_points_csv(config.data_csv, need_response=True)
     else:
-        ds = doc["dataset"]
-        if not isinstance(ds, dict):
-            raise ConfigError(f"field 'dataset' must be an object, got {ds!r}")
-        _reject_unknown(ds, ("model", "p", "sigma_noise", "n"), "dataset section")
-        try:
-            model = SyntheticModel(name=str(_require(ds, "model", "dataset section")),
-                                   p=_as_int(_require(ds, "p", "dataset section"),
-                                             "dataset.p", minimum=1),
-                                   sigma_noise=_as_real(
-                                       _require(ds, "sigma_noise", "dataset section"),
-                                       "dataset.sigma_noise"))
-        except ValueError as exc:
-            raise ConfigError(f"invalid dataset section: {exc}") from exc
-        n = _as_int(_require(ds, "n", "dataset section"), "dataset.n", minimum=3)
-        seed = args.seed if args.seed is not None else doc.get("base_seed", 0)
-        x, y, _ = generate(model, n, _as_int(seed, "base_seed", minimum=0))
-    kx = _resolve_kernel(_as_kernel(doc.get("kernel_x", {"family": "gaussian"}),
-                                    "kernel_x"), x)
-    ky = _resolve_kernel(_as_kernel(doc.get("kernel_y", {"family": "gaussian"}),
-                                    "kernel_y"), y)
-    out = args.out or str(doc.get("output_path", ""))
+        seed = config.base_seed if args.seed is None else args.seed
+        if seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {seed}")
+        x, y, _ = generate(*config.dataset, seed)
+    kx = resolve_kernel(config.kernel_x, x)
+    ky = resolve_kernel(config.kernel_y, y)
+    out = args.out or config.output_path
     if not out:
         raise ConfigError("fit needs an output path: give --out or 'output_path'")
-    fit_fn = fit_gsir1 if variant == "gsir1" else fit_gsir2
-    fit = fit_fn(x, y, kx, ky, epsilon, d)
+    fit_fn = fit_gsir1 if config.variant == "gsir1" else fit_gsir2
+    fit = fit_fn(x, y, kx, ky, config.epsilon, config.d)
     save_fit(fit, out)
     for note in fit.warnings:
         print(f"warning: {note}", file=sys.stderr)
-    print(f"fit {variant}: n={x.shape[0]} d={d} eigenvalues="
+    print(f"fit {config.variant}: n={x.shape[0]} d={config.d} eigenvalues="
           f"{[format(v, '.6g') for v in fit.eigenvalues]} -> {out}")
 
 
 def _run_predict(args):
-    doc = _load_json(args.config)
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    _reject_unknown(doc, ("schema_version", "model_path", "data_csv",
-                          "output_path"), "predict config")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version "
-                          f"{doc.get('schema_version')!r}; expected {SCHEMA_VERSION}")
-    model_path = str(_require(doc, "model_path", "predict config"))
-    data_path = str(_require(doc, "data_csv", "predict config"))
-    out = args.out or str(doc.get("output_path", ""))
+    config = load_command_config(args.config, "predict")
+    out = args.out or config.output_path
     if not out:
         raise ConfigError("predict needs an output path: give --out or 'output_path'")
     try:
-        fit = load_fit(model_path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read model {model_path}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"invalid model document {model_path}: {exc}") from exc
-    x, _ = read_points_csv(data_path, need_response=False)
+        fit = load_fit(config.model_path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot load model {config.model_path}: {exc}") from exc
+    x, _ = read_points_csv(config.data_csv, need_response=False)
     pred = evaluate_predictors(fit, x)
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

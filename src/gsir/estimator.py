@@ -66,7 +66,7 @@ def _check_inputs(x, y, epsilon, d):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if not 1 <= d <= n - 1:
         raise ValueError(f"d must satisfy 1 <= d <= n - 1 = {n - 1}, got {d}")
-    return x, y, n
+    return x, y
 
 
 def _solve(x, y, kernel_x, kernel_y, epsilon, variant):
@@ -80,11 +80,11 @@ def _solve(x, y, kernel_x, kernel_y, epsilon, variant):
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     n = x.shape[0]
-    gx = centered_gram(kernel_x, x).G
-    gy = centered_gram(kernel_y, y).G
+    gx = centered_gram(kernel_x, x)
+    gy = centered_gram(kernel_y, y)
     w, v = symmetric_eigh(gx)
     wmax = float(w[-1])
-    rank = int(np.count_nonzero(w > DEFAULT_CLAMP * wmax)) if wmax > 0 else 0
+    active = w > DEFAULT_CLAMP * wmax if wmax > 0 else np.zeros_like(w, bool)
     t = w / n + epsilon
     sw = np.sqrt(w)
     lft = sw / t if variant == "gsir1" else sw / np.sqrt(t)
@@ -95,13 +95,12 @@ def _solve(x, y, kernel_x, kernel_y, epsilon, variant):
     p = p[:, order]
     # Pseudo-inverse square-root weights of Gx in its own eigenbasis.
     ps = np.zeros_like(w)
-    active = w > DEFAULT_CLAMP * wmax if wmax > 0 else np.zeros_like(w, bool)
     ps[active] = sw[active] ** -1.0
-    return {"gx": gx, "gy": gy, "w": w, "v": v, "t": t, "mu": mu, "p": p,
-            "ps": ps, "active": active, "rank": rank}
+    return {"v": v, "t": t, "mu": mu, "p": p, "ps": ps, "active": active,
+            "rank": int(np.count_nonzero(active))}
 
 
-def _extract(sol, n, epsilon, d, variant):
+def _extract(sol, d, variant):
     """Top-d coefficients, eigenvalues, and warnings from a solved problem."""
     if d > sol["rank"]:
         raise ValueError(f"d={d} exceeds the numerical rank {sol['rank']} of the "
@@ -130,6 +129,13 @@ def _extract(sol, n, epsilon, d, variant):
     return coefficients, mu[:d].copy(), tuple(warnings)
 
 
+def _fit(x, y, kernel_x, kernel_y, epsilon, d, variant):
+    x, y = _check_inputs(x, y, epsilon, d)
+    sol = _solve(x, y, kernel_x, kernel_y, epsilon, variant)
+    return GsirFit(variant, x.copy(), kernel_x, kernel_y, float(epsilon), d,
+                   *_extract(sol, d, variant))
+
+
 def fit_gsir1(x, y, kernel_x, kernel_y, epsilon, d):
     """Fit d predictors with the fully inverted regression operator.
 
@@ -144,11 +150,7 @@ def fit_gsir1(x, y, kernel_x, kernel_y, epsilon, d):
         Number of predictors to extract, at most the rank of the centered
         Gram matrix of x.
     """
-    x, y, n = _check_inputs(x, y, epsilon, d)
-    sol = _solve(x, y, kernel_x, kernel_y, epsilon, "gsir1")
-    coefficients, eigenvalues, warns = _extract(sol, n, epsilon, d, "gsir1")
-    return GsirFit("gsir1", x.copy(), kernel_x, kernel_y, float(epsilon), d,
-                   coefficients, eigenvalues, warns)
+    return _fit(x, y, kernel_x, kernel_y, epsilon, d, "gsir1")
 
 
 def fit_gsir2(x, y, kernel_x, kernel_y, epsilon, d):
@@ -157,11 +159,7 @@ def fit_gsir2(x, y, kernel_x, kernel_y, epsilon, d):
     Same contract as `fit_gsir1`; the stored coefficients already include the
     extra (Sxx + eps I)^(-1/2) factor, so evaluation works identically.
     """
-    x, y, n = _check_inputs(x, y, epsilon, d)
-    sol = _solve(x, y, kernel_x, kernel_y, epsilon, "gsir2")
-    coefficients, eigenvalues, warns = _extract(sol, n, epsilon, d, "gsir2")
-    return GsirFit("gsir2", x.copy(), kernel_x, kernel_y, float(epsilon), d,
-                   coefficients, eigenvalues, warns)
+    return _fit(x, y, kernel_x, kernel_y, epsilon, d, "gsir2")
 
 
 def gsir_spectrum(x, y, kernel_x, kernel_y, epsilon, variant="gsir1"):
@@ -170,7 +168,7 @@ def gsir_spectrum(x, y, kernel_x, kernel_y, epsilon, variant="gsir1"):
     Useful for inspecting directions beyond the numerical rank of the Gram
     matrix, where a fit would refuse to normalize coefficients.
     """
-    x, y, n = _check_inputs(x, y, epsilon, d=1)
+    x, y = _check_inputs(x, y, epsilon, d=1)
     sol = _solve(x, y, kernel_x, kernel_y, epsilon, variant)
     return sol["mu"].copy()
 

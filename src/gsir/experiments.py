@@ -1,23 +1,26 @@
 """Experiment configuration, orchestration, and CSV reports.
 
-Three run modes share one JSON config format (strict: unknown fields are
-rejected).  Every replication's randomness derives only from
-(base_seed, n, replication_index) through numpy's SeedSequence, so results
-do not depend on scheduling and identical configs produce byte-identical
-CSV output.
+Config documents are strict JSON (unknown fields are rejected): the three
+run modes and the configs of the fit and predict commands.  Each config
+dataclass is its own schema: a field built with `_field` names the converter
+that reads it from the JSON key of the same name.  Every replication's
+randomness derives only from (base_seed, n, replication_index) through
+numpy's SeedSequence, so results do not depend on scheduling and identical
+configs produce byte-identical CSV output.
 """
 
 import csv
 import io
 import json
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .datasets import SyntheticModel, generate
-from .estimator import evaluate_predictors, fit_gsir1, fit_gsir2
-from .kernels import KernelSpec, median_bandwidth
+from .estimator import VARIANTS, evaluate_predictors, fit_gsir1, fit_gsir2
+from .kernels import FAMILIES, KernelSpec, median_bandwidth
 from .metrics import max_canonical_correlation, subspace_distance
 from .rates import fit_loglog_slope, optimal_rate_theory, rate_bound_terms
 from .seqsim import (build_model, error_report, estimate_regression_ops,
@@ -35,51 +38,240 @@ class ConfigError(ValueError):
     """A config document is malformed; messages name the offending field."""
 
 
+# --------------------------------------------------------------------------
+# config parsing: a converter maps (JSON value, field name) to a typed value
+# or raises a ConfigError naming the field
+# --------------------------------------------------------------------------
+
+def _require(doc, key, where):
+    if key not in doc:
+        raise ConfigError(f"missing required field {key!r} in {where}")
+    return doc[key]
+
+
+def _reject_unknown(doc, allowed, where):
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown field(s) {unknown} in {where}; "
+                          f"allowed: {sorted(allowed)}")
+
+
+def _as_int(value, name, minimum=None):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"field {name!r} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"field {name!r} must be >= {minimum}, got {value}")
+    return value
+
+
+def _as_real(value, name, positive=False):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"field {name!r} must be a number, got {value!r}")
+    if positive and not value > 0:
+        raise ConfigError(f"field {name!r} must be positive, got {value}")
+    return float(value)
+
+
+def _above_one(value, name):
+    value = _as_real(value, name)
+    if not value > 1:
+        raise ConfigError(f"field {name!r} must exceed 1, got {value}")
+    return value
+
+
+def _as_text(value, name):
+    return str(value)
+
+
+def _one_of(choices):
+    def convert(value, name):
+        if value not in choices:
+            raise ConfigError(f"field {name!r} must be one of {choices}, "
+                              f"got {value!r}")
+        return value
+    return convert
+
+
+_count = partial(_as_int, minimum=1)
+_seed = partial(_as_int, minimum=0)
+_positive = partial(_as_real, positive=True)
+
+
+def _as_n_grid(value, name):
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"field 'n_grid' must be a nonempty list, got {value!r}")
+    grid = tuple(_as_int(v, "n_grid entry", minimum=10) for v in value)
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError(f"field 'n_grid' must be strictly increasing, got {list(grid)}")
+    return grid
+
+
+def _as_deltas(value, name):
+    if value == "optimal":
+        return ()
+    out = []
+    for v in value if isinstance(value, list) else [value]:
+        v = _as_real(v, "delta")
+        if not 0 < v < 1:
+            raise ConfigError(f"field 'delta' values must lie in (0, 1), got {v}")
+        out.append(v)
+    if not out:
+        raise ConfigError("field 'delta' must not be an empty list")
+    return tuple(out)
+
+
+def _as_grid(value, name):
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"field 'grid' must be a nonempty list of [alpha, beta] "
+                          f"pairs, got {value!r}")
+    grid = []
+    for item in value:
+        if not isinstance(item, list) or len(item) != 2:
+            raise ConfigError(f"each 'grid' entry must be an [alpha, beta] pair, "
+                              f"got {item!r}")
+        grid.append((_above_one(item[0], "grid alpha"),
+                     _as_real(item[1], "grid beta", positive=True)))
+    return tuple(grid)
+
+
+def _as_kernel(doc, name):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"field {name!r} must be an object, got {doc!r}")
+    _reject_unknown(doc, ("family", "gamma"), name)
+    family = _one_of(FAMILIES)(_require(doc, "family", name), f"{name}.family")
+    gamma = doc.get("gamma", "median")
+    if gamma != "median":
+        gamma = _as_real(gamma, f"{name}.gamma", positive=True)
+    return (family, gamma)
+
+
+def _as_dataset(ds, name, sized=False):
+    """The synthetic design; sized (a fit draws its own sample) adds n."""
+    if not isinstance(ds, dict):
+        raise ConfigError(f"field 'dataset' must be an object, got {ds!r}")
+    _reject_unknown(ds, ("model", "p", "sigma_noise") + ("n",) * sized,
+                    "dataset section")
+    try:
+        model = SyntheticModel(
+            name=str(_require(ds, "model", "dataset section")),
+            p=_as_int(_require(ds, "p", "dataset section"), "dataset.p", minimum=1),
+            sigma_noise=_as_real(_require(ds, "sigma_noise", "dataset section"),
+                                 "dataset.sigma_noise"),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"invalid dataset section: {exc}") from exc
+    if not sized:
+        return model
+    n = _as_int(_require(ds, "n", "dataset section"), "dataset.n", minimum=3)
+    return model, n
+
+
+def _field(convert, default=MISSING, key=None):
+    """Config field read by convert from JSON key `key` (default: its name)."""
+    return field(default=default, metadata={"convert": convert, "key": key})
+
+
+def _build(cls, doc, where, header=(), prefix=""):
+    """Read the config dataclass cls from a JSON object.
+
+    Absent optional fields keep their dataclass defaults.  header lists
+    further allowed keys that the caller checks itself.
+    """
+    spec = [(f.metadata["key"] or f.name, f) for f in fields(cls) if f.metadata]
+    _reject_unknown(doc, header + tuple(key for key, _ in spec), where)
+    values = {}
+    for key, f in spec:
+        if key in doc:
+            values[f.name] = f.metadata["convert"](doc[key], prefix + key)
+        elif f.default is MISSING:
+            _require(doc, key, where)
+    return cls(**values)
+
+
+# (family, gamma) of a kernel section that a config leaves out.
+DEFAULT_KERNEL = ("gaussian", "median")
+
+
 @dataclass(frozen=True)
 class SimModelParams:
-    j_dim: int = 200
-    y_dim: int = 2
-    s_kind: str = "identity"
-    residual_kind: str = "independent"
-    alpha_u: float = 2.0
+    j_dim: int = _field(_count, 200)
+    y_dim: int = _field(_count, 2)
+    s_kind: str = _field(_one_of(S_KINDS), "identity")
+    residual_kind: str = _field(_one_of(RESIDUAL_KINDS), "independent")
+    alpha_u: float = _field(_above_one, 2.0)
+
+
+def _as_sim_model(value, name):
+    if not isinstance(value, dict):
+        raise ConfigError(f"field {name!r} must be an object, got {value!r}")
+    return _build(SimModelParams, value, "model section", prefix="model.")
 
 
 @dataclass(frozen=True)
 class SimRateConfig:
-    base_seed: int
-    n_grid: tuple
-    replications: int
-    alpha: float
-    beta: float
-    deltas: tuple          # () means: use the theoretical optimum
-    epsilon_constant: float
-    model: SimModelParams
-    output_path: str = ""
+    base_seed: int = _field(_seed)
+    n_grid: tuple = _field(_as_n_grid)
+    replications: int = _field(_count)
+    alpha: float = _field(_above_one)
+    beta: float = _field(_positive)
+    deltas: tuple = _field(_as_deltas, (), key="delta")  # (): the theoretical optimum
+    epsilon_constant: float = _field(_positive, 1.0)
+    model: SimModelParams = _field(_as_sim_model, SimModelParams())
+    output_path: str = _field(_as_text, "")
     mode: str = "sim_rate"
 
 
 @dataclass(frozen=True)
 class RecoveryConfig:
-    base_seed: int
-    n_grid: tuple
-    replications: int
-    dataset: SyntheticModel
-    kernel_x: tuple        # (family, gamma-or-'median')
-    kernel_y: tuple
-    epsilon: float
-    d: int
-    n_test: int = 2000
-    output_path: str = ""
+    base_seed: int = _field(_seed)
+    n_grid: tuple = _field(_as_n_grid)
+    replications: int = _field(_count)
+    dataset: SyntheticModel = _field(_as_dataset)
+    epsilon: float = _field(_positive)
+    d: int = _field(_count)
+    kernel_x: tuple = _field(_as_kernel, DEFAULT_KERNEL)  # (family, gamma-or-'median')
+    kernel_y: tuple = _field(_as_kernel, DEFAULT_KERNEL)
+    n_test: int = _field(partial(_as_int, minimum=2), 2000)
+    output_path: str = _field(_as_text, "")
     mode: str = "kernel_recovery"
+
+    def __post_init__(self):
+        if self.d > min(self.n_grid) - 1:
+            raise ConfigError(f"field 'd' must be at most min(n_grid) - 1 = "
+                              f"{min(self.n_grid) - 1}, got {self.d}")
 
 
 @dataclass(frozen=True)
 class TheoryConfig:
-    grid: tuple            # ((alpha, beta), ...)
-    n_ref: int = 10000
-    epsilon_constant: float = 1.0
-    output_path: str = ""
+    grid: tuple = _field(_as_grid)     # ((alpha, beta), ...)
+    n_ref: int = _field(partial(_as_int, minimum=2), 10000)
+    epsilon_constant: float = _field(_positive, 1.0)
+    output_path: str = _field(_as_text, "")
     mode: str = "theory_table"
+
+
+@dataclass(frozen=True)
+class FitConfig:
+    variant: str = _field(_one_of(VARIANTS))
+    epsilon: float = _field(_positive)
+    d: int = _field(_count)
+    data_csv: str = _field(_as_text, None)
+    dataset: tuple = _field(partial(_as_dataset, sized=True), None)  # (model, n)
+    kernel_x: tuple = _field(_as_kernel, DEFAULT_KERNEL)
+    kernel_y: tuple = _field(_as_kernel, DEFAULT_KERNEL)
+    base_seed: int = _field(_seed, 0)
+    output_path: str = _field(_as_text, "")
+
+    def __post_init__(self):
+        if (self.data_csv is None) == (self.dataset is None):
+            raise ConfigError("fit config needs exactly one of 'data_csv' or 'dataset'")
+
+
+@dataclass(frozen=True)
+class PredictConfig:
+    model_path: str = _field(_as_text)
+    data_csv: str = _field(_as_text)
+    output_path: str = _field(_as_text, "")
 
 
 @dataclass(frozen=True)
@@ -119,221 +311,49 @@ class RateReport:
     summary: dict = field(default_factory=dict)
 
 
-# --------------------------------------------------------------------------
-# config parsing
-# --------------------------------------------------------------------------
-
-def _require(doc, key, where):
-    if key not in doc:
-        raise ConfigError(f"missing required field {key!r} in {where}")
-    return doc[key]
+_CONFIGS = {"sim_rate": SimRateConfig, "kernel_recovery": RecoveryConfig,
+            "theory_table": TheoryConfig, "fit": FitConfig,
+            "predict": PredictConfig}
 
 
-def _reject_unknown(doc, allowed, where):
-    unknown = sorted(set(doc) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown field(s) {unknown} in {where}; "
-                          f"allowed: {sorted(allowed)}")
-
-
-def _as_int(value, name, minimum=None):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"field {name!r} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"field {name!r} must be >= {minimum}, got {value}")
-    return value
-
-
-def _as_real(value, name, positive=False):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"field {name!r} must be a number, got {value!r}")
-    if positive and not value > 0:
-        raise ConfigError(f"field {name!r} must be positive, got {value}")
-    return float(value)
-
-
-def _as_n_grid(value):
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"field 'n_grid' must be a nonempty list, got {value!r}")
-    grid = tuple(_as_int(v, "n_grid entry", minimum=10) for v in value)
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError(f"field 'n_grid' must be strictly increasing, got {list(grid)}")
-    return grid
-
-
-def _as_deltas(value):
-    if value == "optimal":
-        return ()
-    if isinstance(value, list):
-        vals = value
-    else:
-        vals = [value]
-    out = []
-    for v in vals:
-        v = _as_real(v, "delta")
-        if not 0 < v < 1:
-            raise ConfigError(f"field 'delta' values must lie in (0, 1), got {v}")
-        out.append(v)
-    if not out:
-        raise ConfigError("field 'delta' must not be an empty list")
-    return tuple(out)
-
-
-def _as_kernel(doc, name):
-    if not isinstance(doc, dict):
-        raise ConfigError(f"field {name!r} must be an object, got {doc!r}")
-    _reject_unknown(doc, ("family", "gamma"), name)
-    family = _require(doc, "family", name)
-    if family not in ("gaussian", "laplace", "linear"):
-        raise ConfigError(f"field '{name}.family' must be one of gaussian/laplace/"
-                          f"linear, got {family!r}")
-    gamma = doc.get("gamma", "median")
-    if gamma != "median":
-        gamma = _as_real(gamma, f"{name}.gamma", positive=True)
-    return (family, gamma)
-
-
-def parse_config(doc):
-    """Validate a parsed JSON document and build the typed config."""
+def _check_document(doc):
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     version = _require(doc, "schema_version", "config")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r}; "
                           f"expected {SCHEMA_VERSION}")
-    mode = _require(doc, "mode", "config")
-    if mode not in MODES:
-        raise ConfigError(f"field 'mode' must be one of {MODES}, got {mode!r}")
-    if mode == "sim_rate":
-        return _parse_sim_rate(doc)
-    if mode == "kernel_recovery":
-        return _parse_recovery(doc)
-    return _parse_theory(doc)
 
 
-def _parse_sim_rate(doc):
-    allowed = ("schema_version", "mode", "base_seed", "n_grid", "replications",
-               "alpha", "beta", "delta", "epsilon_constant", "model",
-               "output_path")
-    _reject_unknown(doc, allowed, "sim_rate config")
-    model_doc = doc.get("model", {})
-    if not isinstance(model_doc, dict):
-        raise ConfigError(f"field 'model' must be an object, got {model_doc!r}")
-    _reject_unknown(model_doc, ("j_dim", "y_dim", "s_kind", "residual_kind",
-                                "alpha_u"), "model section")
-    s_kind = model_doc.get("s_kind", "identity")
-    if s_kind not in S_KINDS:
-        raise ConfigError(f"field 'model.s_kind' must be one of {S_KINDS}, "
-                          f"got {s_kind!r}")
-    residual_kind = model_doc.get("residual_kind", "independent")
-    if residual_kind not in RESIDUAL_KINDS:
-        raise ConfigError(f"field 'model.residual_kind' must be one of "
-                          f"{RESIDUAL_KINDS}, got {residual_kind!r}")
-    model = SimModelParams(
-        j_dim=_as_int(model_doc.get("j_dim", 200), "model.j_dim", minimum=1),
-        y_dim=_as_int(model_doc.get("y_dim", 2), "model.y_dim", minimum=1),
-        s_kind=s_kind,
-        residual_kind=residual_kind,
-        alpha_u=_as_real(model_doc.get("alpha_u", 2.0), "model.alpha_u"),
-    )
-    if not model.alpha_u > 1:
-        raise ConfigError(f"field 'model.alpha_u' must exceed 1, got {model.alpha_u}")
-    alpha = _as_real(_require(doc, "alpha", "sim_rate config"), "alpha")
-    if not alpha > 1:
-        raise ConfigError(f"field 'alpha' must exceed 1, got {alpha}")
-    beta = _as_real(_require(doc, "beta", "sim_rate config"), "beta", positive=True)
-    return SimRateConfig(
-        base_seed=_as_int(_require(doc, "base_seed", "sim_rate config"),
-                          "base_seed", minimum=0),
-        n_grid=_as_n_grid(_require(doc, "n_grid", "sim_rate config")),
-        replications=_as_int(_require(doc, "replications", "sim_rate config"),
-                             "replications", minimum=1),
-        alpha=alpha, beta=beta,
-        deltas=_as_deltas(doc.get("delta", "optimal")),
-        epsilon_constant=_as_real(doc.get("epsilon_constant", 1.0),
-                                  "epsilon_constant", positive=True),
-        model=model,
-        output_path=str(doc.get("output_path", "")),
-    )
+def parse_config(doc):
+    """Validate a parsed JSON document and build the typed config."""
+    _check_document(doc)
+    mode = _one_of(MODES)(_require(doc, "mode", "config"), "mode")
+    return _build(_CONFIGS[mode], doc, f"{mode} config",
+                  header=("schema_version", "mode"))
 
 
-def _parse_recovery(doc):
-    allowed = ("schema_version", "mode", "base_seed", "n_grid", "replications",
-               "dataset", "kernel_x", "kernel_y", "epsilon", "d", "n_test",
-               "output_path")
-    _reject_unknown(doc, allowed, "kernel_recovery config")
-    ds = _require(doc, "dataset", "kernel_recovery config")
-    if not isinstance(ds, dict):
-        raise ConfigError(f"field 'dataset' must be an object, got {ds!r}")
-    _reject_unknown(ds, ("model", "p", "sigma_noise"), "dataset section")
-    try:
-        dataset = SyntheticModel(
-            name=str(_require(ds, "model", "dataset section")),
-            p=_as_int(_require(ds, "p", "dataset section"), "dataset.p", minimum=1),
-            sigma_noise=_as_real(_require(ds, "sigma_noise", "dataset section"),
-                                 "dataset.sigma_noise"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid dataset section: {exc}") from exc
-    n_grid = _as_n_grid(_require(doc, "n_grid", "kernel_recovery config"))
-    d = _as_int(_require(doc, "d", "kernel_recovery config"), "d", minimum=1)
-    if d > min(n_grid) - 1:
-        raise ConfigError(f"field 'd' must be at most min(n_grid) - 1 = "
-                          f"{min(n_grid) - 1}, got {d}")
-    return RecoveryConfig(
-        base_seed=_as_int(_require(doc, "base_seed", "kernel_recovery config"),
-                          "base_seed", minimum=0),
-        n_grid=n_grid,
-        replications=_as_int(_require(doc, "replications", "kernel_recovery config"),
-                             "replications", minimum=1),
-        dataset=dataset,
-        kernel_x=_as_kernel(doc.get("kernel_x", {"family": "gaussian"}), "kernel_x"),
-        kernel_y=_as_kernel(doc.get("kernel_y", {"family": "gaussian"}), "kernel_y"),
-        epsilon=_as_real(_require(doc, "epsilon", "kernel_recovery config"),
-                         "epsilon", positive=True),
-        d=d,
-        n_test=_as_int(doc.get("n_test", 2000), "n_test", minimum=2),
-        output_path=str(doc.get("output_path", "")),
-    )
-
-
-def _parse_theory(doc):
-    allowed = ("schema_version", "mode", "grid", "n_ref", "epsilon_constant",
-               "output_path")
-    _reject_unknown(doc, allowed, "theory_table config")
-    raw = _require(doc, "grid", "theory_table config")
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"field 'grid' must be a nonempty list of [alpha, beta] "
-                          f"pairs, got {raw!r}")
-    grid = []
-    for item in raw:
-        if not isinstance(item, list) or len(item) != 2:
-            raise ConfigError(f"each 'grid' entry must be an [alpha, beta] pair, "
-                              f"got {item!r}")
-        a = _as_real(item[0], "grid alpha")
-        b = _as_real(item[1], "grid beta", positive=True)
-        if not a > 1:
-            raise ConfigError(f"grid alpha values must exceed 1, got {a}")
-        grid.append((a, b))
-    return TheoryConfig(
-        grid=tuple(grid),
-        n_ref=_as_int(doc.get("n_ref", 10000), "n_ref", minimum=2),
-        epsilon_constant=_as_real(doc.get("epsilon_constant", 1.0),
-                                  "epsilon_constant", positive=True),
-        output_path=str(doc.get("output_path", "")),
-    )
-
-
-def load_config(path):
-    """Read and validate a JSON config file."""
+def _load_json(path):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return parse_config(doc)
+
+
+def load_config(path):
+    """Read and validate the JSON config file of a run mode."""
+    return parse_config(_load_json(path))
+
+
+def load_command_config(path, command):
+    """Read and validate the JSON config file of `gsir fit` or `gsir predict`."""
+    doc = _load_json(path)
+    _check_document(doc)
+    return _build(_CONFIGS[command], doc, f"{command} config",
+                  header=("schema_version",))
 
 
 # --------------------------------------------------------------------------
@@ -415,9 +435,7 @@ def run_sim_rate(config, threads=1):
         summary["by_delta"].append(med)
     if len(deltas) > 1:
         summary["argmin_delta_by_n"] = {
-            n: min(deltas, key=lambda d: next(
-                m for m in summary["by_delta"] if m["delta"] == d
-            )[f"median_err_r1"][n])
+            n: min(summary["by_delta"], key=lambda m: m["median_err_r1"][n])["delta"]
             for n in config.n_grid
         }
     report = RateReport(mode="sim_rate", rows=tuple(rows), summary=summary)
@@ -427,7 +445,8 @@ def run_sim_rate(config, threads=1):
     return report
 
 
-def _resolve_kernel(spec, points):
+def resolve_kernel(spec, points):
+    """KernelSpec for a parsed (family, gamma); 'median' is set from points."""
     family, gamma = spec
     if gamma == "median":
         if family == "linear":
@@ -450,8 +469,8 @@ def run_kernel_recovery(config, threads=1):
         train_seed, test_seed = derive_seed(config.base_seed, n, rep).spawn(2)
         x, y, _ = generate(dataset, n, train_seed)
         x_test, _, f_test = generate(dataset, config.n_test, test_seed)
-        kx = _resolve_kernel(config.kernel_x, x)
-        ky = _resolve_kernel(config.kernel_y, y)
+        kx = resolve_kernel(config.kernel_x, x)
+        ky = resolve_kernel(config.kernel_y, y)
         out = []
         for variant, fit_fn in (("gsir1", fit_gsir1), ("gsir2", fit_gsir2)):
             fit = fit_fn(x, y, kx, ky, config.epsilon, config.d)

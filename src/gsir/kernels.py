@@ -32,15 +32,6 @@ class KernelSpec:
             raise ValueError(f"{self.family} kernel requires gamma > 0, got {self.gamma}")
 
 
-@dataclass(frozen=True)
-class GramBundle:
-    """Raw and centered Gram matrices for one point set."""
-
-    n: int
-    K: np.ndarray
-    G: np.ndarray
-
-
 def _as_points(x, name="points"):
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -79,7 +70,7 @@ def gram_matrix(spec, x, z=None):
 
 
 def centered_gram(spec, x):
-    """Centered Gram bundle for one point set (needs n >= 2)."""
+    """Centered Gram matrix Q K Q for one point set (needs n >= 2)."""
     x = _as_points(x)
     n = x.shape[0]
     if n < 2:
@@ -87,8 +78,7 @@ def centered_gram(spec, x):
     k = gram_matrix(spec, x)
     q = np.eye(n) - np.full((n, n), 1.0 / n)
     g = q @ k @ q
-    g = (g + g.T) / 2.0
-    return GramBundle(n=n, K=k, G=g)
+    return (g + g.T) / 2.0
 
 
 def median_bandwidth(x):

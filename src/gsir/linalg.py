@@ -1,6 +1,6 @@
 """Spectral functional calculus for symmetric positive semidefinite matrices.
 
-Every regularized inverse, square root, and pseudo-inverse square root in the
+Every regularized inverse, inverse square root, and square root in the
 package is produced by applying a scalar function to the eigenvalues of one
 symmetric eigendecomposition.  Routing all of them through `spectral_apply`
 keeps a single numerical pathway: one symmetry check, one clamping rule for
@@ -8,7 +8,6 @@ tiny negative eigenvalues, one post-symmetrization.
 """
 
 import numpy as np
-from dataclasses import dataclass
 
 # Relative threshold below which an eigenvalue counts as zero for
 # pseudo-inverses and rank decisions.
@@ -18,66 +17,28 @@ DEFAULT_CLAMP = 1e-12
 SYMMETRY_TOL = 1e-8
 EIGENVALUE_TOL = 1e-8
 
-_KINDS = ("inv_shift", "inv_sqrt_shift", "sqrt", "pinv_sqrt")
-
 
 class NumericalError(RuntimeError):
     """An eigensolve failed or a matrix violated a numerical precondition."""
 
 
-@dataclass(frozen=True)
-class SpectralFn:
-    """Scalar function applied to the (clamped) eigenvalues of a PSD matrix."""
-
-    kind: str
-    eps: float = 0.0
-    clamp: float = DEFAULT_CLAMP
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown spectral function kind {self.kind!r}; "
-                             f"expected one of {_KINDS}")
-        if self.kind in ("inv_shift", "inv_sqrt_shift") and not self.eps > 0:
-            raise ValueError(f"{self.kind} requires a positive shift, got eps={self.eps}")
-        if self.kind == "pinv_sqrt" and not 0 < self.clamp < 1:
-            raise ValueError(f"pinv_sqrt clamp must lie in (0, 1), got {self.clamp}")
-
-    def apply_to_eigenvalues(self, d):
-        """Evaluate the scalar function on a vector of clamped eigenvalues."""
-        d = np.asarray(d, dtype=float)
-        if self.kind == "inv_shift":
-            return 1.0 / (d + self.eps)
-        if self.kind == "inv_sqrt_shift":
-            return (d + self.eps) ** -0.5
-        if self.kind == "sqrt":
-            return np.sqrt(d)
-        # pinv_sqrt: invert the square root above a relative threshold,
-        # zero out everything below it.
-        top = d.max(initial=0.0)
-        out = np.zeros_like(d)
-        keep = d > self.clamp * top
-        out[keep] = d[keep] ** -0.5
-        return out
-
-
 def inv_shift(eps):
     """d -> 1 / (d + eps), the regularized inverse."""
-    return SpectralFn("inv_shift", eps=eps)
+    if not eps > 0:
+        raise ValueError(f"inv_shift requires a positive shift, got eps={eps}")
+    return lambda d: 1.0 / (d + eps)
 
 
 def inv_sqrt_shift(eps):
     """d -> (d + eps)^(-1/2), the regularized inverse square root."""
-    return SpectralFn("inv_sqrt_shift", eps=eps)
+    if not eps > 0:
+        raise ValueError(f"inv_sqrt_shift requires a positive shift, got eps={eps}")
+    return lambda d: (d + eps) ** -0.5
 
 
 def sqrt():
     """d -> sqrt(d)."""
-    return SpectralFn("sqrt")
-
-
-def pinv_sqrt(clamp=DEFAULT_CLAMP):
-    """d -> d^(-1/2) on eigenvalues above clamp * max, else 0."""
-    return SpectralFn("pinv_sqrt", clamp=clamp)
+    return np.sqrt
 
 
 def symmetric_eigh(m):
@@ -111,10 +72,14 @@ def symmetric_eigh(m):
 
 
 def spectral_apply(m, fn):
-    """Apply a `SpectralFn` to a symmetric PSD matrix via one eigendecomposition."""
-    d, v = symmetric_eigh(m)
-    fd = fn.apply_to_eigenvalues(d)
-    out = (v * fd) @ v.T
+    """Apply a scalar function of the eigenvalues to a symmetric PSD matrix.
+
+    m is the matrix itself, or the (eigenvalues, eigenvectors) pair that
+    `symmetric_eigh` returned for it, so that several functions of one matrix
+    can share a single eigendecomposition.
+    """
+    d, v = m if isinstance(m, tuple) else symmetric_eigh(m)
+    out = (v * fn(d)) @ v.T
     return (out + out.T) / 2.0
 
 

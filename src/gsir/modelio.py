@@ -6,6 +6,7 @@ bit-for-bit.
 """
 
 import json
+import sys
 
 import numpy as np
 
@@ -57,6 +58,33 @@ def save_fit(fit, path):
         fh.write("\n")
 
 
+def _number(value, name):
+    # The bound is false for NaN, infinities and integers beyond float range.
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ValueError(f"field {name!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _kernel(spec, name):
+    # KernelSpec rejects a family that is not one of the known names.
+    if not isinstance(spec, dict):
+        raise ValueError(f"field {name!r} must be an object, got {spec!r}")
+    return KernelSpec(spec.get("family"), _number(spec.get("gamma"), f"{name}.gamma"))
+
+
+def _finite_array(value, name, ndim):
+    # json reads NaN and Infinity, and a model holding them predicts NaN.
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:
+        raise ValueError(f"field {name!r} is not a rectangular array") from exc
+    if (arr.ndim != ndim or arr.dtype.kind not in "iuf"
+            or not np.all(np.isfinite(arr))):
+        raise ValueError(f"field {name!r} must be a {ndim}-d array of finite numbers")
+    return arr.astype(float)
+
+
 def fit_from_json(text):
     """Rebuild a GsirFit from its JSON form."""
     doc = json.loads(text)
@@ -76,19 +104,19 @@ def fit_from_json(text):
         raise ValueError(f"model document has unknown fields: {sorted(unknown)}")
     if doc["variant"] not in VARIANTS:
         raise ValueError(f"unknown variant {doc['variant']!r}")
-    kx = KernelSpec(doc["kernel_x"]["family"], float(doc["kernel_x"]["gamma"]))
-    ky = KernelSpec(doc["kernel_y"]["family"], float(doc["kernel_y"]["gamma"]))
-    train = np.asarray(doc["train_points"], dtype=float)
-    coef = np.asarray(doc["coefficients"], dtype=float)
-    eig = np.asarray(doc["eigenvalues"], dtype=float)
-    d = int(doc["d"])
-    if train.ndim != 2 or coef.ndim != 2:
-        raise ValueError("train_points and coefficients must be 2-d arrays")
+    kx = _kernel(doc["kernel_x"], "kernel_x")
+    ky = _kernel(doc["kernel_y"], "kernel_y")
+    d = doc["d"]
+    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
+        raise ValueError(f"field 'd' must be a positive integer, got {d!r}")
+    train = _finite_array(doc["train_points"], "train_points", 2)
+    coef = _finite_array(doc["coefficients"], "coefficients", 2)
+    eig = _finite_array(doc["eigenvalues"], "eigenvalues", 1)
     if coef.shape != (train.shape[0], d) or eig.shape != (d,):
         raise ValueError(f"inconsistent shapes: train {train.shape}, "
                          f"coefficients {coef.shape}, eigenvalues {eig.shape}, d={d}")
     return GsirFit(variant=doc["variant"], train_points=train, kernel_x=kx,
-                   kernel_y=ky, epsilon=float(doc["epsilon"]), d=d,
+                   kernel_y=ky, epsilon=_number(doc["epsilon"], "epsilon"), d=d,
                    coefficients=coef, eigenvalues=eig, warnings=())
 
 

@@ -60,7 +60,7 @@ def optimal_rate_theory(alpha, beta):
                       delta_opt=0.5, exponent_opt=beta / 2.0)
 
 
-def rate_bound_terms(n, epsilon, alpha, beta, variant="gsir1", legacy=False):
+def rate_bound_terms(n, epsilon, alpha, beta, variant="gsir1"):
     """Evaluate the error-bound terms at one (n, epsilon).
 
     Returns (terms, total).  For variant 'gsir1' the four terms are
@@ -69,9 +69,7 @@ def rate_bound_terms(n, epsilon, alpha, beta, variant="gsir1", legacy=False):
       n^-1 eps^(-(3 alpha + 1)/(2 alpha)),  n^-1/2 eps^(-(alpha + 1)/(2 alpha));
 
     'gsir2' replaces beta by beta + 1/2 in the first two and uses the lighter
-    exponents -1 - 1/(2 alpha) and -1/(2 alpha) in the last two.  With
-    legacy=True the two-term reference bound eps^min(beta,1) + n^-1/2 eps^-1
-    is returned instead (same for both variants).
+    exponents -1 - 1/(2 alpha) and -1/(2 alpha) in the last two.
     """
     _check_alpha_beta(alpha, beta)
     if variant not in VARIANTS:
@@ -81,26 +79,16 @@ def rate_bound_terms(n, epsilon, alpha, beta, variant="gsir1", legacy=False):
     if not 0 < epsilon < 1:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     n = float(n)
-    if legacy:
-        bc = min(beta, 1.0)
-        terms = np.array([epsilon ** bc, epsilon ** -1.0 / np.sqrt(n)])
-        return terms, float(terms.sum())
     if variant == "gsir1":
-        bc = min(beta, 1.0)
-        terms = np.array([
-            epsilon ** (bc - 1.0) / np.sqrt(n),
-            epsilon ** bc,
-            epsilon ** (-(3.0 * alpha + 1.0) / (2.0 * alpha)) / n,
-            epsilon ** (-(alpha + 1.0) / (2.0 * alpha)) / np.sqrt(n),
-        ])
+        b = min(beta, 1.0)
+        e3 = -(3.0 * alpha + 1.0) / (2.0 * alpha)
+        e4 = -(alpha + 1.0) / (2.0 * alpha)
     else:
-        bt = min(beta + 0.5, 1.0)
-        terms = np.array([
-            epsilon ** (bt - 1.0) / np.sqrt(n),
-            epsilon ** bt,
-            epsilon ** (-1.0 - 1.0 / (2.0 * alpha)) / n,
-            epsilon ** (-1.0 / (2.0 * alpha)) / np.sqrt(n),
-        ])
+        b = min(beta + 0.5, 1.0)
+        e3 = -1.0 - 1.0 / (2.0 * alpha)
+        e4 = -1.0 / (2.0 * alpha)
+    terms = np.array([epsilon ** (b - 1.0) / np.sqrt(n), epsilon ** b,
+                      epsilon ** e3 / n, epsilon ** e4 / np.sqrt(n)])
     return terms, float(terms.sum())
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from scipy.special import zeta
 
 from .linalg import (DEFAULT_CLAMP, inv_shift, inv_sqrt_shift, operator_norm,
-                     spectral_apply)
+                     spectral_apply, symmetric_eigh)
 
 S_KINDS = ("identity", "random")
 RESIDUAL_KINDS = ("independent", "heteroscedastic")
@@ -98,8 +98,6 @@ def build_model(j_dim, y_dim, alpha, beta, seed=0, s_kind="identity", alpha_u=2.
     """
     if j_dim < 1 or y_dim < 1:
         raise ValueError(f"dimensions must be positive, got j_dim={j_dim}, y_dim={y_dim}")
-    if not alpha > 1:
-        raise ValueError(f"alpha must exceed 1 for a summable spectrum, got {alpha}")
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
     if not alpha_u > 1:
@@ -170,8 +168,10 @@ def estimate_regression_ops(sample, epsilon):
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     ops = empirical_operators(sample)
-    b = spectral_apply(ops.sxx, inv_shift(epsilon))
-    q = spectral_apply(ops.sxx, inv_sqrt_shift(epsilon))
+    # Both spectral functions share one eigendecomposition of sxx.
+    eig = symmetric_eigh(ops.sxx)
+    b = spectral_apply(eig, inv_shift(epsilon))
+    q = spectral_apply(eig, inv_sqrt_shift(epsilon))
     r1 = b @ ops.sxy
     r2 = q @ ops.sxy
     m = r1 @ r1.T

@@ -207,7 +207,7 @@ def test_criterion_09_operator_algebra():
         ky = KernelSpec("gaussian", 0.5)
         d = int(rng.integers(1, 4))
         eps = float(rng.uniform(1e-4, 1e-1))
-        gx = centered_gram(kx, x).G
+        gx = centered_gram(kx, x)
         if i % 2 == 0:
             c = fit_gsir1(x, y, kx, ky, eps, d).coefficients
         else:

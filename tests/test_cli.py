@@ -182,3 +182,90 @@ def test_predict_rejects_missing_model(tmp_path):
            "output_path": str(tmp_path / "out.csv")}
     config = write_json(tmp_path / "predict.json", doc)
     assert main(["predict", "--config", config]) == 2
+
+
+def fit_model_file(tmp_path):
+    config = write_json(tmp_path / "fit.json", fit_config_doc(tmp_path))
+    assert main(["fit", "--config", config]) == 0
+    return json.loads((tmp_path / "model.json").read_text())
+
+
+def write_points(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return str(path)
+
+
+def predict_config(tmp_path, data_csv):
+    doc = {"schema_version": 1, "model_path": str(tmp_path / "model.json"),
+           "data_csv": data_csv, "output_path": str(tmp_path / "pred.csv")}
+    return write_json(tmp_path / "predict.json", doc)
+
+
+def assert_config_error(capsys, argv):
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("kernel_x", "gaussian"),
+    ("kernel_x", {"family": "gaussian"}),
+    ("kernel_y", {"family": 3, "gamma": 1.0}),
+    ("kernel_x", {"family": "gaussian", "gamma": "1"}),
+    ("kernel_x", {"family": "gaussian", "gamma": 10 ** 400}),
+    ("d", "1"),
+    ("d", 1.0),
+    ("epsilon", None),
+    ("train_points", [[0.5, 0.1]] * 39 + [[0.5]]),
+    ("train_points", "abc"),
+    ("coefficients", [[0.5], [1.0]] * 20 + [[1.0, 2.0]]),
+])
+def test_predict_malformed_model_is_config_error(tmp_path, capsys, field, value):
+    doc = fit_model_file(tmp_path)
+    doc[field] = value
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    data = write_points(tmp_path / "new.csv", ["x_1", "x_2"], [[0.1, 0.2]])
+    assert_config_error(capsys, ["predict", "--config",
+                                 predict_config(tmp_path, data)])
+
+
+@pytest.mark.parametrize("field", ["train_points", "coefficients", "eigenvalues"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_predict_rejects_non_finite_model(tmp_path, capsys, field, bad):
+    doc = fit_model_file(tmp_path)
+    if field == "eigenvalues":
+        doc[field][0] = bad
+    else:
+        doc[field][0][0] = bad
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    data = write_points(tmp_path / "new.csv", ["x_1", "x_2"], [[0.1, 0.2]])
+    assert_config_error(capsys, ["predict", "--config",
+                                 predict_config(tmp_path, data)])
+    assert not (tmp_path / "pred.csv").exists()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_data_csv_is_config_error(tmp_path, capsys, bad):
+    fit_model_file(tmp_path)
+    data = write_points(tmp_path / "new.csv", ["x_1", "x_2"],
+                        [[0.1, 0.2], [bad, 0.3]])
+    assert_config_error(capsys, ["predict", "--config",
+                                 predict_config(tmp_path, data)])
+
+    train = write_points(tmp_path / "train.csv", ["x_1", "y"],
+                         [[0.1 * i, 1.0] for i in range(9)] + [[0.5, bad]])
+    doc = fit_config_doc(tmp_path)
+    del doc["dataset"]
+    doc["data_csv"] = train
+    config = write_json(tmp_path / "fit.json", doc)
+    assert_config_error(capsys, ["fit", "--config", config])
+
+
+def test_fit_rejects_negative_seed_override(tmp_path, capsys):
+    config = write_json(tmp_path / "fit.json", fit_config_doc(tmp_path))
+    assert_config_error(capsys, ["fit", "--config", config, "--seed", "-1"])

@@ -50,7 +50,7 @@ def test_gsir1_normalization_constraint(fit_fn, seed):
     # first predictor always satisfies c_1^T Gx c_1 = 1
     x, y = make_data(seed, 30)
     fit = fit_fn(x, y, GAUSS, GAUSS, 0.05, 1)
-    gx = centered_gram(GAUSS, x).G
+    gx = centered_gram(GAUSS, x)
     c = fit.coefficients[:, 0]
     if fit.variant == "gsir2":
         # stored coefficients carry the extra half-inverse; undo it
@@ -64,7 +64,7 @@ def test_gsir1_normalization_constraint(fit_fn, seed):
 def test_gsir1_full_normalization(seed):
     x, y = make_data(seed, 25)
     fit = fit_gsir1(x, y, GAUSS, GAUSS, 0.05, 2)
-    gx = centered_gram(GAUSS, x).G
+    gx = centered_gram(GAUSS, x)
     gram = fit.coefficients.T @ gx @ fit.coefficients
     assert np.max(np.abs(gram - np.eye(2))) < 1e-6
 
@@ -155,8 +155,8 @@ def test_align_sign_rejects_zero_vector():
 def test_objective_matrices_are_psd(n):
     # brute-force build of both symmetrized objective matrices
     x, y = make_data(11, n)
-    gx = centered_gram(GAUSS, x).G
-    gy = centered_gram(GAUSS, y).G
+    gx = centered_gram(GAUSS, x)
+    gy = centered_gram(GAUSS, y)
     eps = 0.05
     b = spectral_apply(gx / n, inv_shift(eps))
     w = spectral_apply(gx, sqrt())
@@ -173,8 +173,8 @@ def test_gsir1_objective_value_matches_eigenvalue(seed):
     eps = 0.05
     fit = fit_gsir1(x, y, GAUSS, GAUSS, eps, 2)
     n = 40
-    gx = centered_gram(GAUSS, x).G
-    gy = centered_gram(GAUSS, y).G
+    gx = centered_gram(GAUSS, x)
+    gy = centered_gram(GAUSS, y)
     b = np.linalg.inv(gx / n + eps * np.eye(n))
     a = b @ gy @ gx @ b / (n * n)
     for j in range(2):

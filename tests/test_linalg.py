@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from gsir.linalg import (NumericalError, SpectralFn, inv_shift, inv_sqrt_shift,
-                         operator_norm, pinv_sqrt, spectral_apply, sqrt,
-                         symmetric_eigh)
+from gsir.linalg import (NumericalError, inv_shift, inv_sqrt_shift,
+                         operator_norm, spectral_apply, sqrt, symmetric_eigh)
 
 ATOL = 1e-12
 
@@ -51,13 +50,9 @@ def test_symmetric_eigh_rejects_nonsquare():
 @pytest.mark.parametrize("kind,eps", [("inv_shift", 0.0), ("inv_shift", -1.0),
                                       ("inv_sqrt_shift", 0.0)])
 def test_spectral_fn_shift_needs_positive_eps(kind, eps):
+    fn = {"inv_shift": inv_shift, "inv_sqrt_shift": inv_sqrt_shift}[kind]
     with pytest.raises(ValueError, match="eps"):
-        SpectralFn(kind, eps=eps)
-
-
-def test_spectral_fn_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="kind"):
-        SpectralFn("log")
+        fn(eps)
 
 
 def test_inv_shift_closed_form():
@@ -77,18 +72,6 @@ def test_inv_sqrt_shift_closed_form():
 def test_sqrt_closed_form():
     out = spectral_apply(np.diag([4.0, 0.0]), sqrt())
     assert np.max(np.abs(out - np.diag([2.0, 0.0]))) < ATOL
-
-
-def test_pinv_sqrt_clamps_zero_block():
-    # M = diag(4, 0) with clamp 1e-12: eigenvalue 0 maps to 0, not infinity
-    out = spectral_apply(np.diag([4.0, 0.0]), pinv_sqrt())
-    assert np.max(np.abs(out - np.diag([0.5, 0.0]))) < ATOL
-
-
-def test_pinv_sqrt_relative_clamp():
-    # 1e-13 is below the relative threshold 1e-12 * 4, so it is dropped
-    out = spectral_apply(np.diag([4.0, 1e-13]), pinv_sqrt())
-    assert out[1, 1] == 0.0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -121,8 +104,16 @@ def test_sqrt_squares_back(seed):
 def test_spectral_apply_output_is_symmetric():
     rng = np.random.default_rng(8)
     m = random_psd(rng, 7, rank=3)
-    out = spectral_apply(m, pinv_sqrt())
+    out = spectral_apply(m, sqrt())
     assert np.max(np.abs(out - out.T)) == 0.0
+
+
+def test_spectral_apply_accepts_shared_eigendecomposition():
+    rng = np.random.default_rng(12)
+    m = random_psd(rng, 6)
+    eig = symmetric_eigh(m)
+    for fn in (inv_shift(0.2), inv_sqrt_shift(0.2), sqrt()):
+        assert np.array_equal(spectral_apply(eig, fn), spectral_apply(m, fn))
 
 
 def test_spectral_apply_commutes_with_argument():

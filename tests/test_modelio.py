@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gsir.estimator import evaluate_predictors, fit_gsir1, fit_gsir2
 from gsir.kernels import KernelSpec
@@ -103,3 +105,23 @@ def test_unknown_variant_rejected():
 def test_non_object_document_rejected():
     with pytest.raises(ValueError, match="object"):
         fit_from_json("[1, 2, 3]")
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(6, 24),
+       p=st.integers(1, 3), d=st.integers(1, 2),
+       epsilon=st.sampled_from([1e-3, 1e-2, 0.3]),
+       variant=st.sampled_from(["gsir1", "gsir2"]))
+def test_save_load_predict_is_bitwise_identical(tmp_path, seed, n, p, d, epsilon,
+                                                variant):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    y = np.sin(x[:, :1]) + 0.1 * rng.standard_normal((n, 1))
+    fit_fn = fit_gsir1 if variant == "gsir1" else fit_gsir2
+    fit = fit_fn(x, y, GAUSS, KernelSpec("laplace", 0.9), epsilon, d)
+    path = tmp_path / "model.json"
+    save_fit(fit, path)
+    x_new = rng.standard_normal((7, p))
+    assert np.array_equal(evaluate_predictors(load_fit(path), x_new),
+                          evaluate_predictors(fit, x_new))

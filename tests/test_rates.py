@@ -103,13 +103,6 @@ def test_terms_monotone_in_n():
     assert b[3] < a[3]
 
 
-def test_legacy_reference_bound():
-    terms, total = rate_bound_terms(10 ** 4, 0.01, 2.0, 1.0, legacy=True)
-    assert terms.shape == (2,)
-    assert np.allclose(terms, [0.01, 1.0], rtol=1e-12)
-    assert abs(total - 1.01) < 1e-12
-
-
 @pytest.mark.parametrize("eps", [1.0, 1.5, 0.0, -0.1])
 def test_rate_bound_rejects_epsilon_outside_unit(eps):
     with pytest.raises(ValueError, match="epsilon"):

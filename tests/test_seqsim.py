@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import zeta
 
-from gsir.linalg import inv_sqrt_shift, operator_norm, spectral_apply
+from gsir.linalg import inv_shift, inv_sqrt_shift, operator_norm, spectral_apply
 from gsir.rates import fit_loglog_slope
 from gsir.seqsim import (RegressionOps, SpectralModel, SpectralSample,
                          build_model, empirical_operators, error_report,
@@ -181,6 +181,20 @@ def test_regression_ops_rejects_bad_epsilon():
     s = simulate_sample(model, 10, seed=0)
     with pytest.raises(ValueError, match="epsilon"):
         estimate_regression_ops(s, 0.0)
+
+
+def test_regression_ops_match_separate_spectral_functions():
+    # One shared eigendecomposition of sxx gives bit-for-bit the operators
+    # that two separate spectral_apply calls give.
+    model = build_model(20, 2, alpha=2.0, beta=1.0, seed=4, s_kind="random")
+    s = simulate_sample(model, 300, seed=12)
+    ops = estimate_regression_ops(s, 0.03)
+    sxx = empirical_operators(s).sxx
+    sxy = empirical_operators(s).sxy
+    q = spectral_apply(sxx, inv_sqrt_shift(0.03))
+    assert np.array_equal(ops.r1, spectral_apply(sxx, inv_shift(0.03)) @ sxy)
+    assert np.array_equal(ops.r2, q @ sxy)
+    assert np.array_equal(ops.q, q)
 
 
 def test_r1_error_shrinks_with_epsilon_when_noise_free():
