@@ -85,8 +85,6 @@ def _run_fit(args):
         x, y = read_points_csv(config.data_csv, need_response=True)
     else:
         seed = config.base_seed if args.seed is None else args.seed
-        if seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {seed}")
         x, y, _ = generate(*config.dataset, seed)
     kx = resolve_kernel(config.kernel_x, x)
     ky = resolve_kernel(config.kernel_y, y)
@@ -112,6 +110,9 @@ def _run_predict(args):
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load model {config.model_path}: {exc}") from exc
     x, _ = read_points_csv(config.data_csv, need_response=False)
+    if x.shape[1] != fit.train_points.shape[1]:
+        raise ConfigError(f"data file {config.data_csv} has {x.shape[1]} x "
+                          f"columns, the model takes {fit.train_points.shape[1]}")
     pred = evaluate_predictors(fit, x)
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -164,6 +165,8 @@ def main(argv=None):
     if args.threads < 1:
         parser.error("--threads must be at least 1")
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         if args.command in _MODE_BY_COMMAND:
             _run_experiment_command(args)
         elif args.command == "fit":

@@ -14,11 +14,13 @@ the variant-1 objective matrix is S = (1/n^2) T^(-1) W Gy W T^(-1) and the
 variant-2 one is S' = (1/n^2) T^(-1/2) W Gy W T^(-1/2), both acting on
 u = W c where c is the coefficient vector of phi in the centered features.
 T, W, and their inverses are all spectral functions of Gx, so one
-eigendecomposition of Gx serves the whole solve.
+eigendecomposition of Gx serves the whole solve; Gy enters through a thin
+pivoted-Cholesky factor, so that eigendecomposition is the only O(n^3) step.
 """
 
 import numpy as np
 from dataclasses import dataclass, field
+from scipy.linalg.lapack import dpstrf
 
 from .kernels import KernelSpec, centered_gram, gram_matrix, _as_points
 from .linalg import DEFAULT_CLAMP, symmetric_eigh
@@ -28,6 +30,9 @@ VARIANTS = ("gsir1", "gsir2")
 # Eigenvalue gap below which the d-th predictor is not well separated from
 # the next direction and the fit carries an ambiguity warning.
 GAP_TOL = 1e-10
+
+# Rows per cross-Gram block in evaluate_predictors (memory _BLOCK x n).
+_BLOCK = 1024
 
 # Quadratic form below which a coefficient vector cannot be normalized
 # against Gx (the direction lies in the Gram null space).
@@ -69,35 +74,42 @@ def _check_inputs(x, y, epsilon, d):
     return x, y
 
 
+def _thin_factor(g):
+    """F (n x r) with g ~ F F^T; LAPACK's own tolerance sets r (see _solve)."""
+    c, piv, r, _ = dpstrf(g, lower=1, tol=-1)
+    return np.tril(c[:, :r])[np.argsort(piv)]
+
+
 def _solve(x, y, kernel_x, kernel_y, epsilon, variant):
     """Shared eigenproblem: returns everything both fit paths need.
 
     All quantities live in the eigenbasis of Gx: with Gx = V diag(w) V^T the
     objective matrix is similar to A = diag(l) V^T Gy V diag(l) / n^2 where
     l = sqrt(w)/t for variant 1 and sqrt(w)/sqrt(t) for variant 2, t = w/n
-    + eps.  Eigenvectors of the original problem are V times those of A.
+    + eps.  A is never formed.  Pivoted Cholesky (dpstrf, stopping at
+    n * ulp * max diagonal) gives Gy ~ F F^T with F n x r, r the numerical
+    rank of Gy, so A = B B^T for B = diag(l) V^T F / n.  With B^T B =
+    Q diag(mu) Q^T (r x r) the nonzero eigenpairs of A are mu and
+    B Q / sqrt(mu); mu is padded with zeros to length n.  Eigenvectors of
+    the original problem are V times those of A.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     n = x.shape[0]
-    gx = centered_gram(kernel_x, x)
-    gy = centered_gram(kernel_y, y)
-    w, v = symmetric_eigh(gx)
-    wmax = float(w[-1])
-    active = w > DEFAULT_CLAMP * wmax if wmax > 0 else np.zeros_like(w, bool)
+    w, v = symmetric_eigh(centered_gram(kernel_x, x))
+    active = w > DEFAULT_CLAMP * w[-1]
     t = w / n + epsilon
     sw = np.sqrt(w)
     lft = sw / t if variant == "gsir1" else sw / np.sqrt(t)
-    a = (lft[:, None] * (v.T @ gy @ v)) * lft[None, :] / (n * n)
-    mu, p = np.linalg.eigh((a + a.T) / 2.0)
-    order = np.argsort(mu)[::-1]
-    mu = np.maximum(mu[order], 0.0)
-    p = p[:, order]
+    b = v.T @ _thin_factor(centered_gram(kernel_y, y))
+    b *= (lft / n)[:, None]
+    mu, q = np.linalg.eigh(b.T @ b)
+    mu = np.concatenate([np.maximum(mu[::-1], 0.0), np.zeros(n - len(mu))])
     # Pseudo-inverse square-root weights of Gx in its own eigenbasis.
     ps = np.zeros_like(w)
     ps[active] = sw[active] ** -1.0
-    return {"v": v, "t": t, "mu": mu, "p": p, "ps": ps, "active": active,
-            "rank": int(np.count_nonzero(active))}
+    return {"v": v, "t": t, "mu": mu, "b": b, "q": q[:, ::-1], "ps": ps,
+            "active": active, "rank": int(np.count_nonzero(active))}
 
 
 def _extract(sol, d, variant):
@@ -106,26 +118,29 @@ def _extract(sol, d, variant):
         raise ValueError(f"d={d} exceeds the numerical rank {sol['rank']} of the "
                          f"centered Gram matrix; the achievable d is {sol['rank']}")
     warnings = []
-    mu, p, v, ps, active = sol["mu"], sol["p"], sol["v"], sol["ps"], sol["active"]
+    mu, v, active = sol["mu"], sol["v"], sol["active"]
     if mu[d - 1] - mu[d] < GAP_TOL:
         warnings.append(f"eigenvalue gap mu_{d} - mu_{d + 1} = "
                         f"{mu[d - 1] - mu[d]:.3e} is below {GAP_TOL:.0e}; "
                         f"the d-th predictor is not uniquely determined")
-    cols = []
-    for j in range(d):
-        pj = p[:, j]
-        # Gx-norm of W^+ u_j equals the mass of u_j on the active eigenspace.
-        qf = float(np.sum(pj[active] ** 2))
-        coef_basis = ps * pj
-        if qf > _NORM_GUARD:
-            coef_basis = coef_basis / np.sqrt(qf)
-        else:
-            warnings.append(f"predictor {j + 1} lies in the Gram null space and "
-                            f"cannot be normalized; coefficients left unscaled")
-        if variant == "gsir2":
-            coef_basis = coef_basis / np.sqrt(sol["t"])
-        cols.append(v @ coef_basis)
-    coefficients = np.column_stack(cols)
+    k = min(d, int(np.count_nonzero(mu > DEFAULT_CLAMP * mu[0])))
+    p = sol["b"] @ sol["q"][:, :k] / np.sqrt(mu[:k])
+    if k < d:
+        # mu = 0 here: complete p with the top Gx directions, orthogonalized.
+        fill = np.linalg.qr(np.column_stack([p, np.eye(len(mu), d)[::-1]]))[0]
+        p = np.column_stack([p, fill[:, k:d]])
+    # Gx-norm of W^+ u_j equals the mass of u_j on the active eigenspace.
+    qf = np.sum(p[active] ** 2, axis=0)
+    for j in np.flatnonzero(qf <= _NORM_GUARD):
+        warnings.append(f"predictor {j + 1} lies in the Gram null space and "
+                        f"cannot be normalized; coefficients left unscaled")
+    coef_basis = sol["ps"][:, None] * p / np.sqrt(np.where(qf > _NORM_GUARD, qf, 1.0))
+    if variant == "gsir2":
+        coef_basis = coef_basis / np.sqrt(sol["t"])[:, None]
+    coefficients = v @ coef_basis
+    # Sign convention: each predictor's largest-magnitude coefficient is > 0.
+    top = coefficients[np.argmax(np.abs(coefficients), axis=0), np.arange(d)]
+    coefficients *= np.where(top < 0.0, -1.0, 1.0)
     return coefficients, mu[:d].copy(), tuple(warnings)
 
 
@@ -179,9 +194,12 @@ def evaluate_predictors(fit, x_new):
     if x_new.shape[1] != fit.train_points.shape[1]:
         raise ValueError(f"new points have dimension {x_new.shape[1]}, "
                          f"training points have {fit.train_points.shape[1]}")
-    k_new = gram_matrix(fit.kernel_x, x_new, fit.train_points)
-    k_new = k_new - k_new.mean(axis=1, keepdims=True)
-    return k_new @ fit.coefficients
+    out = np.empty((x_new.shape[0], fit.coefficients.shape[1]))
+    for s in range(0, x_new.shape[0], _BLOCK):
+        k_new = gram_matrix(fit.kernel_x, x_new[s:s + _BLOCK], fit.train_points)
+        k_new -= k_new.mean(axis=1, keepdims=True)
+        np.matmul(k_new, fit.coefficients, out=out[s:s + _BLOCK])
+    return out
 
 
 def align_sign(estimated, reference):

@@ -70,14 +70,13 @@ def gram_matrix(spec, x, z=None):
 
 
 def centered_gram(spec, x):
-    """Centered Gram matrix Q K Q for one point set (needs n >= 2)."""
+    """Q K Q in O(n^2): K less its row and column means plus its grand mean."""
     x = _as_points(x)
     n = x.shape[0]
     if n < 2:
         raise ValueError(f"centering needs at least 2 points, got {n}")
     k = gram_matrix(spec, x)
-    q = np.eye(n) - np.full((n, n), 1.0 / n)
-    g = q @ k @ q
+    g = k - k.mean(axis=1, keepdims=True) - k.mean(axis=0) + k.mean()
     return (g + g.T) / 2.0
 
 

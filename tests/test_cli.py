@@ -269,3 +269,30 @@ def test_non_finite_data_csv_is_config_error(tmp_path, capsys, bad):
 def test_fit_rejects_negative_seed_override(tmp_path, capsys):
     config = write_json(tmp_path / "fit.json", fit_config_doc(tmp_path))
     assert_config_error(capsys, ["fit", "--config", config, "--seed", "-1"])
+
+
+def test_predict_column_mismatch_is_config_error(tmp_path, capsys):
+    fit_model_file(tmp_path)
+    data = write_points(tmp_path / "new.csv", ["x_1", "x_2", "x_3"],
+                        [[0.1, 0.2, 0.3]])
+    assert_config_error(capsys, ["predict", "--config",
+                                 predict_config(tmp_path, data)])
+    assert not (tmp_path / "pred.csv").exists()
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("sim-rate", {"schema_version": 1, "mode": "sim_rate", "base_seed": 3,
+                  "n_grid": [30], "replications": 1, "alpha": 2.0, "beta": 1.0,
+                  "model": {"j_dim": 8, "y_dim": 1}}),
+    ("kernel-recovery", {"schema_version": 1, "mode": "kernel_recovery",
+                         "base_seed": 2, "n_grid": [40], "replications": 1,
+                         "dataset": {"model": "m3_symmetric", "p": 2,
+                                     "sigma_noise": 0.1},
+                         "epsilon": 1e-3, "d": 1, "n_test": 100}),
+])
+def test_experiment_rejects_negative_seed_override(tmp_path, capsys, command, doc):
+    config = write_json(tmp_path / "exp.json", doc)
+    out = tmp_path / "out.csv"
+    assert_config_error(capsys, [command, "--config", config, "--seed", "-1",
+                                 "--out", str(out)])
+    assert not out.exists()

@@ -2,8 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gsir.estimator import (align_sign, evaluate_predictors, fit_gsir1,
+from gsir.estimator import (_BLOCK, align_sign, evaluate_predictors, fit_gsir1,
                             fit_gsir2, gsir_spectrum)
 from gsir.kernels import KernelSpec, centered_gram, eval_kernel, gram_matrix
 from gsir.linalg import inv_shift, inv_sqrt_shift, spectral_apply, sqrt
@@ -228,3 +230,32 @@ def test_variant_spans_agree_for_low_rank_response():
         e1 = evaluate_predictors(f1, x)
         e2 = evaluate_predictors(f2, x)
         assert span_projection_error(e1, e2, 2) < 1e-6
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_blocked_evaluation_is_bitwise_one_shot(d):
+    x, y = make_data(17, 40)
+    fit = fit_gsir1(x, y, GAUSS, GAUSS, 0.05, d)
+    x_new = np.random.default_rng(18).standard_normal((_BLOCK + 37, 2))
+    k = gram_matrix(GAUSS, x_new, x)
+    one_shot = (k - k.mean(axis=1, keepdims=True)) @ fit.coefficients
+    assert np.array_equal(evaluate_predictors(fit, x_new), one_shot)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(12, 40),
+       d=st.integers(1, 2), fit_fn=st.sampled_from([fit_gsir1, fit_gsir2]),
+       data=st.data())
+def test_permuted_rows_give_identical_predictions(seed, n, d, fit_fn, data):
+    # the largest-magnitude coefficient of each predictor is positive, so
+    # predictions need no sign alignment
+    x, y = make_data(seed, n)
+    perm = np.array(data.draw(st.permutations(range(n))))
+    fit = fit_fn(x, y, GAUSS, GAUSS, 0.05, d)
+    fit_p = fit_fn(x[perm], y[perm], GAUSS, GAUSS, 0.05, d)
+    x_new = make_data(seed + 1, 15)[0]
+    pred = evaluate_predictors(fit, x_new)
+    assert np.max(np.abs(evaluate_predictors(fit_p, x_new) - pred)) <= \
+        1e-8 * np.max(np.abs(pred))
+    mu = gsir_spectrum(x, y, GAUSS, GAUSS, 0.05, fit.variant)
+    assert np.array_equal(mu[:d], fit.eigenvalues)
