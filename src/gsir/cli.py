@@ -8,6 +8,7 @@ new points).  Exit codes: 0 success, 2 config, usage or input-data error
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
@@ -128,12 +129,11 @@ def _run_experiment_command(args):
     if config.mode != expected:
         raise ConfigError(f"config mode {config.mode!r} does not match "
                           f"subcommand {args.command!r} (expected {expected!r})")
-    if args.seed is not None:
-        if config.mode == "theory_table":
-            raise ConfigError("theory_table takes no seed")
-        config = type(config)(**{**config.__dict__, "base_seed": args.seed})
-    if args.out:
-        config = type(config)(**{**config.__dict__, "output_path": args.out})
+    if args.seed is not None and config.mode == "theory_table":
+        raise ConfigError("theory_table takes no seed")
+    overrides = {"base_seed": args.seed, "output_path": args.out or None}
+    config = dataclasses.replace(
+        config, **{key: v for key, v in overrides.items() if v is not None})
     report = run_experiment(config, threads=args.threads)
     if config.output_path:
         print(f"{config.mode}: {len(report.rows)} rows -> {config.output_path}")

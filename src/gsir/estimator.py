@@ -8,14 +8,17 @@ that maximize the squared image under a regularized regression operator:
               the reported predictors are the eigenfunctions pushed through
               (Sxx + eps I)^(-1/2) once more.
 
-With n training points everything reduces to an n x n symmetric eigenproblem
-on centered Gram matrices.  Writing T = (1/n) Gx + eps I and W = Gx^(1/2),
+With n training points everything reduces to a symmetric eigenproblem on
+centered Gram matrices.  Writing T = (1/n) Gx + eps I and W = Gx^(1/2),
 the variant-1 objective matrix is S = (1/n^2) T^(-1) W Gy W T^(-1) and the
 variant-2 one is S' = (1/n^2) T^(-1/2) W Gy W T^(-1/2), both acting on
 u = W c where c is the coefficient vector of phi in the centered features.
 T, W, and their inverses are all spectral functions of Gx, so one
 eigendecomposition of Gx serves the whole solve; Gy enters through a thin
 pivoted-Cholesky factor, so that eigendecomposition is the only O(n^3) step.
+The operators live on the range of Sxx, so the solve keeps only the
+numerical range of Gx (eigenvalues above DEFAULT_CLAMP times the largest);
+every eigenvalue mu beyond the rank of Gx is exactly 0.
 """
 
 import numpy as np
@@ -33,10 +36,6 @@ GAP_TOL = 1e-10
 
 # Rows per cross-Gram block in evaluate_predictors (memory _BLOCK x n).
 _BLOCK = 1024
-
-# Quadratic form below which a coefficient vector cannot be normalized
-# against Gx (the direction lies in the Gram null space).
-_NORM_GUARD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -81,63 +80,55 @@ def _thin_factor(g):
 
 
 def _solve(x, y, kernel_x, kernel_y, epsilon, variant):
-    """Shared eigenproblem: returns everything both fit paths need.
+    """Shared eigenproblem on the numerical range of Gx: (v, s, b, mu, q).
 
-    All quantities live in the eigenbasis of Gx: with Gx = V diag(w) V^T the
-    objective matrix is similar to A = diag(l) V^T Gy V diag(l) / n^2 where
-    l = sqrt(w)/t for variant 1 and sqrt(w)/sqrt(t) for variant 2, t = w/n
-    + eps.  A is never formed.  Pivoted Cholesky (dpstrf, stopping at
-    n * ulp * max diagonal) gives Gy ~ F F^T with F n x r, r the numerical
-    rank of Gy, so A = B B^T for B = diag(l) V^T F / n.  With B^T B =
-    Q diag(mu) Q^T (r x r) the nonzero eigenpairs of A are mu and
-    B Q / sqrt(mu); mu is padded with zeros to length n.  Eigenvectors of
-    the original problem are V times those of A.
+    With Gx = V diag(w) V^T, only the r eigenpairs with w > DEFAULT_CLAMP *
+    max(w) are kept (v is n x r).  On that range the objective matrix is
+    similar to A = diag(l) V^T Gy V diag(l) / n^2 where l = sqrt(w)/t for
+    variant 1 and sqrt(w)/sqrt(t) for variant 2, t = w/n + eps.  A is never
+    formed.  Pivoted Cholesky (dpstrf, stopping at n * ulp * max diagonal)
+    gives Gy ~ F F^T with F n x r_y, r_y the numerical rank of Gy, so A =
+    B B^T for B = diag(l) V^T F / n (r x r_y).  With B^T B = Q diag(mu) Q^T
+    the nonzero eigenpairs of A are mu and B Q / sqrt(mu); the top min(r,
+    r_y) values of mu are padded with zeros to length n, so mu is exactly 0
+    beyond the rank of Gx.  A unit eigenvector p of A gives the coefficients
+    V (s * p), with s = 1/sqrt(w) for variant 1 and 1/sqrt(w t) for variant 2.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     n = x.shape[0]
     w, v = symmetric_eigh(centered_gram(kernel_x, x))
-    active = w > DEFAULT_CLAMP * w[-1]
+    r = int(np.count_nonzero(w > DEFAULT_CLAMP * w[-1]))
+    w, v = w[n - r:], v[:, n - r:]
     t = w / n + epsilon
-    sw = np.sqrt(w)
-    lft = sw / t if variant == "gsir1" else sw / np.sqrt(t)
+    lft = np.sqrt(w) / (t if variant == "gsir1" else np.sqrt(t))
+    s = 1.0 / np.sqrt(w if variant == "gsir1" else w * t)
     b = v.T @ _thin_factor(centered_gram(kernel_y, y))
     b *= (lft / n)[:, None]
     mu, q = np.linalg.eigh(b.T @ b)
-    mu = np.concatenate([np.maximum(mu[::-1], 0.0), np.zeros(n - len(mu))])
-    # Pseudo-inverse square-root weights of Gx in its own eigenbasis.
-    ps = np.zeros_like(w)
-    ps[active] = sw[active] ** -1.0
-    return {"v": v, "t": t, "mu": mu, "b": b, "q": q[:, ::-1], "ps": ps,
-            "active": active, "rank": int(np.count_nonzero(active))}
+    mu = np.maximum(mu[::-1][:r], 0.0)   # b (r x r_y) has rank at most r
+    return v, s, b, np.concatenate([mu, np.zeros(n - len(mu))]), q[:, ::-1]
 
 
-def _extract(sol, d, variant):
+def _extract(sol, d):
     """Top-d coefficients, eigenvalues, and warnings from a solved problem."""
-    if d > sol["rank"]:
-        raise ValueError(f"d={d} exceeds the numerical rank {sol['rank']} of the "
-                         f"centered Gram matrix; the achievable d is {sol['rank']}")
+    v, s, b, mu, q = sol
+    rank = v.shape[1]
+    if d > rank:
+        raise ValueError(f"d={d} exceeds the numerical rank {rank} of the "
+                         f"centered Gram matrix; the achievable d is {rank}")
     warnings = []
-    mu, v, active = sol["mu"], sol["v"], sol["active"]
     if mu[d - 1] - mu[d] < GAP_TOL:
         warnings.append(f"eigenvalue gap mu_{d} - mu_{d + 1} = "
                         f"{mu[d - 1] - mu[d]:.3e} is below {GAP_TOL:.0e}; "
                         f"the d-th predictor is not uniquely determined")
     k = min(d, int(np.count_nonzero(mu > DEFAULT_CLAMP * mu[0])))
-    p = sol["b"] @ sol["q"][:, :k] / np.sqrt(mu[:k])
+    p = b @ q[:, :k] / np.sqrt(mu[:k])
     if k < d:
         # mu = 0 here: complete p with the top Gx directions, orthogonalized.
-        fill = np.linalg.qr(np.column_stack([p, np.eye(len(mu), d)[::-1]]))[0]
+        fill = np.linalg.qr(np.column_stack([p, np.eye(rank, d)[::-1]]))[0]
         p = np.column_stack([p, fill[:, k:d]])
-    # Gx-norm of W^+ u_j equals the mass of u_j on the active eigenspace.
-    qf = np.sum(p[active] ** 2, axis=0)
-    for j in np.flatnonzero(qf <= _NORM_GUARD):
-        warnings.append(f"predictor {j + 1} lies in the Gram null space and "
-                        f"cannot be normalized; coefficients left unscaled")
-    coef_basis = sol["ps"][:, None] * p / np.sqrt(np.where(qf > _NORM_GUARD, qf, 1.0))
-    if variant == "gsir2":
-        coef_basis = coef_basis / np.sqrt(sol["t"])[:, None]
-    coefficients = v @ coef_basis
+    coefficients = v @ (s[:, None] * p / np.linalg.norm(p, axis=0))
     # Sign convention: each predictor's largest-magnitude coefficient is > 0.
     top = coefficients[np.argmax(np.abs(coefficients), axis=0), np.arange(d)]
     coefficients *= np.where(top < 0.0, -1.0, 1.0)
@@ -148,7 +139,7 @@ def _fit(x, y, kernel_x, kernel_y, epsilon, d, variant):
     x, y = _check_inputs(x, y, epsilon, d)
     sol = _solve(x, y, kernel_x, kernel_y, epsilon, variant)
     return GsirFit(variant, x.copy(), kernel_x, kernel_y, float(epsilon), d,
-                   *_extract(sol, d, variant))
+                   *_extract(sol, d))
 
 
 def fit_gsir1(x, y, kernel_x, kernel_y, epsilon, d):
@@ -180,12 +171,11 @@ def fit_gsir2(x, y, kernel_x, kernel_y, epsilon, d):
 def gsir_spectrum(x, y, kernel_x, kernel_y, epsilon, variant="gsir1"):
     """Full eigenvalue sequence of the objective operator, descending.
 
-    Useful for inspecting directions beyond the numerical rank of the Gram
-    matrix, where a fit would refuse to normalize coefficients.
+    Has length n; every value beyond the numerical rank of Gx (and of Gy)
+    is exactly 0, because the solve works on the range of Gx only.
     """
     x, y = _check_inputs(x, y, epsilon, d=1)
-    sol = _solve(x, y, kernel_x, kernel_y, epsilon, variant)
-    return sol["mu"].copy()
+    return _solve(x, y, kernel_x, kernel_y, epsilon, variant)[3]
 
 
 def evaluate_predictors(fit, x_new):

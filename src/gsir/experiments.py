@@ -12,6 +12,7 @@ configs produce byte-identical CSV output.
 import csv
 import io
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
@@ -57,7 +58,7 @@ def _reject_unknown(doc, allowed, where):
 
 
 def _as_int(value, name, minimum=None):
-    if isinstance(value, bool) or not isinstance(value, int):
+    if type(value) is not int or not abs(value) <= sys.float_info.max:
         raise ConfigError(f"field {name!r} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"field {name!r} must be >= {minimum}, got {value}")
@@ -65,8 +66,10 @@ def _as_int(value, name, minimum=None):
 
 
 def _as_real(value, name, positive=False):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"field {name!r} must be a number, got {value!r}")
+    # The bound is false for NaN, infinities and integers beyond float range.
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"field {name!r} must be a finite number, got {value!r}")
     if positive and not value > 0:
         raise ConfigError(f"field {name!r} must be positive, got {value}")
     return float(value)
@@ -80,7 +83,9 @@ def _above_one(value, name):
 
 
 def _as_text(value, name):
-    return str(value)
+    if not isinstance(value, str):
+        raise ConfigError(f"field {name!r} must be a string, got {value!r}")
+    return value
 
 
 def _one_of(choices):
@@ -153,7 +158,7 @@ def _as_dataset(ds, name, sized=False):
                     "dataset section")
     try:
         model = SyntheticModel(
-            name=str(_require(ds, "model", "dataset section")),
+            name=_as_text(_require(ds, "model", "dataset section"), "dataset.model"),
             p=_as_int(_require(ds, "p", "dataset section"), "dataset.p", minimum=1),
             sigma_noise=_as_real(_require(ds, "sigma_noise", "dataset section"),
                                  "dataset.sigma_noise"),
@@ -320,7 +325,7 @@ def _check_document(doc):
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     version = _require(doc, "schema_version", "config")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r}; "
                           f"expected {SCHEMA_VERSION}")
 
@@ -339,7 +344,9 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON, undecodable bytes and integers
+        # longer than Python converts.
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
@@ -484,7 +491,6 @@ def run_kernel_recovery(config, threads=1):
 
     tasks = [(n, rep) for n in config.n_grid for rep in range(config.replications)]
     rows = [row for chunk in _run_tasks(one, tasks, threads) for row in chunk]
-    rows.sort(key=lambda r: (r.n, r.rep, r.variant))
 
     summary = {"by_variant": {}}
     for variant in ("gsir1", "gsir2"):

@@ -2,7 +2,9 @@
 
 It forms every n x n matrix explicitly: Q K Q centering with the dense
 centering matrix Q, the projection V^T Gy V onto the Gx eigenbasis, and a
-full n x n eigendecomposition of the objective matrix.
+full n x n eigendecomposition of the objective matrix.  Like the estimator
+it weights only the numerical range of Gx: l is zero on the eigenvalues at
+or below DEFAULT_CLAMP times the largest.
 """
 
 import numpy as np
@@ -30,6 +32,7 @@ def reference_fit(x, y, kernel_x, kernel_y, epsilon, d, variant):
     t = w / n + epsilon
     sw = np.sqrt(w)
     lft = sw / t if variant == "gsir1" else sw / np.sqrt(t)
+    lft[~active] = 0.0
     a = (lft[:, None] * (v.T @ gy @ v)) * lft[None, :] / (n * n)
     mu, p = np.linalg.eigh((a + a.T) / 2.0)
     mu, p = np.maximum(mu[::-1], 0.0), p[:, ::-1][:, :d]

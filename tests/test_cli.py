@@ -296,3 +296,50 @@ def test_experiment_rejects_negative_seed_override(tmp_path, capsys, command, do
     assert_config_error(capsys, [command, "--config", config, "--seed", "-1",
                                  "--out", str(out)])
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("theory", {"schema_version": 1, "mode": "theory_table",
+                "grid": [[float("inf"), 1.0]], "output_path": "out.csv"}),
+    ("theory", {"schema_version": 1, "mode": "theory_table",
+                "grid": [[10 ** 400, 1.0]], "output_path": "out.csv"}),
+    ("theory", {"schema_version": 1, "mode": "theory_table", "n_ref": 10 ** 400,
+                "grid": [[2.0, 1.0]], "output_path": "out.csv"}),
+    ("theory", {"schema_version": True, "mode": "theory_table",
+                "grid": [[2.0, 1.0]], "output_path": "out.csv"}),
+    ("sim-rate", {"schema_version": 1, "mode": "sim_rate", "base_seed": 3,
+                  "n_grid": [30], "replications": 1, "alpha": 10 ** 400,
+                  "beta": 1.0, "model": {"j_dim": 8, "y_dim": 1},
+                  "output_path": "out.csv"}),
+    ("kernel-recovery", {"schema_version": 1, "mode": "kernel_recovery",
+                         "base_seed": 2, "n_grid": [40], "replications": 1,
+                         "dataset": {"model": "m3_symmetric", "p": 2,
+                                     "sigma_noise": float("nan")},
+                         "epsilon": 1e-3, "d": 1, "n_test": 100,
+                         "output_path": "out.csv"}),
+])
+def test_non_finite_or_mistyped_config_is_config_error(tmp_path, capsys,
+                                                       monkeypatch, command, doc):
+    # json reads NaN, Infinity and integers beyond float range
+    monkeypatch.chdir(tmp_path)
+    config = write_json(tmp_path / "exp.json", doc)
+    assert_config_error(capsys, [command, "--config", config])
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_fit_null_output_path_is_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = write_json(tmp_path / "fit.json",
+                        fit_config_doc(tmp_path, output_path=None))
+    assert_config_error(capsys, ["fit", "--config", config])
+    assert not (tmp_path / "None").exists()
+
+
+@pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000,
+                                  '{"schema_version": ' + "9" * 5000 + "}"],
+                         ids=["deep", "long_int"])
+def test_unreadable_json_is_config_error(tmp_path, capsys, text):
+    # too deep for the decoder, or an integer longer than Python converts
+    path = tmp_path / "exp.json"
+    path.write_text(text)
+    assert_config_error(capsys, ["theory", "--config", str(path)])

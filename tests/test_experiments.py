@@ -1,10 +1,15 @@
 import copy
+import dataclasses
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gsir.experiments import (ConfigError, RateReport, derive_seed,
-                              kernel_recovery_csv, parse_config, run_experiment,
+                              kernel_recovery_csv, load_command_config,
+                              load_config, parse_config, run_experiment,
                               run_kernel_recovery, run_sim_rate,
                               run_theory_table, sim_rate_csv, theory_table_csv)
 from gsir.seqsim import (build_model, error_report, estimate_regression_ops,
@@ -98,6 +103,80 @@ def test_theory_config_rejects_alpha_at_one():
     doc["grid"] = [[1.0, 0.5]]
     with pytest.raises(ConfigError, match="alpha"):
         parse_config(doc)
+
+
+FIT_DOC = {
+    "schema_version": 1,
+    "variant": "gsir1",
+    "dataset": {"model": "m1_ratio", "p": 2, "sigma_noise": 0.1, "n": 40},
+    "kernel_x": {"family": "gaussian", "gamma": "median"},
+    "kernel_y": {"family": "laplace", "gamma": 0.5},
+    "epsilon": 1e-3,
+    "d": 1,
+    "base_seed": 0,
+    "output_path": "model.json",
+}
+
+PREDICT_DOC = {
+    "schema_version": 1,
+    "model_path": "model.json",
+    "data_csv": "points.csv",
+    "output_path": "pred.csv",
+}
+
+# (valid document, loader) for each of the five config kinds
+CONFIG_KINDS = [
+    (sim_doc(delta=[0.3, 0.5], output_path="sim.csv"), load_config),
+    (RECOVERY_DOC, load_config),
+    (THEORY_DOC, load_config),
+    (FIT_DOC, lambda path: load_command_config(path, "fit")),
+    (PREDICT_DOC, lambda path: load_command_config(path, "predict")),
+]
+
+
+def _paths(doc, prefix=()):
+    """Every position in a JSON document, nested ones included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+_FIELD_NAMES = sorted({p[-1] for doc, _ in CONFIG_KINDS for p in _paths(doc)
+                       if isinstance(p[-1], str)})
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6),
+    # integers beyond float range
+    st.integers(2 ** 1024, 10 ** 400), st.integers(-10 ** 400, -2 ** 1024),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 0, -1, 1, 1.5,
+                     "median", "optimal", "gaussian", "m3_symmetric", ""]))
+JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.one_of(st.sampled_from(_FIELD_NAMES),
+                                  st.text(max_size=4)), inner, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_any_replaced_field_gives_config_or_config_error(tmp_path_factory, data):
+    doc, load = data.draw(st.sampled_from(CONFIG_KINDS))
+    doc = copy.deepcopy(doc)
+    *parents, last = data.draw(st.sampled_from(list(_paths(doc))))
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = data.draw(JSON_VALUES)
+    path = tmp_path_factory.mktemp("config") / "config.json"
+    path.write_text(json.dumps(doc))
+    try:
+        config = load(path)
+    except ConfigError:
+        return
+    assert dataclasses.is_dataclass(config)
 
 
 def test_derive_seed_depends_on_all_parts():

@@ -22,20 +22,20 @@ def make_data(n, q):
     return x, y + 0.1 * rng.standard_normal((n, q))
 
 
-def assert_matches_reference(fit, x, y, d):
+def assert_matches_reference(fit, x, y, d, mu_tol=1e-10, pred_tol=1e-8):
     mu_ref, coef_ref = reference_fit(x, y, fit.kernel_x, fit.kernel_y,
                                      fit.epsilon, d, fit.variant)
     mu = gsir_spectrum(x, y, fit.kernel_x, fit.kernel_y, fit.epsilon, fit.variant)
     # Eigenvalue errors of a symmetric matrix scale with its largest one.
     assert mu.shape == mu_ref.shape
-    assert np.max(np.abs(mu - mu_ref)) <= 1e-10 * mu_ref[0]
+    assert np.max(np.abs(mu - mu_ref)) <= mu_tol * mu_ref[0]
     assert np.array_equal(fit.eigenvalues, mu[:d])
     pred = evaluate_predictors(fit, x)
     pred_ref = evaluate_predictors(dataclasses.replace(fit, coefficients=coef_ref), x)
     for j in range(d):
         s = align_sign(pred[:, j], pred_ref[:, j])
         scale = np.max(np.abs(pred_ref[:, j]))
-        assert np.max(np.abs(s * pred[:, j] - pred_ref[:, j])) <= 1e-8 * scale
+        assert np.max(np.abs(s * pred[:, j] - pred_ref[:, j])) <= pred_tol * scale
 
 
 @pytest.mark.parametrize("variant", ["gsir1", "gsir2"])
@@ -49,6 +49,28 @@ def test_solve_matches_dense_reference(n, family, q, variant):
     fit = FIT[variant](x, y, kernel, kernel, EPS, q)
     assert fit.warnings == ()
     assert_matches_reference(fit, x, y, q)
+
+
+@pytest.mark.parametrize("variant", ["gsir1", "gsir2"])
+@pytest.mark.parametrize("q", [1, 3])
+@pytest.mark.parametrize("n", [50, 200])
+def test_linear_kernel_null_space_does_not_leak(n, q, variant):
+    # a linear kernel on 3-d x gives Gx rank 3: the other n - 3 eigenvalues
+    # are rounding noise and must carry no weight into the solve
+    x, y = make_data(n, q)
+    kernel = KernelSpec("linear")
+    fit = FIT[variant](x, y, kernel, kernel, EPS, q)
+    assert_matches_reference(fit, x, y, q, mu_tol=1e-13, pred_tol=1e-11)
+
+
+@pytest.mark.parametrize("variant", ["gsir1", "gsir2"])
+def test_spectrum_is_zero_beyond_the_rank_of_gx(variant):
+    # linear Gx has rank 3 and laplace Gy full rank, so B^T B is wide but of
+    # rank 3: its rounding-level eigenvalues must not reach the spectrum
+    x, y = make_data(200, 1)
+    mu = gsir_spectrum(x, y, KernelSpec("linear"), KernelSpec("laplace", 0.5),
+                       EPS, variant)
+    assert mu.shape == (200,) and np.all(mu[:3] > 0) and np.all(mu[3:] == 0.0)
 
 
 @pytest.mark.parametrize("variant", ["gsir1", "gsir2"])
