@@ -1,7 +1,7 @@
 """Stage timings of the dense fit path, for one checkout or two side by side.
 
     python bench/fit_stages.py --out BENCH.json [--label NAME=SRC_DIR ...]
-                               [--n 500 1000 2000] [--repeats 3]
+                               [--n 500 1000 2000 4000] [--repeats 3]
 
 Each label names a `src` directory holding a `gsir` package (default: this
 checkout's `src` as "current").  Every (label, stage, n) cell runs in its own
@@ -92,7 +92,7 @@ def main(argv=None):
     parser.add_argument("--out", help="JSON file to write")
     parser.add_argument("--label", nargs="*", default=None,
                         help="NAME=SRC_DIR pairs (default current=<repo>/src)")
-    parser.add_argument("--n", nargs="*", type=int, default=[500, 1000, 2000])
+    parser.add_argument("--n", nargs="*", type=int, default=[500, 1000, 2000, 4000])
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--cell", nargs=4, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)

@@ -16,8 +16,8 @@ import numpy as np
 
 from .datasets import generate
 from .estimator import evaluate_predictors, fit_gsir1, fit_gsir2
-from .experiments import (ConfigError, load_command_config, load_config,
-                          resolve_kernel, run_experiment)
+from .experiments import (ConfigError, check_dense_memory, load_command_config,
+                          load_config, resolve_kernel, run_experiment)
 from .linalg import NumericalError
 from .modelio import load_fit, save_fit
 
@@ -87,6 +87,7 @@ def _run_fit(args):
     else:
         seed = config.base_seed if args.seed is None else args.seed
         x, y, _ = generate(*config.dataset, seed)
+    check_dense_memory(x.shape[0])
     kx = resolve_kernel(config.kernel_x, x)
     ky = resolve_kernel(config.kernel_y, y)
     out = args.out or config.output_path

@@ -8,25 +8,29 @@ that maximize the squared image under a regularized regression operator:
               the reported predictors are the eigenfunctions pushed through
               (Sxx + eps I)^(-1/2) once more.
 
-With n training points everything reduces to a symmetric eigenproblem on
-centered Gram matrices.  Writing T = (1/n) Gx + eps I and W = Gx^(1/2),
-the variant-1 objective matrix is S = (1/n^2) T^(-1) W Gy W T^(-1) and the
-variant-2 one is S' = (1/n^2) T^(-1/2) W Gy W T^(-1/2), both acting on
-u = W c where c is the coefficient vector of phi in the centered features.
-T, W, and their inverses are all spectral functions of Gx, so one
-eigendecomposition of Gx serves the whole solve; Gy enters through a thin
-pivoted-Cholesky factor, so that eigendecomposition is the only O(n^3) step.
-The operators live on the range of Sxx, so the solve keeps only the
-numerical range of Gx (eigenvalues above DEFAULT_CLAMP times the largest);
-every eigenvalue mu beyond the rank of Gx is exactly 0.
+With n training points and T = Gx/n + eps I on centered Gram matrices, no
+n x n matrix is decomposed.  Pivoted Cholesky (LAPACK dpstrf, stopping at
+n * ulp * max diagonal) factors Gx ~ Fx Fx^T (n x r) and Gy ~ F F^T (n x r_y).
+The solve lives on the range of Fx, the numerical range of Gx, so every
+eigenvalue mu beyond r is exactly 0.  With Fx = Qx Rx (Householder QR),
+G = Qx^T F, E = Rx^T G / n and S = Rx^T Rx / n + eps I = L L^T, the mu are
+the eigenvalues of the r_y x r_y matrix B^T B, B = S^-1 E (variant 1) or
+L^-1 E (variant 2).  An eigenvector q gives p = B q / sqrt(mu), h = S^-1 E q
+/ sqrt(mu) and c = Qx Rx^-T h, which is T^-1 P F q / (n sqrt(mu)) with P the
+projection onto the range of Fx.  Dividing by |p| gives c' Gx c = 1 (variant
+1) or c' Gx T c = 1 (variant 2).  The triangular solve keeps its accuracy for
+any eps; the Woodbury form (G q / sqrt(mu) - Rx h) / (eps n) of the same c
+cancels digits as eps / |Gx / n| approaches rounding.
 """
 
 import numpy as np
 from dataclasses import dataclass, field
-from scipy.linalg.lapack import dpstrf
+from scipy.linalg.blas import dsyrk, dtrmm, dtrsm
+from scipy.linalg.lapack import (dgeqrf, dgeqrf_lwork, dormqr, dpotrf, dpstrf,
+                                 dsyevd)
 
 from .kernels import KernelSpec, centered_gram, gram_matrix, _as_points
-from .linalg import DEFAULT_CLAMP, symmetric_eigh
+from .linalg import DEFAULT_CLAMP, NumericalError
 
 VARIANTS = ("gsir1", "gsir2")
 
@@ -73,47 +77,62 @@ def _check_inputs(x, y, epsilon, d):
     return x, y
 
 
-def _thin_factor(g):
-    """F (n x r) with g ~ F F^T; LAPACK's own tolerance sets r (see _solve)."""
-    c, piv, r, _ = dpstrf(g, lower=1, tol=-1)
-    return np.tril(c[:, :r])[np.argsort(piv)]
+def _factor(g):
+    """(c, piv) with g[piv][:, piv] ~ c c^T, c n x r lower trapezoidal; the
+    symmetric g is factored in its own memory (g.T is Fortran ordered)."""
+    if not np.all(np.isfinite(g)):
+        raise NumericalError("centered Gram matrix contains non-finite entries")
+    c, piv, r, _ = dpstrf(g.T, lower=1, tol=-1, overwrite_a=1)
+    for j in range(1, r):
+        c[:j, j] = 0.0
+    return c[:, :r], piv - 1
+
+
+def _apply_q(qr, tau, c, trans):
+    """Qx c (trans "N") or Qx^T c ("T") in c's memory, blocked workspace."""
+    lwork = int(dormqr("L", trans, qr, tau, c, -1)[1][0])
+    return dormqr("L", trans, qr, tau, c, lwork, overwrite_c=1)[0]
 
 
 def _solve(x, y, kernel_x, kernel_y, epsilon, variant):
-    """Shared eigenproblem on the numerical range of Gx: (v, s, b, mu, q).
+    """The eigenproblem on the range of Fx: (qr, tau, piv, l, g, mu, q).
 
-    With Gx = V diag(w) V^T, only the r eigenpairs with w > DEFAULT_CLAMP *
-    max(w) are kept (v is n x r).  On that range the objective matrix is
-    similar to A = diag(l) V^T Gy V diag(l) / n^2 where l = sqrt(w)/t for
-    variant 1 and sqrt(w)/sqrt(t) for variant 2, t = w/n + eps.  A is never
-    formed.  Pivoted Cholesky (dpstrf, stopping at n * ulp * max diagonal)
-    gives Gy ~ F F^T with F n x r_y, r_y the numerical rank of Gy, so A =
-    B B^T for B = diag(l) V^T F / n (r x r_y).  With B^T B = Q diag(mu) Q^T
-    the nonzero eigenpairs of A are mu and B Q / sqrt(mu); the top min(r,
-    r_y) values of mu are padded with zeros to length n, so mu is exactly 0
-    beyond the rank of Gx.  A unit eigenvector p of A gives the coefficients
-    V (s * p), with s = 1/sqrt(w) for variant 1 and 1/sqrt(w t) for variant 2.
-    """
+    qr, tau: dgeqrf of Fx, rows in pivot order piv, Rx in the upper triangle
+    of qr[:r]; l, g: L and G; mu, q: eigenpairs of B^T B, descending, with
+    mu padded by zeros to length n."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    n = x.shape[0]
-    w, v = symmetric_eigh(centered_gram(kernel_x, x))
-    r = int(np.count_nonzero(w > DEFAULT_CLAMP * w[-1]))
-    w, v = w[n - r:], v[:, n - r:]
-    t = w / n + epsilon
-    lft = np.sqrt(w) / (t if variant == "gsir1" else np.sqrt(t))
-    s = 1.0 / np.sqrt(w if variant == "gsir1" else w * t)
-    b = v.T @ _thin_factor(centered_gram(kernel_y, y))
-    b *= (lft / n)[:, None]
-    mu, q = np.linalg.eigh(b.T @ b)
-    mu = np.maximum(mu[::-1][:r], 0.0)   # b (r x r_y) has rank at most r
-    return v, s, b, np.concatenate([mu, np.zeros(n - len(mu))]), q[:, ::-1]
+    fx, piv = _factor(centered_gram(kernel_x, x))
+    n, r = fx.shape
+    if r == 0:     # Gx = 0: nothing to fit, every mu is 0
+        return fx, None, piv, None, None, np.zeros(n), None
+    qr, tau, _, _ = dgeqrf(fx, lwork=int(dgeqrf_lwork(n, r)[0]), overwrite_a=1)
+    f, piv_y = _factor(centered_gram(kernel_y, y))
+    # F with rows in x's pivot order (one zero column if Gy = 0), then G
+    f = f.T[:, np.argsort(piv_y)[piv]].T if f.shape[1] else np.zeros((n, 1))
+    g = np.asfortranarray(_apply_q(qr, tau, f, "T")[:r])
+    del f
+    s = dsyrk(1.0 / n, np.triu(qr[:r]), trans=1, lower=1)
+    s[np.diag_indices(r)] += epsilon
+    l, info = dpotrf(s, lower=1, overwrite_a=1)
+    if info:
+        raise NumericalError(f"Cholesky factorization of S failed (info={info})")
+    b = dtrsm(1.0, l, dtrmm(1.0 / n, qr[:r], g, trans_a=1), lower=1, overwrite_b=1)
+    if variant == "gsir1":     # S^-1 E = L^-T L^-1 E
+        b = dtrsm(1.0, l, b, lower=1, trans_a=1, overwrite_b=1)
+    bb = dsyrk(1.0, b, trans=1, lower=1)
+    del b
+    mu, q, info = dsyevd(bb, lower=1, overwrite_a=1)
+    if info:
+        raise NumericalError(f"eigendecomposition of B^T B failed (info={info})")
+    mu = np.maximum(mu[::-1][:r], 0.0)   # B (r x r_y) has rank at most r
+    return qr, tau, piv, l, g, np.concatenate([mu, np.zeros(n - len(mu))]), q[:, ::-1]
 
 
-def _extract(sol, d):
+def _extract(sol, d, variant):
     """Top-d coefficients, eigenvalues, and warnings from a solved problem."""
-    v, s, b, mu, q = sol
-    rank = v.shape[1]
+    qr, tau, piv, l, g, mu, q = sol
+    n, rank = qr.shape
     if d > rank:
         raise ValueError(f"d={d} exceeds the numerical rank {rank} of the "
                          f"centered Gram matrix; the achievable d is {rank}")
@@ -123,23 +142,36 @@ def _extract(sol, d):
                         f"{mu[d - 1] - mu[d]:.3e} is below {GAP_TOL:.0e}; "
                         f"the d-th predictor is not uniquely determined")
     k = min(d, int(np.count_nonzero(mu > DEFAULT_CLAMP * mu[0])))
-    p = b @ q[:, :k] / np.sqrt(mu[:k])
+    rx = np.asfortranarray(qr[:rank])      # BLAS reads Rx from the upper triangle
+    # h = S^-1 E q / sqrt(mu); p = B q / sqrt(mu) is h (variant 1) or L^T h
+    e = dtrmm(1.0 / n, rx, g @ (q[:, :k] / np.sqrt(mu[:k])), trans_a=1)
+    h = dtrsm(1.0, l, dtrsm(1.0, l, e, lower=1), lower=1, trans_a=1)
+    p = h if variant == "gsir1" else dtrmm(1.0, l, h, lower=1, trans_a=1)
     if k < d:
-        # mu = 0 here: complete p with the top Gx directions, orthogonalized.
-        fill = np.linalg.qr(np.column_stack([p, np.eye(rank, d)[::-1]]))[0]
-        p = np.column_stack([p, fill[:, k:d]])
-    coefficients = v @ (s[:, None] * p / np.linalg.norm(p, axis=0))
-    # Sign convention: each predictor's largest-magnitude coefficient is > 0.
-    top = coefficients[np.argmax(np.abs(coefficients), axis=0), np.arange(d)]
-    coefficients *= np.where(top < 0.0, -1.0, 1.0)
-    return coefficients, mu[:d].copy(), tuple(warnings)
+        # mu = 0 here: complete p orthonormally with the images of a = e_j,
+        # the leading columns of Qx, and map the new columns back to h
+        img = np.triu(rx[:d]).T
+        img = img if variant == "gsir1" else dtrmm(1.0, l, img, lower=1, trans_a=1)
+        fill = np.linalg.qr(np.column_stack([p, img]))[0][:, k:d]
+        hf = fill if variant == "gsir1" else dtrsm(1.0, l, fill, lower=1, trans_a=1)
+        h, p = np.column_stack([h, hf]), np.column_stack([p, fill])
+    norm = np.linalg.norm(p, axis=0)
+    out = np.zeros((n, 2 * d), order="F")      # Qx [Rx^-T h, Rx h] = [c, Gx c]
+    out[:rank, :d] = dtrsm(1.0, rx, h, trans_a=1) / norm
+    out[:rank, d:] = dtrmm(1.0, rx, h) / norm
+    out = _apply_q(qr, tau, out, "N")[np.argsort(piv)]
+    if not np.all(np.isfinite(out)):
+        raise NumericalError("fitted coefficients are not finite")
+    # Sign: each predictor's largest-magnitude value Gx c at the training points is > 0
+    top = out[np.argmax(np.abs(out[:, d:]), axis=0), d + np.arange(d)]
+    return out[:, :d] * np.where(top < 0.0, -1.0, 1.0), mu[:d].copy(), tuple(warnings)
 
 
 def _fit(x, y, kernel_x, kernel_y, epsilon, d, variant):
     x, y = _check_inputs(x, y, epsilon, d)
     sol = _solve(x, y, kernel_x, kernel_y, epsilon, variant)
     return GsirFit(variant, x.copy(), kernel_x, kernel_y, float(epsilon), d,
-                   *_extract(sol, d))
+                   *_extract(sol, d, variant))
 
 
 def fit_gsir1(x, y, kernel_x, kernel_y, epsilon, d):
@@ -171,11 +203,11 @@ def fit_gsir2(x, y, kernel_x, kernel_y, epsilon, d):
 def gsir_spectrum(x, y, kernel_x, kernel_y, epsilon, variant="gsir1"):
     """Full eigenvalue sequence of the objective operator, descending.
 
-    Has length n; every value beyond the numerical rank of Gx (and of Gy)
-    is exactly 0, because the solve works on the range of Gx only.
+    Has length n; every value beyond the rank of the pivoted-Cholesky factor
+    of Gx (or of Gy) is exactly 0, because the solve works on its range.
     """
     x, y = _check_inputs(x, y, epsilon, d=1)
-    return _solve(x, y, kernel_x, kernel_y, epsilon, variant)[3]
+    return _solve(x, y, kernel_x, kernel_y, epsilon, variant)[5]
 
 
 def evaluate_predictors(fit, x_new):
@@ -191,17 +223,3 @@ def evaluate_predictors(fit, x_new):
         np.matmul(k_new, fit.coefficients, out=out[s:s + _BLOCK])
     return out
 
-
-def align_sign(estimated, reference):
-    """Sign s in {-1, +1} that best aligns two evaluation vectors.
-
-    Returns +1 when the inner product is exactly zero; raises if either
-    vector is identically zero (no direction to align).
-    """
-    a = np.asarray(estimated, dtype=float).ravel()
-    b = np.asarray(reference, dtype=float).ravel()
-    if a.shape != b.shape:
-        raise ValueError(f"vectors have different lengths: {a.size} vs {b.size}")
-    if not np.any(a) or not np.any(b):
-        raise ValueError("cannot align a zero vector")
-    return -1.0 if float(a @ b) < 0.0 else 1.0

@@ -12,6 +12,7 @@ configs produce byte-identical CSV output.
 import csv
 import io
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
@@ -379,6 +380,23 @@ def _run_tasks(fn, tasks, threads):
     return [fn(t) for t in tasks]
 
 
+# Live n x n float64 arrays at the peak of one dense fit: peak RSS grows by
+# 4.2 (gaussian kernel_y) and 4.7 (laplace) from n=2000 to 4000, BENCH_5.json.
+DENSE_FIT_ARRAYS = 5
+
+
+def _physical_memory():
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_dense_memory(n, fits=1):
+    """ConfigError unless `fits` dense fits on n points at once fit in memory."""
+    gib = DENSE_FIT_ARRAYS * 8 * n * n * fits / 2 ** 30
+    if gib > _physical_memory() / 2 ** 30:
+        raise ConfigError(f"n={n}: {fits} dense fit(s) need {gib:.1f} GiB, more than "
+                          f"physical memory; see the low-rank solver, ROADMAP item 3")
+
+
 # --------------------------------------------------------------------------
 # runners
 # --------------------------------------------------------------------------
@@ -470,6 +488,8 @@ def run_kernel_recovery(config, threads=1):
     and compared to the true predictor values there.
     """
     dataset = config.dataset
+    tasks = [(n, rep) for n in config.n_grid for rep in range(config.replications)]
+    check_dense_memory(max(config.n_grid), max(1, min(threads, len(tasks))))
 
     def one(task):
         n, rep = task
@@ -489,7 +509,6 @@ def run_kernel_recovery(config, threads=1):
                 eigenvalues=tuple(float(v) for v in fit.eigenvalues)))
         return out
 
-    tasks = [(n, rep) for n in config.n_grid for rep in range(config.replications)]
     rows = [row for chunk in _run_tasks(one, tasks, threads) for row in chunk]
 
     summary = {"by_variant": {}}

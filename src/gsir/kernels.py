@@ -1,4 +1,4 @@
-"""Kernel evaluation, centered Gram matrices, and the median bandwidth rule.
+"""Kernel Gram matrices, centered Gram matrices, and the median bandwidth rule.
 
 The centered Gram G = Q K Q (Q = I - 11^T/n) represents the covariance
 geometry of the feature maps after removing the constant function; every
@@ -41,19 +41,6 @@ def _as_points(x, name="points"):
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name} contains non-finite entries")
     return x
-
-
-def eval_kernel(spec, x, y):
-    """Evaluate k(x, y) for two single points of equal dimension."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise ValueError(f"point dimensions differ: {x.shape} vs {y.shape}")
-    if spec.family == "gaussian":
-        return float(np.exp(-spec.gamma * np.sum((x - y) ** 2)))
-    if spec.family == "laplace":
-        return float(np.exp(-spec.gamma * np.sum(np.abs(x - y))))
-    return float(x @ y)
 
 
 def gram_matrix(spec, x, z=None):

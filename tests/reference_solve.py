@@ -1,10 +1,19 @@
-"""The dense GSIR solve, kept as the reference for `gsir.estimator`.
+"""Reference implementations for the tests.
 
-It forms every n x n matrix explicitly: Q K Q centering with the dense
-centering matrix Q, the projection V^T Gy V onto the Gx eigenbasis, and a
-full n x n eigendecomposition of the objective matrix.  Like the estimator
-it weights only the numerical range of Gx: l is zero on the eigenvalues at
-or below DEFAULT_CLAMP times the largest.
+`reference_fit` is the dense GSIR solve, kept as the reference for
+`gsir.estimator`.  It forms every n x n matrix explicitly: Q K Q centering
+with the dense centering matrix Q, the projection V^T Gy V onto the Gx
+eigenbasis, and a full n x n eigendecomposition of the objective matrix.
+It weights only the numerical range of Gx, and keeps the eigenvalue cutoff
+for it: l is zero on the eigenvalues at or below DEFAULT_CLAMP times the
+largest.  The estimator takes the range of the pivoted-Cholesky factor of
+Gx instead.  At the tested sizes both keep the same number of directions,
+except that the factor of a laplace Gram keeps one more, the rounding-level
+remainder along the constant vector that centering removes; a coefficient
+component along that vector does not change any prediction.
+
+`eval_kernel` evaluates one kernel value from its formula, and `align_sign`
+aligns the arbitrary eigenvector signs of the reference with the estimator.
 """
 
 import numpy as np
@@ -42,3 +51,32 @@ def reference_fit(x, y, kernel_x, kernel_y, epsilon, d, variant):
     if variant == "gsir2":
         coef = coef / np.sqrt(t)[:, None]
     return mu, v @ coef
+
+
+def align_sign(estimated, reference):
+    """Sign s in {-1, +1} that best aligns two evaluation vectors.
+
+    The reference solve's eigenvectors carry arbitrary signs.  Returns +1
+    when the inner product is exactly zero; raises if either vector is
+    identically zero (no direction to align).
+    """
+    a = np.asarray(estimated, dtype=float).ravel()
+    b = np.asarray(reference, dtype=float).ravel()
+    if a.shape != b.shape:
+        raise ValueError(f"vectors have different lengths: {a.size} vs {b.size}")
+    if not np.any(a) or not np.any(b):
+        raise ValueError("cannot align a zero vector")
+    return -1.0 if float(a @ b) < 0.0 else 1.0
+
+
+def eval_kernel(spec, x, y):
+    """Evaluate k(x, y) for two single points of equal dimension."""
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    if x.shape != y.shape:
+        raise ValueError(f"point dimensions differ: {x.shape} vs {y.shape}")
+    if spec.family == "gaussian":
+        return float(np.exp(-spec.gamma * np.sum((x - y) ** 2)))
+    if spec.family == "laplace":
+        return float(np.exp(-spec.gamma * np.sum(np.abs(x - y))))
+    return float(x @ y)

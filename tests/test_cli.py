@@ -343,3 +343,58 @@ def test_unreadable_json_is_config_error(tmp_path, capsys, text):
     path = tmp_path / "exp.json"
     path.write_text(text)
     assert_config_error(capsys, ["theory", "--config", str(path)])
+
+
+def test_overflowing_gram_is_numerical_failure(tmp_path, capsys):
+    # a linear kernel on values near 1e200 overflows Gx; nothing is written
+    x = np.random.default_rng(4).standard_normal((30, 2)) * 1e200
+    rows = [[format(v, ".17g") for v in (*row, row[0] / 1e200)] for row in x]
+    data = write_points(tmp_path / "huge.csv", ["x_1", "x_2", "y"], rows)
+    doc = fit_config_doc(tmp_path, kernel_x={"family": "linear"})
+    del doc["dataset"]
+    doc["data_csv"] = data
+    config = write_json(tmp_path / "fit.json", doc)
+    capsys.readouterr()
+    assert main(["fit", "--config", config]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
+    assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("fit", None),
+    ("kernel-recovery", {"schema_version": 1, "mode": "kernel_recovery",
+                         "base_seed": 2, "n_grid": [40], "replications": 1,
+                         "dataset": {"model": "m3_symmetric", "p": 2,
+                                     "sigma_noise": 0.1},
+                         "epsilon": 1e-3, "d": 1, "n_test": 100}),
+])
+def test_dense_path_beyond_physical_memory_is_config_error(tmp_path, capsys,
+                                                          monkeypatch, command,
+                                                          doc):
+    import gsir.experiments
+    import gsir.kernels
+
+    def no_gram(*args):
+        raise AssertionError("an n x n array was built before the memory check")
+
+    monkeypatch.setattr(gsir.experiments, "_physical_memory", lambda: 10 ** 4)
+    monkeypatch.setattr(gsir.kernels, "gram_matrix", no_gram)
+    monkeypatch.setattr(gsir.experiments, "median_bandwidth", no_gram)
+    monkeypatch.setattr("gsir.cli.resolve_kernel", no_gram)
+    doc = doc or fit_config_doc(tmp_path)
+    config = write_json(tmp_path / "exp.json", doc)
+    out = tmp_path / "out.csv"
+    assert_config_error(capsys, [command, "--config", config, "--out", str(out)])
+    assert not out.exists()
+
+
+def test_memory_check_counts_concurrent_fits(monkeypatch):
+    import gsir.experiments
+    from gsir.experiments import DENSE_FIT_ARRAYS, ConfigError, check_dense_memory
+
+    one_fit = DENSE_FIT_ARRAYS * 8 * 1000 ** 2
+    monkeypatch.setattr(gsir.experiments, "_physical_memory", lambda: 1.5 * one_fit)
+    check_dense_memory(1000)
+    with pytest.raises(ConfigError, match="n=1000: 2 dense .* low-rank solver"):
+        check_dense_memory(1000, fits=2)

@@ -4,11 +4,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpstrf
 
-from gsir.estimator import (align_sign, evaluate_predictors, fit_gsir1,
-                            fit_gsir2, gsir_spectrum)
-from gsir.kernels import KernelSpec
-from reference_solve import dense_centered_gram, reference_fit
+import gsir.estimator
+from gsir.datasets import SyntheticModel, generate
+from gsir.estimator import evaluate_predictors, fit_gsir1, fit_gsir2, gsir_spectrum
+from gsir.kernels import KernelSpec, centered_gram, median_bandwidth
+from gsir.linalg import NumericalError
+from reference_solve import align_sign, dense_centered_gram, reference_fit
 
 FIT = {"gsir1": fit_gsir1, "gsir2": fit_gsir2}
 EPS = 0.01
@@ -110,3 +113,84 @@ def test_d_beyond_positive_spectrum_completes_orthonormally(n, variant):
         gx = dense_centered_gram(kx, x)
         gram = fit.coefficients.T @ gx @ fit.coefficients
         assert np.allclose(np.diag(gram), 1.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("fit_fn", [fit_gsir1, fit_gsir2])
+@pytest.mark.parametrize("n", [300, 1000])
+def test_permuted_rows_give_the_same_predictions(n, fit_fn):
+    # the near-null tail of the factor's range, and with it the coefficients,
+    # depends on the pivot order; predictions and their signs must not
+    design = SyntheticModel("m3_symmetric", 5, 0.2)
+    x, y, _ = generate(design, n, 11)
+    x_new, _, _ = generate(design, 500, 12)
+    kx = KernelSpec("gaussian", median_bandwidth(x))
+    ky = KernelSpec("gaussian", median_bandwidth(y))
+    perm = np.random.default_rng(13).permutation(n)
+    pred = evaluate_predictors(fit_fn(x, y, kx, ky, 1e-3, 2), x_new)
+    pred_p = evaluate_predictors(fit_fn(x[perm], y[perm], kx, ky, 1e-3, 2), x_new)
+    scale = np.max(np.abs(pred), axis=0)
+    assert np.all(np.max(np.abs(pred_p - pred), axis=0) <= 1e-7 * scale)
+
+
+@pytest.mark.parametrize("variant", ["gsir1", "gsir2"])
+def test_largest_in_sample_value_is_positive(variant):
+    x, y = make_data(200, 3)
+    kernel = KernelSpec("gaussian", 0.5)
+    fit = FIT[variant](x, y, kernel, kernel, EPS, 3)
+    values = centered_gram(kernel, x) @ fit.coefficients
+    assert np.all(values[np.argmax(np.abs(values), axis=0), np.arange(3)] > 0)
+
+
+@pytest.mark.parametrize("on", ["x", "y"])
+def test_overflowing_gram_raises(on):
+    # a linear kernel on values near 1e200 overflows the Gram matrix
+    x, y = make_data(50, 1)
+    x, y = (x * 1e200, y) if on == "x" else (x, y * 1e200)
+    for fit_fn in (fit_gsir1, fit_gsir2):
+        with pytest.raises(NumericalError, match="non-finite"):
+            fit_fn(x, y, KernelSpec("linear"), KernelSpec("linear"), EPS, 1)
+
+
+def test_no_eigensolver_is_wider_than_the_rank_of_gy(monkeypatch):
+    x, y = make_data(300, 1)
+    kernel = KernelSpec("gaussian", 0.5)
+    r_y = dpstrf(centered_gram(kernel, y), lower=1, tol=-1)[2]
+    widths = []
+
+    def spy(solver):
+        def wrapped(a, *args, **kwargs):
+            widths.append(max(np.shape(a)))
+            return solver(a, *args, **kwargs)
+        return wrapped
+
+    for module in (np.linalg, gsir.estimator):
+        for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd", "dsyevd",
+                     "dsyevr", "dsyev", "symmetric_eigh"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(getattr(module, name)))
+    for fit_fn in (fit_gsir1, fit_gsir2):
+        fit_fn(x, y, kernel, kernel, EPS, 2)
+    assert widths and max(widths) <= r_y < 300 // 4
+
+
+@pytest.mark.parametrize("p", [1, 2, 4])
+def test_d_beyond_rank_reports_the_factor_rank(p):
+    # a linear kernel on p-dimensional x gives Gx rank p
+    rng = np.random.default_rng(p)
+    x = rng.standard_normal((60, p))
+    y = x[:, :1] + 0.1 * rng.standard_normal((60, 1))
+    linear, gauss = KernelSpec("linear"), KernelSpec("gaussian", 0.5)
+    assert fit_gsir1(x, y, linear, gauss, EPS, p).coefficients.shape == (60, p)
+    with pytest.raises(ValueError, match=f"rank {p} .* achievable d is {p}$"):
+        fit_gsir1(x, y, linear, gauss, EPS, p + 1)
+
+
+@pytest.mark.parametrize("variant", ["gsir1", "gsir2"])
+@pytest.mark.parametrize("eps", [1e-12, 1e-300])
+def test_tiny_epsilon_matches_reference(eps, variant):
+    # c = Qx Rx^-T h keeps its digits however small eps is; the equivalent
+    # (G q / sqrt(mu) - Rx h) / (eps n) loses them as eps / |Gx / n| shrinks
+    x, y = make_data(50, 1)
+    kernel = KernelSpec("gaussian", 0.5)
+    fit = FIT[variant](x, y, kernel, kernel, eps, 1)
+    assert_matches_reference(fit, x, y, 1)
