@@ -1,7 +1,9 @@
-"""Stage timings of the dense fit path, for one checkout or two side by side.
+"""Stage timings of the dense fit path or of the sequence-space oracle, for
+one checkout or two side by side.
 
     python bench/fit_stages.py --out BENCH.json [--label NAME=SRC_DIR ...]
                                [--n 500 1000 2000 4000] [--repeats 3]
+                               [--suite fit|oracle]
 
 Each label names a `src` directory holding a `gsir` package (default: this
 checkout's `src` as "current").  Every (label, stage, n) cell runs in its own
@@ -18,6 +20,16 @@ gaussian kernels, eps=1e-3, d=1 (the benchmark's fit_predict settings):
   has full numerical rank, so the thin factor of Gy is as wide as it gets;
 - predict_20000:   `evaluate_predictors` of a saved gsir1 model on 20 000
   held-out rows (the model is fitted by an earlier, untimed process).
+
+Oracle stages (`--suite oracle`), on the README sim model (J=200, y_dim=2,
+alpha=2, beta=1, identity S) at eps = n^(-2/7), the optimal schedule.  Each
+cell first runs one untimed replication, so per-model constants are in place
+as they are after the first replication of a `sim-rate` run:
+
+- simulate_sample, empirical_operators, estimate_regression_ops (which
+  includes empirical_operators) and error_report, one call each;
+- replication: simulate_sample, estimate_regression_ops and error_report in
+  a row, what `sim-rate` does per (n, rep).
 """
 
 import argparse
@@ -30,8 +42,11 @@ import tempfile
 import time
 from pathlib import Path
 
-STAGES = ("centered_gram", "fit_gsir1", "fit_gsir2", "fit_gsir1_laplace_y",
-          "predict_20000")
+SUITES = {"fit": ("centered_gram", "fit_gsir1", "fit_gsir2",
+                  "fit_gsir1_laplace_y", "predict_20000"),
+          "oracle": ("simulate_sample", "empirical_operators",
+                     "estimate_regression_ops", "error_report", "replication")}
+ORACLE_J, ORACLE_Y = 200, 2
 PREDICT_ROWS = 20000
 SEED = 0
 
@@ -46,8 +61,36 @@ def _best(fn, repeats):
     return min(cpu), min(wall)
 
 
+def _oracle_call(stage, n):
+    from gsir.seqsim import (build_model, empirical_operators, error_report,
+                             estimate_regression_ops, simulate_sample)
+
+    model = build_model(ORACLE_J, ORACLE_Y, alpha=2.0, beta=1.0)
+    eps = float(n) ** (-2.0 / 7.0)
+    sample = simulate_sample(model, n, SEED)
+    ops = estimate_regression_ops(sample, eps)
+    error_report(model, ops)
+    return {
+        "simulate_sample": lambda: simulate_sample(model, n, SEED),
+        "empirical_operators": lambda: empirical_operators(sample),
+        "estimate_regression_ops": lambda: estimate_regression_ops(sample, eps),
+        "error_report": lambda: error_report(model, ops),
+        "replication": lambda: error_report(model, estimate_regression_ops(
+            simulate_sample(model, n, SEED), eps)),
+    }[stage]
+
+
+def _measure(call, repeats):
+    cpu, wall = _best(call, repeats)
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return {"cpu_s": round(cpu, 5), "wall_s": round(wall, 5),
+            "peak_rss_mb": round(rss, 1)}
+
+
 def run_cell(stage, n, repeats, model_path):
     """Time one stage in this process and return its record."""
+    if stage in SUITES["oracle"]:
+        return _measure(_oracle_call(stage, n), repeats)
     from gsir.datasets import SyntheticModel, generate
     from gsir.estimator import evaluate_predictors, fit_gsir1, fit_gsir2
     from gsir.kernels import KernelSpec, centered_gram, median_bandwidth
@@ -73,10 +116,7 @@ def run_cell(stage, n, repeats, model_path):
         fit = load_fit(model_path)
         x_new, _, _ = generate(design, PREDICT_ROWS, SEED + 1)
         call = lambda: evaluate_predictors(fit, x_new)
-    cpu, wall = _best(call, repeats)
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    return {"cpu_s": round(cpu, 4), "wall_s": round(wall, 4),
-            "peak_rss_mb": round(rss, 1)}
+    return _measure(call, repeats)
 
 
 def _cell(src, stage, n, repeats, model_path):
@@ -94,6 +134,7 @@ def main(argv=None):
                         help="NAME=SRC_DIR pairs (default current=<repo>/src)")
     parser.add_argument("--n", nargs="*", type=int, default=[500, 1000, 2000, 4000])
     parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--suite", choices=sorted(SUITES), default="fit")
     parser.add_argument("--cell", nargs=4, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.cell:
@@ -109,14 +150,17 @@ def main(argv=None):
             for pair in labels:
                 name, src = pair.split("=", 1)
                 model_path = Path(tmp) / f"{name}_{n}.json"
-                _cell(src, "save_model", n, 1, model_path)
-                for stage in STAGES:
+                if args.suite == "fit":
+                    _cell(src, "save_model", n, 1, model_path)
+                for stage in SUITES[args.suite]:
                     rec = _cell(src, stage, n, args.repeats, model_path)
                     rows.append({"commit": name, "stage": stage, "n": n, **rec})
                     print(json.dumps(rows[-1]), flush=True)
-    doc = {"harness": "bench/fit_stages.py", "blas_threads": 1,
-           "repeats": args.repeats, "predict_rows": PREDICT_ROWS,
-           "cpu_count": os.cpu_count(), "rows": rows}
+    doc = {"harness": "bench/fit_stages.py", "suite": args.suite,
+           "blas_threads": 1, "repeats": args.repeats, "cpu_count": os.cpu_count(),
+           **({"predict_rows": PREDICT_ROWS} if args.suite == "fit" else
+              {"j_dim": ORACLE_J, "y_dim": ORACLE_Y}),
+           "rows": rows}
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

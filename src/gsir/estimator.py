@@ -79,7 +79,8 @@ def _check_inputs(x, y, epsilon, d):
 
 def _factor(g):
     """(c, piv) with g[piv][:, piv] ~ c c^T, c n x r lower trapezoidal; the
-    symmetric g is factored in its own memory (g.T is Fortran ordered)."""
+    symmetric g is factored in its own memory (g.T is Fortran ordered).  A
+    laplace centered Gram keeps all r = n columns, singular as centering is."""
     if not np.all(np.isfinite(g)):
         raise NumericalError("centered Gram matrix contains non-finite entries")
     c, piv, r, _ = dpstrf(g.T, lower=1, tol=-1, overwrite_a=1)
@@ -204,7 +205,8 @@ def gsir_spectrum(x, y, kernel_x, kernel_y, epsilon, variant="gsir1"):
     """Full eigenvalue sequence of the objective operator, descending.
 
     Has length n; every value beyond the rank of the pivoted-Cholesky factor
-    of Gx (or of Gy) is exactly 0, because the solve works on its range.
+    of Gx (or of Gy) is exactly 0, because the solve works on its range.  A
+    factor of rank n (see `_factor`) can leave one rounding-level value.
     """
     x, y = _check_inputs(x, y, epsilon, d=1)
     return _solve(x, y, kernel_x, kernel_y, epsilon, variant)[5]

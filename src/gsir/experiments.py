@@ -401,6 +401,23 @@ def check_dense_memory(n, fits=1):
 # runners
 # --------------------------------------------------------------------------
 
+def _report(config, rows, summary, to_csv):
+    """The run's RateReport; its CSV goes to config.output_path when set."""
+    report = RateReport(mode=config.mode, rows=tuple(rows), summary=summary)
+    if config.output_path:
+        with open(config.output_path, "w", newline="") as fh:
+            fh.write(to_csv(report))
+    return report
+
+
+def _group_medians(rows, key, values):
+    """Column medians of values(row) over the rows that share key(row)."""
+    groups = {}
+    for row in rows:
+        groups.setdefault(key(row), []).append(values(row))
+    return {k: np.median(v, axis=0).tolist() for k, v in groups.items()}
+
+
 def run_sim_rate(config, threads=1):
     """Simulate, estimate at epsilon = c * n^-delta, and report errors.
 
@@ -440,16 +457,15 @@ def run_sim_rate(config, threads=1):
                                                   config.model.j_dim),
         "by_delta": [],
     }
+    names = ("err_r1", "err_r2", "err_m", "eta_span_err")
+    medians = _group_medians(rows, lambda r: (r.delta, r.n),
+                             lambda r: [getattr(r.record, name) for name in names])
     for delta in deltas:
         med = {"delta": delta}
-        for name in ("err_r1", "err_r2", "err_m", "eta_span_err"):
-            med[f"median_{name}"] = {
-                n: float(np.median([getattr(r.record, name) for r in rows
-                                    if r.n == n and r.delta == delta]))
-                for n in config.n_grid
-            }
+        for i, name in enumerate(names):
+            med[f"median_{name}"] = {n: medians[delta, n][i] for n in config.n_grid}
         if len(config.n_grid) >= 3:
-            for name in ("err_r1", "err_r2", "err_m", "eta_span_err"):
+            for name in names:
                 vals = [med[f"median_{name}"][n] for n in config.n_grid]
                 fitline = fit_loglog_slope(config.n_grid, vals)
                 med[f"slope_{name}"] = fitline.slope
@@ -463,11 +479,7 @@ def run_sim_rate(config, threads=1):
             n: min(summary["by_delta"], key=lambda m: m["median_err_r1"][n])["delta"]
             for n in config.n_grid
         }
-    report = RateReport(mode="sim_rate", rows=tuple(rows), summary=summary)
-    if config.output_path:
-        with open(config.output_path, "w", newline="") as fh:
-            fh.write(sim_rate_csv(report))
-    return report
+    return _report(config, rows, summary, sim_rate_csv)
 
 
 def resolve_kernel(spec, points):
@@ -512,13 +524,11 @@ def run_kernel_recovery(config, threads=1):
     rows = [row for chunk in _run_tasks(one, tasks, threads) for row in chunk]
 
     summary = {"by_variant": {}}
-    for variant in ("gsir1", "gsir2"):
-        med_cancor = {n: float(np.median([r.max_cancor for r in rows
-                                          if r.n == n and r.variant == variant]))
-                      for n in config.n_grid}
-        med_dist = {n: float(np.median([r.subspace_dist for r in rows
-                                        if r.n == n and r.variant == variant]))
-                    for n in config.n_grid}
+    medians = _group_medians(rows, lambda r: (r.variant, r.n),
+                             lambda r: (r.max_cancor, r.subspace_dist))
+    for variant in VARIANTS:
+        med_cancor = {n: medians[variant, n][0] for n in config.n_grid}
+        med_dist = {n: medians[variant, n][1] for n in config.n_grid}
         cvals = [med_cancor[n] for n in config.n_grid]
         summary["by_variant"][variant] = {
             "median_max_cancor": med_cancor,
@@ -526,11 +536,7 @@ def run_kernel_recovery(config, threads=1):
             "cancor_monotone_nondecreasing": bool(
                 all(b >= a for a, b in zip(cvals, cvals[1:]))),
         }
-    report = RateReport(mode="kernel_recovery", rows=tuple(rows), summary=summary)
-    if config.output_path:
-        with open(config.output_path, "w", newline="") as fh:
-            fh.write(kernel_recovery_csv(report))
-    return report
+    return _report(config, rows, summary, kernel_recovery_csv)
 
 
 def run_theory_table(config):
@@ -550,13 +556,9 @@ def run_theory_table(config):
                               delta_opt=th.delta_opt,
                               exponent_opt=th.exponent_opt,
                               rn_sum=rn, rnprime_sum=rnp))
-    report = RateReport(mode="theory_table", rows=tuple(rows),
-                        summary={"n_ref": config.n_ref,
-                                 "epsilon_constant": config.epsilon_constant})
-    if config.output_path:
-        with open(config.output_path, "w", newline="") as fh:
-            fh.write(theory_table_csv(report))
-    return report
+    return _report(config, rows, {"n_ref": config.n_ref,
+                                  "epsilon_constant": config.epsilon_constant},
+                   theory_table_csv)
 
 
 def run_experiment(config, threads=1):

@@ -56,8 +56,10 @@ def gram_matrix(spec, x, z=None):
     return x @ z.T
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def centered_gram(spec, x):
-    """Q K Q in O(n^2): K less its row and column means plus its grand mean."""
+    """Q K Q in O(n^2): K less its row and column means plus its grand mean.
+    An overflow leaves non-finite entries, for the factorization to reject."""
     x = _as_points(x)
     n = x.shape[0]
     if n < 2:

@@ -10,7 +10,7 @@ the formulas switch branches at beta = (alpha - 1) / (2 alpha), continuously.
 import numpy as np
 from dataclasses import dataclass
 
-VARIANTS = ("gsir1", "gsir2")
+from .estimator import VARIANTS
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ compared against them at any (n, epsilon).
 
 import numpy as np
 from dataclasses import dataclass
+from functools import cached_property
 from scipy.special import zeta
 
 from .linalg import (DEFAULT_CLAMP, inv_shift, inv_sqrt_shift, operator_norm,
@@ -37,6 +38,13 @@ class SpectralModel:
     R: np.ndarray            # Lambda^beta S
     Rprime: np.ndarray       # Lambda^(beta + 1/2) S
     noise_scales: np.ndarray  # (y_dim,) residual scales k^-alpha_u
+
+    @cached_property
+    def m_spectrum(self):
+        """(d, mu, u) of M = R R^T: rank, descending eigenvalues and a 0, top-d vectors."""
+        u, s, _ = np.linalg.svd(self.R, full_matrices=False)
+        d = int(np.count_nonzero(s > DEFAULT_CLAMP * s[0]))
+        return d, np.concatenate([s * s, [0.0]]), u[:, :d]
 
 
 @dataclass(frozen=True)
@@ -69,9 +77,13 @@ class RegressionOps:
     sxy: np.ndarray
     r1: np.ndarray        # (sxx + eps)^-1 sxy
     r2: np.ndarray        # (sxx + eps)^-1/2 sxy
-    m: np.ndarray         # r1 r1^T
-    m_prime: np.ndarray   # r2 r2^T
-    q: np.ndarray         # the (sxx + eps)^-1/2 factor itself
+    w: np.ndarray         # eigenvalues of sxx, clamped at 0
+    v: np.ndarray         # the matching eigenvectors
+    # No J x J function of sxx is stored: these are formed on access.
+    m = property(lambda self: self.r1 @ self.r1.T)
+    m_prime = property(lambda self: self.r2 @ self.r2.T)
+    q = property(lambda self: spectral_apply(             # (sxx + eps)^-1/2
+        (self.w, self.v), inv_sqrt_shift(self.epsilon)))
 
 
 @dataclass(frozen=True)
@@ -140,27 +152,27 @@ def simulate_sample(model, n, seed, residual_kind="independent"):
         raise ValueError(f"unknown residual_kind {residual_kind!r}; "
                          f"expected one of {RESIDUAL_KINDS}")
     rng = np.random.default_rng(seed)
-    e = rng.uniform(-_SQRT3, _SQRT3, size=(n, model.j_dim))
-    zx = e * np.sqrt(model.lambdas)
-    w = rng.uniform(-_SQRT3, _SQRT3, size=(n, model.y_dim))
-    zu = w * model.noise_scales
+    zx = rng.uniform(-_SQRT3, _SQRT3, size=(n, model.j_dim))
+    zu = rng.uniform(-_SQRT3, _SQRT3, size=(n, model.y_dim)) * model.noise_scales
     if residual_kind == "heteroscedastic":
-        zu = zu * (1.0 + e[:, :1]) / 2.0
+        zu = zu * (1.0 + zx[:, :1]) / 2.0
+    zx *= np.sqrt(model.lambdas)     # the scores become coordinates in place
     zy = zx @ model.R + zu
     return SpectralSample(n=n, Zx=zx, Zu=zu, Zy=zy, residual_kind=residual_kind)
 
 
 def empirical_operators(sample):
-    """Column-centered covariance estimates Sxx, Sxy, Sxu from one sample."""
+    """Column-centered covariance estimates Sxx, Sxy, Sxu from one sample.
+    Zx stays uncentered: Zx^T [1, Zy - mean, Zu - mean] / n holds its means
+    and both cross moments, and Sxx = Zx^T Zx / n - mean mean^T."""
     if sample.n < 2:
         raise ValueError(f"need n >= 2 to center columns, got {sample.n}")
-    zx = sample.Zx - sample.Zx.mean(axis=0)
-    zy = sample.Zy - sample.Zy.mean(axis=0)
-    zu = sample.Zu - sample.Zu.mean(axis=0)
-    n = sample.n
-    sxx = zx.T @ zx / n
-    return EmpiricalOps(n=n, sxx=(sxx + sxx.T) / 2.0,
-                        sxy=zx.T @ zy / n, sxu=zx.T @ zu / n)
+    zx, n, k = sample.Zx, sample.n, sample.Zy.shape[1]
+    cols = zx.T @ np.hstack([np.ones((n, 1)), sample.Zy - sample.Zy.mean(axis=0),
+                             sample.Zu - sample.Zu.mean(axis=0)]) / n
+    sxx = zx.T @ zx / n - np.outer(cols[:, 0], cols[:, 0])
+    return EmpiricalOps(n=n, sxx=(sxx + sxx.T) / 2.0, sxy=cols[:, 1:k + 1],
+                        sxu=cols[:, k + 1:])
 
 
 def estimate_regression_ops(sample, epsilon):
@@ -168,22 +180,18 @@ def estimate_regression_ops(sample, epsilon):
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     ops = empirical_operators(sample)
-    # Both spectral functions share one eigendecomposition of sxx.
-    eig = symmetric_eigh(ops.sxx)
-    b = spectral_apply(eig, inv_shift(epsilon))
-    q = spectral_apply(eig, inv_sqrt_shift(epsilon))
-    r1 = b @ ops.sxy
-    r2 = q @ ops.sxy
-    m = r1 @ r1.T
-    mp = r2 @ r2.T
+    # Both spectral functions share one eigendecomposition of sxx and act on
+    # sxy directly, J^2 y_dim flops each.
+    w, v = symmetric_eigh(ops.sxx)
     return RegressionOps(epsilon=float(epsilon), sxx=ops.sxx, sxy=ops.sxy,
-                         r1=r1, r2=r2, m=(m + m.T) / 2.0,
-                         m_prime=(mp + mp.T) / 2.0, q=q)
+                         r1=_apply(w, v, inv_shift(epsilon), ops.sxy),
+                         r2=_apply(w, v, inv_sqrt_shift(epsilon), ops.sxy),
+                         w=w, v=v)
 
 
-def _descending_eig(m):
-    d, v = np.linalg.eigh((m + m.T) / 2.0)
-    return d[::-1], v[:, ::-1]
+def _apply(w, v, fn, a):
+    """v fn(w) v^T a, without forming the J x J operator."""
+    return v @ (fn(w)[:, None] * (v.T @ a))
 
 
 def _orth_columns(a, d):
@@ -205,12 +213,6 @@ def span_projection_error(a, b, d):
     return float(np.sqrt(max(0.0, 1.0 - smin * smin)))
 
 
-def top_eigenvectors(m, d):
-    """Top-d eigenvectors of a symmetric matrix, descending eigenvalue order."""
-    _, v = _descending_eig(m)
-    return v[:, :d]
-
-
 def error_report(model, ops, epsilon=None):
     """Compare one estimate to the population operators.
 
@@ -221,40 +223,32 @@ def error_report(model, ops, epsilon=None):
     epsilon defaults to the one recorded in ops.
     """
     epsilon = ops.epsilon if epsilon is None else float(epsilon)
-    m_pop = model.R @ model.R.T
     err_r1 = operator_norm(ops.r1 - model.R)
     err_r2 = operator_norm(ops.r2 - model.Rprime)
-    err_m = operator_norm(ops.m - m_pop)
+    # ||m - M|| = ||D S^T + S D^T|| / 2, D = r1 - R (formed first: no
+    # cancellation), S = r1 + R: a 2k x 2k eigenproblem from the QR of [D S].
+    rds = np.linalg.qr(np.hstack([ops.r1 - model.R, ops.r1 + model.R]), mode="r")
+    mid = rds[:, :model.y_dim] @ rds[:, model.y_dim:].T
+    err_m = float(np.max(np.abs(np.linalg.eigvalsh(mid + mid.T)))) / 2.0
 
-    svals = np.linalg.svd(model.R, compute_uv=False)
-    d = int(np.count_nonzero(svals > DEFAULT_CLAMP * svals[0])) if svals.size else 0
-
-    mu, vecs = _descending_eig(m_pop)
-    mu = np.maximum(mu, 0.0)
-    mu_ext = np.concatenate([mu, [0.0]])  # spectrum includes 0 beyond rank
-    mu_hat, vecs_hat = _descending_eig(ops.m)
-
-    proj_err = np.zeros(d)
-    gap = np.zeros(d)
-    bound_ok = np.zeros(d, dtype=bool)
-    applicable = np.zeros(d, dtype=bool)
-    for j in range(d):
-        if j == 0:
-            gap[j] = mu_ext[0] - mu_ext[1]
-        else:
-            gap[j] = min(mu_ext[j - 1] - mu_ext[j], mu_ext[j] - mu_ext[j + 1])
-        # Rank-one projector difference: ||vh vh^T - v v^T|| = sin(angle).
-        c = min(1.0, abs(float(vecs_hat[:, j] @ vecs[:, j])))
-        proj_err[j] = np.sqrt(max(0.0, 1.0 - c * c))
-        if gap[j] > 0.0:
-            applicable[j] = True
-            bound_ok[j] = proj_err[j] <= 4.0 * err_m / gap[j]
+    # The top eigenvectors of m and m_prime are the left singular vectors
+    # of r1 and r2; the rank-one projector difference is sin(angle).
+    d, mu, vecs = model.m_spectrum
+    vecs_hat = np.linalg.svd(ops.r1, full_matrices=False)[0][:, :d]
+    c = np.minimum(1.0, np.abs(np.sum(vecs_hat * vecs, axis=0)))
+    proj_err = np.sqrt(np.maximum(0.0, 1.0 - c * c))
+    gap = np.minimum(-np.diff(mu[:d + 1]),
+                     np.concatenate([[np.inf], -np.diff(mu[:d])]))
+    applicable = gap > 0.0
+    bound_ok = applicable & (proj_err <= np.divide(
+        4.0 * err_m, gap, out=np.full(d, np.inf), where=applicable))
 
     # Variant-2 sample predictor span: the half-inverted weighting applied to
     # the leading eigenvectors of m_prime, compared to the columns of R.
     eta_err = 0.0
     if d > 0:
-        eta_hat = ops.q @ top_eigenvectors(ops.m_prime, d)
+        top = np.linalg.svd(ops.r2, full_matrices=False)[0][:, :d]
+        eta_hat = _apply(ops.w, ops.v, inv_sqrt_shift(ops.epsilon), top)
         eta_err = span_projection_error(eta_hat, model.R, d)
 
     return ErrorRecord(epsilon=epsilon, err_r1=err_r1, err_r2=err_r2,

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gsir
 from gsir.cli import main
 from gsir.datasets import SyntheticModel, generate, write_dataset_csv
 from gsir.modelio import load_fit
@@ -345,20 +350,37 @@ def test_unreadable_json_is_config_error(tmp_path, capsys, text):
     assert_config_error(capsys, ["theory", "--config", str(path)])
 
 
-def test_overflowing_gram_is_numerical_failure(tmp_path, capsys):
-    # a linear kernel on values near 1e200 overflows Gx; nothing is written
+def overflowing_fit_config(tmp_path):
+    # a linear kernel on values near 1e200 overflows Gx
     x = np.random.default_rng(4).standard_normal((30, 2)) * 1e200
     rows = [[format(v, ".17g") for v in (*row, row[0] / 1e200)] for row in x]
     data = write_points(tmp_path / "huge.csv", ["x_1", "x_2", "y"], rows)
     doc = fit_config_doc(tmp_path, kernel_x={"family": "linear"})
     del doc["dataset"]
     doc["data_csv"] = data
-    config = write_json(tmp_path / "fit.json", doc)
+    return write_json(tmp_path / "fit.json", doc)
+
+
+def test_overflowing_gram_is_numerical_failure(tmp_path, capsys):
+    # nothing is written
+    config = overflowing_fit_config(tmp_path)
     capsys.readouterr()
     assert main(["fit", "--config", config]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:") and err.count("\n") == 1
     assert not (tmp_path / "model.json").exists()
+
+
+def test_overflowing_gram_stderr_is_one_line(tmp_path):
+    # In a fresh interpreter, where pytest does not capture numpy's
+    # RuntimeWarnings, stderr holds the one numerical-failure line only.
+    config = overflowing_fit_config(tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(Path(gsir.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "gsir.cli", "fit", "--config",
+                           config], env=env, capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("numerical failure:")
+    assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("command,doc", [
