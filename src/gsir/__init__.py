@@ -10,7 +10,7 @@ Library layout:
   datasets     synthetic designs with known sufficient predictors
   metrics      subspace-recovery scores
   experiments  config-driven experiment runners and CSV reports
-  modelio      JSON persistence for fitted models
+  modelio      file formats: JSON value converters, saved models, CSV text
   cli          command-line front end
 
 The package re-exports the README's entry points; import everything else

@@ -16,10 +16,10 @@ import numpy as np
 
 from .datasets import generate
 from .estimator import evaluate_predictors, fit_gsir1, fit_gsir2
-from .experiments import (ConfigError, check_dense_memory, load_command_config,
-                          load_config, resolve_kernel, run_experiment)
+from .experiments import (check_dense_memory, load_command_config, load_config,
+                          resolve_kernel, run_experiment)
 from .linalg import NumericalError
-from .modelio import load_fit, save_fit
+from .modelio import ConfigError, csv_text, load_fit, save_fit
 
 _MODE_BY_COMMAND = {"theory": "theory_table", "sim-rate": "sim_rate",
                     "kernel-recovery": "kernel_recovery"}
@@ -109,7 +109,8 @@ def _run_predict(args):
         raise ConfigError("predict needs an output path: give --out or 'output_path'")
     try:
         fit = load_fit(config.model_path)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # RecursionError: JSON nested too deeply for the decoder
         raise ConfigError(f"cannot load model {config.model_path}: {exc}") from exc
     x, _ = read_points_csv(config.data_csv, need_response=False)
     if x.shape[1] != fit.train_points.shape[1]:
@@ -117,10 +118,7 @@ def _run_predict(args):
                           f"columns, the model takes {fit.train_points.shape[1]}")
     pred = evaluate_predictors(fit, x)
     with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"pred_{j + 1}" for j in range(pred.shape[1])])
-        for row in pred:
-            writer.writerow([format(v, ".17g") for v in row])
+        fh.write(csv_text([f"pred_{j + 1}" for j in range(pred.shape[1])], pred))
     print(f"predict: {pred.shape[0]} points x {pred.shape[1]} predictors -> {out}")
 
 
@@ -130,8 +128,6 @@ def _run_experiment_command(args):
     if config.mode != expected:
         raise ConfigError(f"config mode {config.mode!r} does not match "
                           f"subcommand {args.command!r} (expected {expected!r})")
-    if args.seed is not None and config.mode == "theory_table":
-        raise ConfigError("theory_table takes no seed")
     overrides = {"base_seed": args.seed, "output_path": args.out or None}
     config = dataclasses.replace(
         config, **{key: v for key, v in overrides.items() if v is not None})
@@ -159,13 +155,15 @@ def main(argv=None):
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default="", help="output path (overrides config)")
         p.add_argument("--seed", type=int, default=None,
-                       help="override the base seed")
+                       help="override the base seed (sim-rate, kernel-recovery, fit)")
         p.add_argument("--threads", type=int, default=1,
                        help="worker threads for replications")
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error("--threads must be at least 1")
     try:
+        if args.seed is not None and args.command in ("theory", "predict"):
+            raise ConfigError(f"{args.command} takes no seed")
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         if args.command in _MODE_BY_COMMAND:

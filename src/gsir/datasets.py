@@ -6,11 +6,11 @@ coordinates, so recovery experiments can score fitted predictors against
 the truth at any point set.
 """
 
-import csv
-
 import numpy as np
 from dataclasses import dataclass
 from scipy.special import ndtr, ndtri
+
+from .modelio import csv_text
 
 # model name -> number of generating predictors
 MODEL_DIMS = {"m1_ratio": 1, "m2_additive": 2, "m3_symmetric": 1}
@@ -90,8 +90,4 @@ def write_dataset_csv(path, x, y, f):
     header = ([f"x_{j + 1}" for j in range(x.shape[1])] + ["y"]
               + [f"f_{j + 1}" for j in range(f.shape[1])])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(len(x)):
-            row = list(x[i]) + [y[i, 0]] + list(f[i])
-            writer.writerow(format(val, ".17g") for val in row)
+        fh.write(csv_text(header, np.column_stack([x, y[:, 0], f])))

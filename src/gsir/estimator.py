@@ -80,7 +80,9 @@ def _check_inputs(x, y, epsilon, d):
 def _factor(g):
     """(c, piv) with g[piv][:, piv] ~ c c^T, c n x r lower trapezoidal; the
     symmetric g is factored in its own memory (g.T is Fortran ordered).  A
-    laplace centered Gram keeps all r = n columns, singular as centering is."""
+    centered Gram can keep all r = n columns, singular as centering is: every
+    laplace one, and gaussian Gx in 25 of the README recovery config's 60
+    (n, rep) cells.  Capping r at n - 1 would change recovery.csv."""
     if not np.all(np.isfinite(g)):
         raise NumericalError("centered Gram matrix contains non-finite entries")
     c, piv, r, _ = dpstrf(g.T, lower=1, tol=-1, overwrite_a=1)

@@ -9,11 +9,8 @@ numpy's SeedSequence, so results do not depend on scheduling and identical
 configs produce byte-identical CSV output.
 """
 
-import csv
-import io
 import json
 import os
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
@@ -22,8 +19,10 @@ from dataclasses import MISSING, dataclass, field, fields
 
 from .datasets import SyntheticModel, generate
 from .estimator import VARIANTS, evaluate_predictors, fit_gsir1, fit_gsir2
-from .kernels import FAMILIES, KernelSpec, median_bandwidth
+from .kernels import KernelSpec, median_bandwidth
 from .metrics import max_canonical_correlation, subspace_distance
+from .modelio import (ConfigError, _as_int, _as_kernel, _as_real, _as_text,
+                      _one_of, _reject_unknown, _require, csv_text)
 from .rates import fit_loglog_slope, optimal_rate_theory, rate_bound_terms
 from .seqsim import (build_model, error_report, estimate_regression_ops,
                      simulate_sample, truncation_tail_fraction,
@@ -36,66 +35,15 @@ SLOPE_TOL = 0.08   # |fitted slope + exponent| allowed at the optimal delta
 R2_MIN = 0.95      # minimum r^2 for a trustworthy slope
 
 
-class ConfigError(ValueError):
-    """A config document is malformed; messages name the offending field."""
-
-
 # --------------------------------------------------------------------------
-# config parsing: a converter maps (JSON value, field name) to a typed value
-# or raises a ConfigError naming the field
+# config parsing: the converters of `modelio` and the config-only ones below
 # --------------------------------------------------------------------------
-
-def _require(doc, key, where):
-    if key not in doc:
-        raise ConfigError(f"missing required field {key!r} in {where}")
-    return doc[key]
-
-
-def _reject_unknown(doc, allowed, where):
-    unknown = sorted(set(doc) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown field(s) {unknown} in {where}; "
-                          f"allowed: {sorted(allowed)}")
-
-
-def _as_int(value, name, minimum=None):
-    if type(value) is not int or not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"field {name!r} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"field {name!r} must be >= {minimum}, got {value}")
-    return value
-
-
-def _as_real(value, name, positive=False):
-    # The bound is false for NaN, infinities and integers beyond float range.
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):
-        raise ConfigError(f"field {name!r} must be a finite number, got {value!r}")
-    if positive and not value > 0:
-        raise ConfigError(f"field {name!r} must be positive, got {value}")
-    return float(value)
-
 
 def _above_one(value, name):
     value = _as_real(value, name)
     if not value > 1:
         raise ConfigError(f"field {name!r} must exceed 1, got {value}")
     return value
-
-
-def _as_text(value, name):
-    if not isinstance(value, str):
-        raise ConfigError(f"field {name!r} must be a string, got {value!r}")
-    return value
-
-
-def _one_of(choices):
-    def convert(value, name):
-        if value not in choices:
-            raise ConfigError(f"field {name!r} must be one of {choices}, "
-                              f"got {value!r}")
-        return value
-    return convert
 
 
 _count = partial(_as_int, minimum=1)
@@ -138,17 +86,6 @@ def _as_grid(value, name):
         grid.append((_above_one(item[0], "grid alpha"),
                      _as_real(item[1], "grid beta", positive=True)))
     return tuple(grid)
-
-
-def _as_kernel(doc, name):
-    if not isinstance(doc, dict):
-        raise ConfigError(f"field {name!r} must be an object, got {doc!r}")
-    _reject_unknown(doc, ("family", "gamma"), name)
-    family = _one_of(FAMILIES)(_require(doc, "family", name), f"{name}.family")
-    gamma = doc.get("gamma", "median")
-    if gamma != "median":
-        gamma = _as_real(gamma, f"{name}.gamma", positive=True)
-    return (family, gamma)
 
 
 def _as_dataset(ds, name, sized=False):
@@ -394,7 +331,7 @@ def check_dense_memory(n, fits=1):
     gib = DENSE_FIT_ARRAYS * 8 * n * n * fits / 2 ** 30
     if gib > _physical_memory() / 2 ** 30:
         raise ConfigError(f"n={n}: {fits} dense fit(s) need {gib:.1f} GiB, more than "
-                          f"physical memory; see the low-rank solver, ROADMAP item 3")
+                          f"physical memory; see the low-rank solver on the ROADMAP")
 
 
 # --------------------------------------------------------------------------
@@ -574,30 +511,22 @@ def run_experiment(config, threads=1):
 # CSV emission
 # --------------------------------------------------------------------------
 
-def _f(x):
-    return format(float(x), ".17g")
-
-
 def sim_rate_csv(report):
     """CSV text: n,rep,epsilon,err_r1,err_r2,err_m,proj_err_1..d,bound_ok_1..d."""
     if not report.rows:
         raise ValueError("report has no rows")
     d = report.rows[0].record.d
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     header = (["n", "rep", "epsilon", "err_r1", "err_r2", "err_m"]
               + [f"proj_err_{j + 1}" for j in range(d)]
               + [f"bound_ok_{j + 1}" for j in range(d)])
-    writer.writerow(header)
+    rows = []
     for row in report.rows:
         rec = row.record
-        cells = [str(row.n), str(row.rep), _f(row.epsilon), _f(rec.err_r1),
-                 _f(rec.err_r2), _f(rec.err_m)]
-        cells += [_f(v) for v in rec.proj_err]
-        cells += [("1" if ok else "0") if app else "na"
-                  for ok, app in zip(rec.bound_ok, rec.bound_applicable)]
-        writer.writerow(cells)
-    return buf.getvalue()
+        rows.append([row.n, row.rep, row.epsilon, rec.err_r1, rec.err_r2, rec.err_m]
+                    + list(rec.proj_err)
+                    + [("1" if ok else "0") if app else "na"
+                       for ok, app in zip(rec.bound_ok, rec.bound_applicable)])
+    return csv_text(header, rows)
 
 
 def kernel_recovery_csv(report):
@@ -605,25 +534,16 @@ def kernel_recovery_csv(report):
     if not report.rows:
         raise ValueError("report has no rows")
     d = len(report.rows[0].eigenvalues)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "rep", "variant", "subspace_dist", "max_cancor"]
-                    + [f"eig_{j + 1}" for j in range(d)])
-    for row in report.rows:
-        writer.writerow([str(row.n), str(row.rep), row.variant,
-                         _f(row.subspace_dist), _f(row.max_cancor)]
-                        + [_f(v) for v in row.eigenvalues])
-    return buf.getvalue()
+    return csv_text(["n", "rep", "variant", "subspace_dist", "max_cancor"]
+                    + [f"eig_{j + 1}" for j in range(d)],
+                    ([row.n, row.rep, row.variant, row.subspace_dist, row.max_cancor]
+                     + list(row.eigenvalues) for row in report.rows))
 
 
 def theory_table_csv(report):
     """CSV text: alpha,beta,branch,delta_opt,exponent_opt,rn_sum,rnprime_sum."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["alpha", "beta", "branch", "delta_opt", "exponent_opt",
-                     "rn_sum", "rnprime_sum"])
-    for row in report.rows:
-        writer.writerow([_f(row.alpha), _f(row.beta), row.branch,
-                         _f(row.delta_opt), _f(row.exponent_opt),
-                         _f(row.rn_sum), _f(row.rnprime_sum)])
-    return buf.getvalue()
+    return csv_text(["alpha", "beta", "branch", "delta_opt", "exponent_opt",
+                     "rn_sum", "rnprime_sum"],
+                    ([row.alpha, row.beta, row.branch, row.delta_opt,
+                      row.exponent_opt, row.rn_sum, row.rnprime_sum]
+                     for row in report.rows))

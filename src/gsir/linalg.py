@@ -1,10 +1,10 @@
 """Spectral functional calculus for symmetric positive semidefinite matrices.
 
-Every regularized inverse, inverse square root, and square root in the
-package is produced by applying a scalar function to the eigenvalues of one
-symmetric eigendecomposition.  Routing all of them through `spectral_apply`
-keeps a single numerical pathway: one symmetry check, one clamping rule for
-tiny negative eigenvalues, one post-symmetrization.
+Every regularized inverse and inverse square root in the package applies a
+scalar function to the eigenvalues from `symmetric_eigh`, which keeps one
+numerical pathway: one symmetry check, one clamping rule for tiny negative
+eigenvalues.  `spectral_apply` forms the J x J matrix function itself, as a
+dense reference for the oracle's rank-of-R path.
 """
 
 import numpy as np
@@ -72,13 +72,8 @@ def symmetric_eigh(m):
 
 
 def spectral_apply(m, fn):
-    """Apply a scalar function of the eigenvalues to a symmetric PSD matrix.
-
-    m is the matrix itself, or the (eigenvalues, eigenvectors) pair that
-    `symmetric_eigh` returned for it, so that several functions of one matrix
-    can share a single eigendecomposition.
-    """
-    d, v = m if isinstance(m, tuple) else symmetric_eigh(m)
+    """Apply a scalar function of the eigenvalues to a symmetric PSD matrix."""
+    d, v = symmetric_eigh(m)
     out = (v * fn(d)) @ v.T
     return (out + out.T) / 2.0
 

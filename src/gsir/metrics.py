@@ -1,9 +1,8 @@
 """Subspace-recovery scores for predictor evaluations at common points.
 
 Both metrics compare column spans of two evaluation matrices over the same
-m points.  By default columns are centered first, because kernel predictors
-are only identified modulo additive constants; centering can be switched
-off to compare raw spans.
+m points.  Columns are centered first, because kernel predictors are only
+identified modulo additive constants.
 """
 
 import numpy as np
@@ -12,7 +11,7 @@ import numpy as np
 _RANK_TOL = 1e-10
 
 
-def _orth_block(a, which, center):
+def _orth_block(a, which):
     a = np.asarray(a, dtype=float)
     if a.ndim == 1:
         a = a[:, None]
@@ -24,23 +23,21 @@ def _orth_block(a, which, center):
                          f"got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{which} block contains non-finite entries")
-    if center:
-        a = a - a.mean(axis=0)
+    a = a - a.mean(axis=0)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or not s[-1] > _RANK_TOL * s[0] or s[0] == 0.0:
-        raise ValueError(f"{which} block is rank deficient"
-                         + (" after centering" if center else "")
-                         + "; columns must be linearly independent")
+        raise ValueError(f"{which} block is rank deficient after centering; "
+                         "columns must be linearly independent")
     return u
 
 
-def subspace_distance(a, b, center=True):
+def subspace_distance(a, b):
     """Frobenius norm of the difference of the two span projectors.
 
     Ranges from 0 (equal spans) to sqrt(d_a + d_b) (orthogonal spans).
     """
-    ua = _orth_block(a, "first", center)
-    ub = _orth_block(b, "second", center)
+    ua = _orth_block(a, "first")
+    ub = _orth_block(b, "second")
     if ua.shape[0] != ub.shape[0]:
         raise ValueError(f"blocks evaluate different point counts: "
                          f"{ua.shape[0]} vs {ub.shape[0]}")
@@ -50,10 +47,10 @@ def subspace_distance(a, b, center=True):
     return float(np.sqrt(max(0.0, val)))
 
 
-def max_canonical_correlation(a, b, center=True):
+def max_canonical_correlation(a, b):
     """Largest canonical correlation between the two column spans, in [0, 1]."""
-    ua = _orth_block(a, "first", center)
-    ub = _orth_block(b, "second", center)
+    ua = _orth_block(a, "first")
+    ub = _orth_block(b, "second")
     if ua.shape[0] != ub.shape[0]:
         raise ValueError(f"blocks evaluate different point counts: "
                          f"{ua.shape[0]} vs {ub.shape[0]}")

@@ -1,19 +1,107 @@
-"""JSON persistence for fitted models.
+"""The file formats: strict JSON values, saved models, and CSV text.
 
-Floats are written with 17 significant digits, which round-trips IEEE
-doubles exactly, so save -> load -> predict reproduces predictions
-bit-for-bit.
+Config and model documents are strict JSON: each value is read by a
+converter that maps (JSON value, field name) to a typed value or raises a
+ConfigError naming the field.  Floats are written with 17 significant
+digits, which round-trips IEEE doubles exactly, so save -> load -> predict
+reproduces predictions bit-for-bit; every CSV row ends in a bare newline.
 """
 
+import csv
+import io
 import json
 import sys
 
 import numpy as np
 
 from .estimator import GsirFit, VARIANTS
-from .kernels import KernelSpec
+from .kernels import FAMILIES, KernelSpec
 
 FORMAT_VERSION = 1
+
+
+class ConfigError(ValueError):
+    """A config or model document is malformed; messages name the field."""
+
+
+# --------------------------------------------------------------------------
+# JSON value converters
+# --------------------------------------------------------------------------
+
+def _require(doc, key, where):
+    if key not in doc:
+        raise ConfigError(f"missing required field {key!r} in {where}")
+    return doc[key]
+
+
+def _reject_unknown(doc, allowed, where):
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown field(s) {unknown} in {where}; "
+                          f"allowed: {sorted(allowed)}")
+
+
+def _as_int(value, name, minimum=None):
+    if type(value) is not int or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"field {name!r} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"field {name!r} must be >= {minimum}, got {value}")
+    return value
+
+
+def _as_real(value, name, positive=False):
+    # The bound is false for NaN, infinities and integers beyond float range.
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"field {name!r} must be a finite number, got {value!r}")
+    if positive and not value > 0:
+        raise ConfigError(f"field {name!r} must be positive, got {value}")
+    return float(value)
+
+
+def _as_text(value, name):
+    if not isinstance(value, str):
+        raise ConfigError(f"field {name!r} must be a string, got {value!r}")
+    return value
+
+
+def _one_of(choices):
+    def convert(value, name):
+        if value not in choices:
+            raise ConfigError(f"field {name!r} must be one of {choices}, "
+                              f"got {value!r}")
+        return value
+    return convert
+
+
+def _as_kernel(doc, name):
+    """(family, gamma) of a kernel section; gamma is 'median' when left out."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"field {name!r} must be an object, got {doc!r}")
+    _reject_unknown(doc, ("family", "gamma"), name)
+    family = _one_of(FAMILIES)(_require(doc, "family", name), f"{name}.family")
+    gamma = doc.get("gamma", "median")
+    if gamma != "median":
+        gamma = _as_real(gamma, f"{name}.gamma", positive=True)
+    return (family, gamma)
+
+
+# --------------------------------------------------------------------------
+# writing: one number format for JSON and CSV
+# --------------------------------------------------------------------------
+
+def _cell(value):
+    """A float with 17 significant digits; anything else as str()."""
+    return format(value, ".17g") if isinstance(value, float) else str(value)
+
+
+def csv_text(header, rows):
+    """CSV text of a header and rows of cells, one newline-ended line each."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(v) for v in row] for row in rows)
+    return buf.getvalue()
 
 
 def _emit(obj):
@@ -21,20 +109,16 @@ def _emit(obj):
         return "{" + ",".join(f"{json.dumps(k)}:{_emit(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join(_emit(v) for v in obj) + "]"
-    if isinstance(obj, bool) or obj is None:
+    if isinstance(obj, (bool, str)) or obj is None:
         return json.dumps(obj)
-    if isinstance(obj, float):
-        return format(obj, ".17g")
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
+    if isinstance(obj, (float, int)):
+        return _cell(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _matrix(a):
-    return [[float(v) for v in row] for row in np.asarray(a, dtype=float)]
-
+# --------------------------------------------------------------------------
+# fitted models
+# --------------------------------------------------------------------------
 
 def fit_to_json(fit):
     """Serialize a fitted model to a JSON string."""
@@ -45,9 +129,9 @@ def fit_to_json(fit):
         "kernel_y": {"family": fit.kernel_y.family, "gamma": float(fit.kernel_y.gamma)},
         "epsilon": float(fit.epsilon),
         "d": int(fit.d),
-        "train_points": _matrix(fit.train_points),
-        "coefficients": _matrix(fit.coefficients),
-        "eigenvalues": [float(v) for v in fit.eigenvalues],
+        "train_points": np.asarray(fit.train_points, dtype=float).tolist(),
+        "coefficients": np.asarray(fit.coefficients, dtype=float).tolist(),
+        "eigenvalues": np.asarray(fit.eigenvalues, dtype=float).tolist(),
     }
     return _emit(doc)
 
@@ -56,21 +140,6 @@ def save_fit(fit, path):
     with open(path, "w") as fh:
         fh.write(fit_to_json(fit))
         fh.write("\n")
-
-
-def _number(value, name):
-    # The bound is false for NaN, infinities and integers beyond float range.
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not abs(value) <= sys.float_info.max):
-        raise ValueError(f"field {name!r} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _kernel(spec, name):
-    # KernelSpec rejects a family that is not one of the known names.
-    if not isinstance(spec, dict):
-        raise ValueError(f"field {name!r} must be an object, got {spec!r}")
-    return KernelSpec(spec.get("family"), _number(spec.get("gamma"), f"{name}.gamma"))
 
 
 def _finite_array(value, name, ndim):
@@ -86,37 +155,34 @@ def _finite_array(value, name, ndim):
 
 
 def fit_from_json(text):
-    """Rebuild a GsirFit from its JSON form."""
+    """Rebuild a GsirFit from its JSON form; ConfigError names a bad field."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
-        raise ValueError("model document must be a JSON object")
-    version = doc.get("version")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported model version {version!r}; "
-                         f"expected {FORMAT_VERSION}")
-    required = {"version", "variant", "kernel_x", "kernel_y", "epsilon", "d",
-                "train_points", "coefficients", "eigenvalues"}
-    missing = required - doc.keys()
-    if missing:
-        raise ValueError(f"model document is missing fields: {sorted(missing)}")
-    unknown = doc.keys() - required
-    if unknown:
-        raise ValueError(f"model document has unknown fields: {sorted(unknown)}")
-    if doc["variant"] not in VARIANTS:
-        raise ValueError(f"unknown variant {doc['variant']!r}")
-    kx = _kernel(doc["kernel_x"], "kernel_x")
-    ky = _kernel(doc["kernel_y"], "kernel_y")
-    d = doc["d"]
-    if isinstance(d, bool) or not isinstance(d, int) or d < 1:
-        raise ValueError(f"field 'd' must be a positive integer, got {d!r}")
-    train = _finite_array(doc["train_points"], "train_points", 2)
-    coef = _finite_array(doc["coefficients"], "coefficients", 2)
-    eig = _finite_array(doc["eigenvalues"], "eigenvalues", 1)
+        raise ConfigError("model document must be a JSON object")
+    where = "model document"
+    _reject_unknown(doc, ("version", "variant", "kernel_x", "kernel_y", "epsilon",
+                          "d", "train_points", "coefficients", "eigenvalues"), where)
+    version = _require(doc, "version", where)
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ConfigError(f"unsupported model version {version!r}; "
+                          f"expected {FORMAT_VERSION}")
+    variant = _one_of(VARIANTS)(_require(doc, "variant", where), "variant")
+    kernels = []
+    for name in ("kernel_x", "kernel_y"):
+        # A model holds the gamma it was fitted with, never "median".
+        family, gamma = _as_kernel(_require(doc, name, where), name)
+        kernels.append(KernelSpec(family, _as_real(gamma, f"{name}.gamma",
+                                                   positive=True)))
+    epsilon = _as_real(_require(doc, "epsilon", where), "epsilon", positive=True)
+    d = _as_int(_require(doc, "d", where), "d", minimum=1)
+    train = _finite_array(_require(doc, "train_points", where), "train_points", 2)
+    coef = _finite_array(_require(doc, "coefficients", where), "coefficients", 2)
+    eig = _finite_array(_require(doc, "eigenvalues", where), "eigenvalues", 1)
     if coef.shape != (train.shape[0], d) or eig.shape != (d,):
         raise ValueError(f"inconsistent shapes: train {train.shape}, "
                          f"coefficients {coef.shape}, eigenvalues {eig.shape}, d={d}")
-    return GsirFit(variant=doc["variant"], train_points=train, kernel_x=kx,
-                   kernel_y=ky, epsilon=_number(doc["epsilon"], "epsilon"), d=d,
+    return GsirFit(variant=variant, train_points=train, kernel_x=kernels[0],
+                   kernel_y=kernels[1], epsilon=epsilon, d=d,
                    coefficients=coef, eigenvalues=eig, warnings=())
 
 

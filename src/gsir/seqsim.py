@@ -15,7 +15,7 @@ from functools import cached_property
 from scipy.special import zeta
 
 from .linalg import (DEFAULT_CLAMP, inv_shift, inv_sqrt_shift, operator_norm,
-                     spectral_apply, symmetric_eigh)
+                     symmetric_eigh)
 
 S_KINDS = ("identity", "random")
 RESIDUAL_KINDS = ("independent", "heteroscedastic")
@@ -79,11 +79,6 @@ class RegressionOps:
     r2: np.ndarray        # (sxx + eps)^-1/2 sxy
     w: np.ndarray         # eigenvalues of sxx, clamped at 0
     v: np.ndarray         # the matching eigenvectors
-    # No J x J function of sxx is stored: these are formed on access.
-    m = property(lambda self: self.r1 @ self.r1.T)
-    m_prime = property(lambda self: self.r2 @ self.r2.T)
-    q = property(lambda self: spectral_apply(             # (sxx + eps)^-1/2
-        (self.w, self.v), inv_sqrt_shift(self.epsilon)))
 
 
 @dataclass(frozen=True)
@@ -213,16 +208,14 @@ def span_projection_error(a, b, d):
     return float(np.sqrt(max(0.0, 1.0 - smin * smin)))
 
 
-def error_report(model, ops, epsilon=None):
+def error_report(model, ops):
     """Compare one estimate to the population operators.
 
     Eigenprojection errors are reported for j up to d = rank(R); gaps use
     the population spectrum of M = R R^T padded with its zero eigenvalue.
     bound_ok checks the perturbation inequality
     ||Phat_j - P_j|| <= 4 ||Mhat - M|| / delta_j, skipped where delta_j = 0.
-    epsilon defaults to the one recorded in ops.
     """
-    epsilon = ops.epsilon if epsilon is None else float(epsilon)
     err_r1 = operator_norm(ops.r1 - model.R)
     err_r2 = operator_norm(ops.r2 - model.Rprime)
     # ||m - M|| = ||D S^T + S D^T|| / 2, D = r1 - R (formed first: no
@@ -251,7 +244,7 @@ def error_report(model, ops, epsilon=None):
         eta_hat = _apply(ops.w, ops.v, inv_sqrt_shift(ops.epsilon), top)
         eta_err = span_projection_error(eta_hat, model.R, d)
 
-    return ErrorRecord(epsilon=epsilon, err_r1=err_r1, err_r2=err_r2,
+    return ErrorRecord(epsilon=ops.epsilon, err_r1=err_r1, err_r2=err_r2,
                        err_m=err_m, d=d, proj_err=proj_err, gap=gap,
                        bound_ok=bound_ok, bound_applicable=applicable,
                        eta_span_err=eta_err)

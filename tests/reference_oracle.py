@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from gsir.linalg import (DEFAULT_CLAMP, inv_shift, inv_sqrt_shift,
-                         operator_norm, spectral_apply, symmetric_eigh)
+                         operator_norm, spectral_apply)
 from gsir.seqsim import EmpiricalOps, ErrorRecord, span_projection_error
 
 
@@ -44,9 +44,8 @@ def reference_empirical_operators(sample):
 def reference_regression_ops(sample, epsilon):
     """The estimates with b, q, m and m' as dense J x J arrays."""
     ops = reference_empirical_operators(sample)
-    eig = symmetric_eigh(ops.sxx)
-    b = spectral_apply(eig, inv_shift(epsilon))
-    q = spectral_apply(eig, inv_sqrt_shift(epsilon))
+    b = spectral_apply(ops.sxx, inv_shift(epsilon))
+    q = spectral_apply(ops.sxx, inv_sqrt_shift(epsilon))
     r1 = b @ ops.sxy
     r2 = q @ ops.sxy
     return SimpleNamespace(epsilon=float(epsilon), sxx=ops.sxx, sxy=ops.sxy,

@@ -229,6 +229,11 @@ def assert_config_error(capsys, argv):
     ("train_points", [[0.5, 0.1]] * 39 + [[0.5]]),
     ("train_points", "abc"),
     ("coefficients", [[0.5], [1.0]] * 20 + [[1.0, 2.0]]),
+    ("version", True),
+    ("version", 1.0),
+    ("kernel_x", {"family": "gaussian", "gamma": 0.5, "scale": 2.0}),
+    ("epsilon", 0.0),
+    ("epsilon", -1e-3),
 ])
 def test_predict_malformed_model_is_config_error(tmp_path, capsys, field, value):
     doc = fit_model_file(tmp_path)
@@ -274,6 +279,14 @@ def test_non_finite_data_csv_is_config_error(tmp_path, capsys, bad):
 def test_fit_rejects_negative_seed_override(tmp_path, capsys):
     config = write_json(tmp_path / "fit.json", fit_config_doc(tmp_path))
     assert_config_error(capsys, ["fit", "--config", config, "--seed", "-1"])
+
+
+def test_seed_rejected_for_predict(tmp_path, capsys):
+    fit_model_file(tmp_path)
+    data = write_points(tmp_path / "new.csv", ["x_1", "x_2"], [[0.1, 0.2]])
+    assert_config_error(capsys, ["predict", "--config",
+                                 predict_config(tmp_path, data), "--seed", "5"])
+    assert not (tmp_path / "pred.csv").exists()
 
 
 def test_predict_column_mismatch_is_config_error(tmp_path, capsys):
@@ -340,14 +353,25 @@ def test_fit_null_output_path_is_config_error(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "None").exists()
 
 
-@pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000,
-                                  '{"schema_version": ' + "9" * 5000 + "}"],
-                         ids=["deep", "long_int"])
+# too deep for the decoder, or an integer longer than Python converts
+UNREADABLE_JSON = pytest.mark.parametrize(
+    "text", ["[" * 100000 + "]" * 100000, '{"schema_version": ' + "9" * 5000 + "}"],
+    ids=["deep", "long_int"])
+
+
+@UNREADABLE_JSON
 def test_unreadable_json_is_config_error(tmp_path, capsys, text):
-    # too deep for the decoder, or an integer longer than Python converts
     path = tmp_path / "exp.json"
     path.write_text(text)
     assert_config_error(capsys, ["theory", "--config", str(path)])
+
+
+@UNREADABLE_JSON
+def test_unreadable_model_json_is_config_error(tmp_path, capsys, text):
+    (tmp_path / "model.json").write_text(text)
+    data = write_points(tmp_path / "new.csv", ["x_1", "x_2"], [[0.1, 0.2]])
+    assert_config_error(capsys, ["predict", "--config",
+                                 predict_config(tmp_path, data)])
 
 
 def overflowing_fit_config(tmp_path):

@@ -93,6 +93,15 @@ def test_only_generating_coordinates_matter(name):
     assert np.array_equal(f2.sum(axis=1), y[:, 0])
 
 
+def test_write_dataset_csv_ends_rows_in_newline(tmp_path):
+    x, y, f = generate(SyntheticModel("m1_ratio", p=2, sigma_noise=0.1), 5, seed=2)
+    path = tmp_path / "data.csv"
+    write_dataset_csv(path, x, y, f)
+    lines = path.read_bytes().split(b"\n")
+    assert len(lines) == 7 and lines[-1] == b""
+    assert not any(line.endswith(b"\r") for line in lines)
+
+
 def test_write_dataset_csv_roundtrip(tmp_path):
     model = SyntheticModel("m2_additive", p=3, sigma_noise=0.2)
     x, y, f = generate(model, 20, seed=9)

@@ -108,14 +108,6 @@ def test_spectral_apply_output_is_symmetric():
     assert np.max(np.abs(out - out.T)) == 0.0
 
 
-def test_spectral_apply_accepts_shared_eigendecomposition():
-    rng = np.random.default_rng(12)
-    m = random_psd(rng, 6)
-    eig = symmetric_eigh(m)
-    for fn in (inv_shift(0.2), inv_sqrt_shift(0.2), sqrt()):
-        assert np.array_equal(spectral_apply(eig, fn), spectral_apply(m, fn))
-
-
 def test_spectral_apply_commutes_with_argument():
     rng = np.random.default_rng(9)
     m = random_psd(rng, 6)

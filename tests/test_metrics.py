@@ -16,16 +16,19 @@ def test_distance_of_equal_blocks_is_zero():
     assert subspace_distance(a, a) < 1e-12
 
 
+# Zero-mean columns, which centering leaves as they are: a and b are
+# orthogonal, and c is at 45 degrees to a.
+ZM_A = np.array([[1.0], [-1.0], [0.0], [0.0]])
+ZM_B = np.array([[0.0], [0.0], [1.0], [-1.0]])
+ZM_C = ZM_A + ZM_B
+
+
 def test_distance_orthogonal_lines():
-    a = np.array([[1.0], [0.0], [0.0], [0.0]])
-    b = np.array([[0.0], [1.0], [0.0], [0.0]])
-    assert abs(subspace_distance(a, b, center=False) - np.sqrt(2.0)) < 1e-12
+    assert abs(subspace_distance(ZM_A, ZM_B) - np.sqrt(2.0)) < 1e-12
 
 
 def test_distance_45_degree_pair():
-    a = np.array([[1.0], [0.0], [0.0]])
-    b = np.array([[1.0], [1.0], [0.0]]) / np.sqrt(2.0)
-    assert abs(subspace_distance(a, b, center=False) - 1.0) < 1e-12
+    assert abs(subspace_distance(ZM_A, ZM_C) - 1.0) < 1e-12
 
 
 def test_max_cancor_equal_single_column():
@@ -35,15 +38,11 @@ def test_max_cancor_equal_single_column():
 
 
 def test_max_cancor_orthogonal_columns():
-    a = np.array([[1.0], [0.0], [0.0]])
-    b = np.array([[0.0], [1.0], [0.0]])
-    assert max_canonical_correlation(a, b, center=False) < 1e-12
+    assert max_canonical_correlation(ZM_A, ZM_B) < 1e-12
 
 
 def test_max_cancor_45_degrees():
-    a = np.array([[1.0], [0.0], [0.0]])
-    b = np.array([[1.0], [1.0], [0.0]]) / np.sqrt(2.0)
-    assert abs(max_canonical_correlation(a, b, center=False) - np.sqrt(0.5)) < 1e-12
+    assert abs(max_canonical_correlation(ZM_A, ZM_C) - np.sqrt(0.5)) < 1e-12
 
 
 def test_centering_removes_constant_offsets():

@@ -102,6 +102,20 @@ def test_unknown_variant_rejected():
         fit_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("field,value,fragment", [
+    ("version", True, "version"),
+    ("version", 1.0, "version"),
+    ("kernel_x", {"family": "gaussian", "gamma": 0.7, "scale": 2.0}, "unknown"),
+    ("epsilon", 0, "positive"),
+    ("epsilon", -0.05, "positive"),
+])
+def test_config_value_rules_apply_to_models(field, value, fragment):
+    doc = json.loads(fit_to_json(make_fit(seed=12)))
+    doc[field] = value
+    with pytest.raises(ValueError, match=fragment):
+        fit_from_json(json.dumps(doc))
+
+
 def test_non_object_document_rejected():
     with pytest.raises(ValueError, match="object"):
         fit_from_json("[1, 2, 3]")
