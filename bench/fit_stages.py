@@ -130,8 +130,9 @@ def _cell(src, stage, n, repeats, model_path):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", help="JSON file to write")
-    parser.add_argument("--label", nargs="*", default=None,
-                        help="NAME=SRC_DIR pairs (default current=<repo>/src)")
+    parser.add_argument("--label", nargs="+", action="extend", default=None,
+                        help="NAME=SRC_DIR pairs, repeated or space separated "
+                             "(default current=<repo>/src)")
     parser.add_argument("--n", nargs="*", type=int, default=[500, 1000, 2000, 4000])
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--suite", choices=sorted(SUITES), default="fit")

@@ -102,25 +102,29 @@ def _solve(x, y, kernel_x, kernel_y, epsilon, variant):
 
     qr, tau: dgeqrf of Fx, rows in pivot order piv, Rx in the upper triangle
     of qr[:r]; l, g: L and G; mu, q: eigenpairs of B^T B, descending, with
-    mu padded by zeros to length n."""
+    mu padded by zeros to length n.  Gy is factored first, so only its factor
+    is alive beside Gx; Rx is freed before the 2 r_y^2 eigensolve workspace."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    f, piv_y = _factor(centered_gram(kernel_y, y))
+    f = f.copy(order="F")      # frees Gy's n x n
     fx, piv = _factor(centered_gram(kernel_x, x))
     n, r = fx.shape
     if r == 0:     # Gx = 0: nothing to fit, every mu is 0
         return fx, None, piv, None, None, np.zeros(n), None
     qr, tau, _, _ = dgeqrf(fx, lwork=int(dgeqrf_lwork(n, r)[0]), overwrite_a=1)
-    f, piv_y = _factor(centered_gram(kernel_y, y))
     # F with rows in x's pivot order (one zero column if Gy = 0), then G
     f = f.T[:, np.argsort(piv_y)[piv]].T if f.shape[1] else np.zeros((n, 1))
     g = np.asfortranarray(_apply_q(qr, tau, f, "T")[:r])
     del f
-    s = dsyrk(1.0 / n, np.triu(qr[:r]), trans=1, lower=1)
+    rx = np.tril(qr[:r].T).T    # Rx, Fortran ordered: a copy even when qr[:r] is qr
+    s = dsyrk(1.0 / n, rx, trans=1, lower=1)
     s[np.diag_indices(r)] += epsilon
     l, info = dpotrf(s, lower=1, overwrite_a=1)
     if info:
         raise NumericalError(f"Cholesky factorization of S failed (info={info})")
-    b = dtrsm(1.0, l, dtrmm(1.0 / n, qr[:r], g, trans_a=1), lower=1, overwrite_b=1)
+    b = dtrsm(1.0, l, dtrmm(1.0 / n, rx, g, trans_a=1), lower=1, overwrite_b=1)
+    del rx
     if variant == "gsir1":     # S^-1 E = L^-T L^-1 E
         b = dtrsm(1.0, l, b, lower=1, trans_a=1, overwrite_b=1)
     bb = dsyrk(1.0, b, trans=1, lower=1)
@@ -214,6 +218,7 @@ def gsir_spectrum(x, y, kernel_x, kernel_y, epsilon, variant="gsir1"):
     return _solve(x, y, kernel_x, kernel_y, epsilon, variant)[5]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate_predictors(fit, x_new):
     """Evaluate the fitted predictors at new points; returns shape (m, d)."""
     x_new = _as_points(x_new, "x_new")
@@ -224,6 +229,8 @@ def evaluate_predictors(fit, x_new):
     for s in range(0, x_new.shape[0], _BLOCK):
         k_new = gram_matrix(fit.kernel_x, x_new[s:s + _BLOCK], fit.train_points)
         k_new -= k_new.mean(axis=1, keepdims=True)
-        np.matmul(k_new, fit.coefficients, out=out[s:s + _BLOCK])
+        pred = np.matmul(k_new, fit.coefficients, out=out[s:s + _BLOCK])
+        if not np.isfinite(pred).all():
+            raise NumericalError("predictions are not finite: the cross-Gram overflows")
     return out
 

@@ -317,8 +317,9 @@ def _run_tasks(fn, tasks, threads):
     return [fn(t) for t in tasks]
 
 
-# Live n x n float64 arrays at the peak of one dense fit: peak RSS grows by
-# 4.2 (gaussian kernel_y) and 4.7 (laplace) from n=2000 to 4000, BENCH_5.json.
+# n x n float64 arrays per dense fit: peak RSS grows by 2.0 (gaussian kernel_y)
+# and 5.0 (laplace) n^2 from n=2000 to 4000, BENCH_8.json; traced peaks are
+# about 3 and 6 n^2 at n=600-2000.
 DENSE_FIT_ARRAYS = 5
 
 

@@ -143,12 +143,13 @@ def save_fit(fit, path):
 
 
 def _finite_array(value, name, ndim):
-    # json reads NaN and Infinity, and a model holding them predicts NaN.
+    # json reads NaN and Infinity, and numpy reads true among numbers as 1.
     try:
         arr = np.asarray(value)
     except ValueError as exc:
         raise ValueError(f"field {name!r} is not a rectangular array") from exc
     if (arr.ndim != ndim or arr.dtype.kind not in "iuf"
+            or bool in set(map(type, np.asarray(value, dtype=object).flat))
             or not np.all(np.isfinite(arr))):
         raise ValueError(f"field {name!r} must be a {ndim}-d array of finite numbers")
     return arr.astype(float)

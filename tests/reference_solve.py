@@ -12,14 +12,30 @@ except that the factor of a laplace Gram keeps one more, the rounding-level
 remainder along the constant vector that centering removes; a coefficient
 component along that vector does not change any prediction.
 
-`eval_kernel` evaluates one kernel value from its formula, and `align_sign`
-aligns the arbitrary eigenvector signs of the reference with the estimator.
+`whole_array_centered_gram` is the O(n^2) centering as whole-array
+expressions, which `gsir.kernels.centered_gram` computes in place and must
+match bit for bit.  `eval_kernel` evaluates one kernel value from its
+formula, and `align_sign` aligns the arbitrary eigenvector signs of the
+reference with the estimator.
 """
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from gsir.kernels import gram_matrix
 from gsir.linalg import DEFAULT_CLAMP, symmetric_eigh
+
+
+def whole_array_centered_gram(spec, x):
+    """K less its row means, less its column means, plus its grand mean,
+    symmetrized: each step on a new n x n array."""
+    if spec.family == "linear":
+        k = x @ x.T
+    else:
+        metric = "sqeuclidean" if spec.family == "gaussian" else "cityblock"
+        k = np.exp(-spec.gamma * cdist(x, x, metric))
+    g = k - k.mean(axis=1, keepdims=True) - k.mean(axis=0) + k.mean()
+    return (g + g.T) / 2.0
 
 
 def dense_centered_gram(spec, x):

@@ -245,8 +245,9 @@ def test_predict_malformed_model_is_config_error(tmp_path, capsys, field, value)
 
 
 @pytest.mark.parametrize("field", ["train_points", "coefficients", "eigenvalues"])
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), True])
 def test_predict_rejects_non_finite_model(tmp_path, capsys, field, bad):
+    # numpy reads true among numbers as 1.0
     doc = fit_model_file(tmp_path)
     if field == "eigenvalues":
         doc[field][0] = bad
@@ -405,6 +406,25 @@ def test_overflowing_gram_stderr_is_one_line(tmp_path):
     assert proc.returncode == 3
     assert proc.stderr.startswith("numerical failure:")
     assert proc.stderr.count("\n") == 1
+
+
+def test_overflowing_cross_gram_is_numerical_failure(tmp_path):
+    # A linear-kernel model on rows near the float maximum: the cross-Gram
+    # overflows, and predict writes no NaN rows, exits 3, and prints one
+    # line (a fresh interpreter, so numpy's RuntimeWarnings would show).
+    config = write_json(tmp_path / "fit.json",
+                        fit_config_doc(tmp_path, kernel_x={"family": "linear"}))
+    assert main(["fit", "--config", config]) == 0
+    data = write_points(tmp_path / "huge.csv", ["x_1", "x_2"],
+                        [["1.7e308", "1.7e308"], ["0.5", "0.25"]])
+    env = dict(os.environ, PYTHONPATH=str(Path(gsir.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "gsir.cli", "predict", "--config",
+                           predict_config(tmp_path, data)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("numerical failure:")
+    assert proc.stderr.count("\n") == 1
+    assert not (tmp_path / "pred.csv").exists()
 
 
 @pytest.mark.parametrize("command,doc", [

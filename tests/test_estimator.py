@@ -1,13 +1,15 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gsir.datasets import SyntheticModel, generate
 from gsir.estimator import (_BLOCK, evaluate_predictors, fit_gsir1, fit_gsir2,
                             gsir_spectrum)
-from gsir.kernels import KernelSpec, centered_gram, gram_matrix
+from gsir.kernels import KernelSpec, centered_gram, gram_matrix, median_bandwidth
 from gsir.linalg import inv_shift, inv_sqrt_shift, spectral_apply, sqrt
 from gsir.seqsim import span_projection_error
 from reference_solve import align_sign, eval_kernel
@@ -260,3 +262,28 @@ def test_permuted_rows_give_identical_predictions(seed, n, d, fit_fn, data):
         1e-8 * np.max(np.abs(pred))
     mu = gsir_spectrum(x, y, GAUSS, GAUSS, 0.05, fit.variant)
     assert np.array_equal(mu[:d], fit.eigenvalues)
+
+
+def traced_peak(call):
+    """Peak bytes numpy and Python allocate during call(), from tracemalloc,
+    which counts every array allocation and so, unlike RSS, is exact."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_fit_peak_memory():
+    # The benchmark's fit settings.  Centering works in K's memory beside one
+    # block of rows.  Gx keeps all r = n columns at this n, so the fit holds
+    # three full n x n arrays (Gx's buffer with Qx and Rx, the copy of Rx,
+    # and S), plus G and Rx^T G / n at n x r_y each: 3.12 n^2.
+    n = 600
+    x, y, _ = generate(SyntheticModel("m3_symmetric", 5, 0.2), n, 0)
+    kx = KernelSpec("gaussian", median_bandwidth(x))
+    ky = KernelSpec("gaussian", median_bandwidth(y))
+    n2 = 8 * n * n
+    assert traced_peak(lambda: centered_gram(kx, x)) <= 1.3 * n2
+    assert traced_peak(lambda: fit_gsir1(x, y, kx, ky, 1e-3, 1)) <= 3.2 * n2

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from gsir.kernels import KernelSpec, centered_gram, gram_matrix, median_bandwidth
-from reference_solve import eval_kernel
+from gsir.kernels import (FAMILIES, ROW_BLOCK, KernelSpec, centered_gram,
+                          gram_matrix, median_bandwidth)
+from reference_solve import eval_kernel, whole_array_centered_gram
 
 ATOL = 1e-12
 VAR_SLACK = 1e-9
@@ -154,3 +155,17 @@ def test_median_bandwidth_degenerate_points():
 def test_median_bandwidth_needs_two_points():
     with pytest.raises(ValueError, match="at least 2"):
         median_bandwidth(np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("n", [ROW_BLOCK - 5, ROW_BLOCK, 3 * ROW_BLOCK + 7])
+def test_centered_gram_is_bitwise_the_whole_array_expression(family, layout, n):
+    # in-place row blocks reproduce (g + g.T) / 2 exactly, and stay symmetric
+    base = np.random.default_rng(n).standard_normal((2 * n, 6))
+    x = {"C": base[:n, :3], "F": np.asfortranarray(base[:n, :3]),
+         "strided": base[::2, ::2]}[layout]
+    spec = KernelSpec(family, 0.3)
+    g = centered_gram(spec, x)
+    assert g.tobytes() == whole_array_centered_gram(spec, x).tobytes()
+    assert g.tobytes() == g.T.tobytes()

@@ -116,6 +116,18 @@ def test_config_value_rules_apply_to_models(field, value, fragment):
         fit_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("field", ["train_points", "coefficients", "eigenvalues"])
+def test_bool_inside_model_array_rejected(field):
+    # a mixed list of numbers and true reads as a float array with 1.0
+    doc = json.loads(fit_to_json(make_fit(seed=13)))
+    if field == "eigenvalues":
+        doc[field][-1] = True
+    else:
+        doc[field][-1][-1] = True
+    with pytest.raises(ValueError, match=field):
+        fit_from_json(json.dumps(doc))
+
+
 def test_non_object_document_rejected():
     with pytest.raises(ValueError, match="object"):
         fit_from_json("[1, 2, 3]")

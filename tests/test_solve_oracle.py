@@ -55,6 +55,16 @@ def test_solve_matches_dense_reference(n, family, q, variant):
 
 
 @pytest.mark.parametrize("variant", ["gsir1", "gsir2"])
+def test_full_rank_factor_keeps_its_householder_vectors(variant):
+    # a laplace Gx keeps all r = n columns, so qr[:r] is all of qr: Rx must be
+    # a copy, or zeroing its lower triangle overwrites Qx's Householder vectors
+    x, y = make_data(40, 1)
+    kx, ky = KernelSpec("laplace", 0.5), KernelSpec("gaussian", 0.5)
+    assert dpstrf(centered_gram(kx, x), lower=1, tol=-1)[2] == 40
+    assert_matches_reference(FIT[variant](x, y, kx, ky, EPS, 2), x, y, 2)
+
+
+@pytest.mark.parametrize("variant", ["gsir1", "gsir2"])
 @pytest.mark.parametrize("q", [1, 3])
 @pytest.mark.parametrize("n", [50, 200])
 def test_linear_kernel_null_space_does_not_leak(n, q, variant):
