@@ -3,7 +3,8 @@
 Subcommands: theory, sim-rate, kernel-recovery (experiment runners driven by
 a JSON config), plus fit and predict (train a model to JSON, evaluate it on
 new points).  Exit codes: 0 success, 2 config, usage or input-data error
-(including a malformed model), 3 numerical failure.
+(including a malformed model or an input too large to allocate), 3
+numerical failure.
 """
 
 import argparse
@@ -16,13 +17,10 @@ import numpy as np
 
 from .datasets import generate
 from .estimator import evaluate_predictors, fit_gsir1, fit_gsir2
-from .experiments import (check_dense_memory, load_command_config, load_config,
-                          resolve_kernel, run_experiment)
+from .experiments import (check_dense_memory, load_config, resolve_kernel,
+                          run_experiment)
 from .linalg import NumericalError
 from .modelio import ConfigError, csv_text, load_fit, save_fit
-
-_MODE_BY_COMMAND = {"theory": "theory_table", "sim-rate": "sim_rate",
-                    "kernel-recovery": "kernel_recovery"}
 
 
 def _read_table(path):
@@ -80,31 +78,34 @@ def read_points_csv(path, need_response):
     return x, _parse_block(body, y_idx, path)
 
 
-def _run_fit(args):
-    config = load_command_config(args.config, "fit")
+def _run_fit(config):
+    out = config.output_path
+    if not out:
+        raise ConfigError("fit needs an output path: give --out or 'output_path'")
     if config.dataset is None:
         x, y = read_points_csv(config.data_csv, need_response=True)
     else:
-        seed = config.base_seed if args.seed is None else args.seed
-        x, y, _ = generate(*config.dataset, seed)
-    check_dense_memory(x.shape[0])
-    kx = resolve_kernel(config.kernel_x, x)
-    ky = resolve_kernel(config.kernel_y, y)
-    out = args.out or config.output_path
-    if not out:
-        raise ConfigError("fit needs an output path: give --out or 'output_path'")
+        x, y, _ = generate(*config.dataset, config.base_seed)
+    n = x.shape[0]
+    if n < 3:
+        raise ConfigError(f"fit needs at least 3 samples, got {n}")
+    if config.d > n - 1:
+        raise ConfigError(f"field 'd' must satisfy 1 <= d <= n - 1 = {n - 1}, "
+                          f"got {config.d}")
+    check_dense_memory(n)
+    kx = resolve_kernel(config.kernel_x, x, "kernel_x")
+    ky = resolve_kernel(config.kernel_y, y, "kernel_y")
     fit_fn = fit_gsir1 if config.variant == "gsir1" else fit_gsir2
     fit = fit_fn(x, y, kx, ky, config.epsilon, config.d)
     save_fit(fit, out)
     for note in fit.warnings:
         print(f"warning: {note}", file=sys.stderr)
-    print(f"fit {config.variant}: n={x.shape[0]} d={config.d} eigenvalues="
+    print(f"fit {config.variant}: n={n} d={config.d} eigenvalues="
           f"{[format(v, '.6g') for v in fit.eigenvalues]} -> {out}")
 
 
-def _run_predict(args):
-    config = load_command_config(args.config, "predict")
-    out = args.out or config.output_path
+def _run_predict(config):
+    out = config.output_path
     if not out:
         raise ConfigError("predict needs an output path: give --out or 'output_path'")
     try:
@@ -122,16 +123,8 @@ def _run_predict(args):
     print(f"predict: {pred.shape[0]} points x {pred.shape[1]} predictors -> {out}")
 
 
-def _run_experiment_command(args):
-    config = load_config(args.config)
-    expected = _MODE_BY_COMMAND[args.command]
-    if config.mode != expected:
-        raise ConfigError(f"config mode {config.mode!r} does not match "
-                          f"subcommand {args.command!r} (expected {expected!r})")
-    overrides = {"base_seed": args.seed, "output_path": args.out or None}
-    config = dataclasses.replace(
-        config, **{key: v for key, v in overrides.items() if v is not None})
-    report = run_experiment(config, threads=args.threads)
+def _run_mode(config, threads):
+    report = run_experiment(config, threads=threads)
     if config.output_path:
         print(f"{config.mode}: {len(report.rows)} rows -> {config.output_path}")
     else:
@@ -162,18 +155,27 @@ def main(argv=None):
     if args.threads < 1:
         parser.error("--threads must be at least 1")
     try:
-        if args.seed is not None and args.command in ("theory", "predict"):
+        config = load_config(args.config, args.command)
+        if args.seed is not None and not hasattr(config, "base_seed"):
             raise ConfigError(f"{args.command} takes no seed")
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        if args.command in _MODE_BY_COMMAND:
-            _run_experiment_command(args)
-        elif args.command == "fit":
-            _run_fit(args)
+        overrides = {"base_seed": args.seed, "output_path": args.out or None}
+        config = dataclasses.replace(
+            config, **{key: v for key, v in overrides.items() if v is not None})
+        if args.command == "fit":
+            _run_fit(config)
+        elif args.command == "predict":
+            _run_predict(config)
         else:
-            _run_predict(args)
+            _run_mode(config, args.threads)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy refuses an array larger than the address space at once
+        print(f"config error: input too large: {str(exc) or 'out of memory'}",
+              file=sys.stderr)
         return 2
     except (NumericalError, np.linalg.LinAlgError, ValueError,
             FloatingPointError) as exc:

@@ -1,12 +1,12 @@
 """Experiment configuration, orchestration, and CSV reports.
 
-Config documents are strict JSON (unknown fields are rejected): the three
-run modes and the configs of the fit and predict commands.  Each config
-dataclass is its own schema: a field built with `_field` names the converter
-that reads it from the JSON key of the same name.  Every replication's
-randomness derives only from (base_seed, n, replication_index) through
-numpy's SeedSequence, so results do not depend on scheduling and identical
-configs produce byte-identical CSV output.
+Config documents are strict JSON (unknown fields are rejected), one schema
+per subcommand (`COMMANDS`).  Each config dataclass is its own schema: a
+field built with `_field` names the converter that reads it from the JSON
+key of the same name.  Every replication's randomness derives only from
+(base_seed, n, replication_index) through numpy's SeedSequence, so results
+do not depend on scheduling and identical configs produce byte-identical
+CSV output.
 """
 
 import json
@@ -29,7 +29,6 @@ from .seqsim import (build_model, error_report, estimate_regression_ops,
                      RESIDUAL_KINDS, S_KINDS)
 
 SCHEMA_VERSION = 1
-MODES = ("sim_rate", "kernel_recovery", "theory_table")
 
 SLOPE_TOL = 0.08   # |fitted slope + exponent| allowed at the optimal delta
 R2_MIN = 0.95      # minimum r^2 for a trustworthy slope
@@ -254,26 +253,27 @@ class RateReport:
     summary: dict = field(default_factory=dict)
 
 
-_CONFIGS = {"sim_rate": SimRateConfig, "kernel_recovery": RecoveryConfig,
-            "theory_table": TheoryConfig, "fit": FitConfig,
+# The config schema of each subcommand; a run mode's schema has a `mode`.
+COMMANDS = {"theory": TheoryConfig, "sim-rate": SimRateConfig,
+            "kernel-recovery": RecoveryConfig, "fit": FitConfig,
             "predict": PredictConfig}
 
 
-def _check_document(doc):
+def parse_config(doc, command):
+    """Validate a parsed JSON document and build the config of `command`."""
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     version = _require(doc, "schema_version", "config")
     if type(version) is not int or version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r}; "
                           f"expected {SCHEMA_VERSION}")
-
-
-def parse_config(doc):
-    """Validate a parsed JSON document and build the typed config."""
-    _check_document(doc)
-    mode = _one_of(MODES)(_require(doc, "mode", "config"), "mode")
-    return _build(_CONFIGS[mode], doc, f"{mode} config",
-                  header=("schema_version", "mode"))
+    cls = COMMANDS[command]
+    mode = getattr(cls, "mode", None)
+    if mode is not None and _require(doc, "mode", "config") != mode:
+        raise ConfigError(f"config mode {doc['mode']!r} does not match "
+                          f"subcommand {command!r} (expected {mode!r})")
+    return _build(cls, doc, f"{command} config",
+                  header=("schema_version",) + ("mode",) * (mode is not None))
 
 
 def _load_json(path):
@@ -288,17 +288,9 @@ def _load_json(path):
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
-def load_config(path):
-    """Read and validate the JSON config file of a run mode."""
-    return parse_config(_load_json(path))
-
-
-def load_command_config(path, command):
-    """Read and validate the JSON config file of `gsir fit` or `gsir predict`."""
-    doc = _load_json(path)
-    _check_document(doc)
-    return _build(_CONFIGS[command], doc, f"{command} config",
-                  header=("schema_version",))
+def load_config(path, command):
+    """Read and validate the JSON config file of `gsir <command>`."""
+    return parse_config(_load_json(path), command)
 
 
 # --------------------------------------------------------------------------
@@ -420,13 +412,18 @@ def run_sim_rate(config, threads=1):
     return _report(config, rows, summary, sim_rate_csv)
 
 
-def resolve_kernel(spec, points):
-    """KernelSpec for a parsed (family, gamma); 'median' is set from points."""
+def resolve_kernel(spec, points, name):
+    """KernelSpec for the parsed (family, gamma) of config field `name`;
+    'median' is set from points."""
     family, gamma = spec
-    if gamma == "median":
-        if family == "linear":
-            return KernelSpec("linear")
-        return KernelSpec(family, median_bandwidth(points))
+    if gamma != "median":
+        return KernelSpec(family, gamma)
+    if family == "linear":
+        return KernelSpec("linear")
+    try:
+        gamma = median_bandwidth(points)
+    except ValueError as exc:
+        raise ConfigError(f"field {name!r}: {exc}; give an explicit gamma") from exc
     return KernelSpec(family, gamma)
 
 
@@ -446,8 +443,8 @@ def run_kernel_recovery(config, threads=1):
         train_seed, test_seed = derive_seed(config.base_seed, n, rep).spawn(2)
         x, y, _ = generate(dataset, n, train_seed)
         x_test, _, f_test = generate(dataset, config.n_test, test_seed)
-        kx = resolve_kernel(config.kernel_x, x)
-        ky = resolve_kernel(config.kernel_y, y)
+        kx = resolve_kernel(config.kernel_x, x, "kernel_x")
+        ky = resolve_kernel(config.kernel_y, y, "kernel_y")
         out = []
         for variant, fit_fn in (("gsir1", fit_gsir1), ("gsir2", fit_gsir2)):
             fit = fit_fn(x, y, kx, ky, config.epsilon, config.d)

@@ -165,7 +165,7 @@ def test_criterion_08_kernel_recovery():
         "n_test": 500,
     }
     t0 = time.perf_counter()
-    report = run_kernel_recovery(parse_config(doc))
+    report = run_kernel_recovery(parse_config(doc, "kernel-recovery"))
     elapsed = time.perf_counter() - t0
     detail = []
     ok = elapsed < 120.0

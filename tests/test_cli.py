@@ -215,6 +215,7 @@ def assert_config_error(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert err.count("\n") == 1 and "Traceback" not in err
+    return err
 
 
 @pytest.mark.parametrize("field,value", [
@@ -464,3 +465,91 @@ def test_memory_check_counts_concurrent_fits(monkeypatch):
     check_dense_memory(1000)
     with pytest.raises(ConfigError, match="n=1000: 2 dense .* low-rank solver"):
         check_dense_memory(1000, fits=2)
+
+
+@pytest.mark.parametrize("source", ["dataset", "data_csv"])
+def test_fit_sample_too_small_is_config_error(tmp_path, capsys, source):
+    # n=5 admits at most d=4 predictors; 2 rows are below the 3 a fit needs
+    if source == "dataset":
+        doc = fit_config_doc(tmp_path, d=10, dataset={
+            "model": "m1_ratio", "p": 2, "sigma_noise": 0.1, "n": 5})
+        fragment = "1 <= d <= n - 1 = 4, got 10"
+    else:
+        doc = fit_config_doc(tmp_path)
+        del doc["dataset"]
+        doc["data_csv"] = write_points(tmp_path / "two.csv", ["x_1", "y"],
+                                       [[0.1, 1.0], [0.2, 2.0]])
+        fragment = "at least 3 samples, got 2"
+    config = write_json(tmp_path / "fit.json", doc)
+    assert fragment in assert_config_error(capsys, ["fit", "--config", config])
+    assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("constant", ["x", "y"])
+def test_median_rule_on_degenerate_data_is_config_error(tmp_path, capsys,
+                                                        constant):
+    # every pairwise distance is zero, so the median rule has no bandwidth
+    rows = [[1.0, 0.1 * i] if constant == "x" else [0.1 * i, 1.0]
+            for i in range(10)]
+    doc = fit_config_doc(tmp_path)
+    del doc["dataset"]
+    doc["data_csv"] = write_points(tmp_path / "flat.csv", ["x_1", "y"], rows)
+    config = write_json(tmp_path / "fit.json", doc)
+    err = assert_config_error(capsys, ["fit", "--config", config])
+    assert f"'kernel_{constant}'" in err
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_constant_response_with_explicit_gamma_fits(tmp_path):
+    doc = fit_config_doc(tmp_path, kernel_y={"family": "gaussian", "gamma": 1.0})
+    del doc["dataset"]
+    doc["data_csv"] = write_points(tmp_path / "flat.csv", ["x_1", "y"],
+                                   [[0.1 * i, 1.0] for i in range(10)])
+    config = write_json(tmp_path / "fit.json", doc)
+    assert main(["fit", "--config", config]) == 0
+    assert (tmp_path / "model.json").exists()
+
+
+# Arrays of more than 2**57 bytes exceed the largest virtual address space of
+# 64-bit CPUs, so numpy's allocation fails at once, before any memory is touched.
+@pytest.mark.parametrize("command,doc", [
+    ("kernel-recovery", {"schema_version": 1, "mode": "kernel_recovery",
+                         "base_seed": 2, "n_grid": [40], "replications": 1,
+                         "dataset": {"model": "m3_symmetric", "p": 2,
+                                     "sigma_noise": 0.1},
+                         "epsilon": 1e-3, "d": 1, "n_test": 10 ** 17}),
+    ("fit", {"schema_version": 1, "variant": "gsir1", "epsilon": 1e-2, "d": 1,
+             "dataset": {"model": "m1_ratio", "p": 10 ** 17,
+                         "sigma_noise": 0.1, "n": 3}}),
+])
+def test_oversized_allocation_is_config_error(tmp_path, capsys, command, doc):
+    config = write_json(tmp_path / "exp.json", doc)
+    out = tmp_path / "out.csv"
+    assert_config_error(capsys, [command, "--config", config, "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["theory", "sim-rate", "kernel-recovery",
+                                     "fit", "predict"])
+def test_every_subcommand_accepts_threads_1(tmp_path, command):
+    # the benchmark harness passes --threads 1 to every subcommand
+    if command == "theory":
+        config = theory_config(tmp_path)
+    elif command == "sim-rate":
+        config = write_json(tmp_path / "sim.json", {
+            "schema_version": 1, "mode": "sim_rate", "base_seed": 3,
+            "n_grid": [30], "replications": 1, "alpha": 2.0, "beta": 1.0,
+            "model": {"j_dim": 8, "y_dim": 1}})
+    elif command == "kernel-recovery":
+        config = write_json(tmp_path / "rec.json", {
+            "schema_version": 1, "mode": "kernel_recovery", "base_seed": 2,
+            "n_grid": [40], "replications": 1,
+            "dataset": {"model": "m3_symmetric", "p": 2, "sigma_noise": 0.1},
+            "epsilon": 1e-3, "d": 1, "n_test": 100})
+    elif command == "fit":
+        config = write_json(tmp_path / "fit.json", fit_config_doc(tmp_path))
+    else:
+        fit_model_file(tmp_path)
+        config = predict_config(tmp_path, write_points(
+            tmp_path / "new.csv", ["x_1", "x_2"], [[0.1, 0.2]]))
+    assert main([command, "--config", config, "--threads", "1"]) == 0

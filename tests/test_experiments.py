@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsir.experiments import (ConfigError, RateReport, derive_seed,
-                              kernel_recovery_csv, load_command_config,
-                              load_config, parse_config, run_experiment,
-                              run_kernel_recovery, run_sim_rate,
+                              kernel_recovery_csv, load_config, parse_config,
+                              run_experiment, run_kernel_recovery, run_sim_rate,
                               run_theory_table, sim_rate_csv, theory_table_csv)
 from gsir.seqsim import (build_model, error_report, estimate_regression_ops,
                          simulate_sample)
@@ -53,7 +52,7 @@ def sim_doc(**overrides):
 
 
 def test_parse_sim_rate_defaults():
-    config = parse_config(sim_doc())
+    config = parse_config(sim_doc(), "sim-rate")
     assert config.mode == "sim_rate"
     assert config.deltas == ()
     assert config.epsilon_constant == 1.0
@@ -81,28 +80,28 @@ def test_parse_sim_rate_defaults():
 ])
 def test_config_errors_name_the_field(doc, fragment):
     with pytest.raises(ConfigError, match=fragment):
-        parse_config(doc)
+        parse_config(doc, "sim-rate")
 
 
 def test_recovery_config_checks_d_against_grid():
     doc = copy.deepcopy(RECOVERY_DOC)
     doc["d"] = 40
     with pytest.raises(ConfigError, match="min\\(n_grid\\)"):
-        parse_config(doc)
+        parse_config(doc, "kernel-recovery")
 
 
 def test_recovery_config_rejects_bad_dataset():
     doc = copy.deepcopy(RECOVERY_DOC)
     doc["dataset"] = {"model": "m7_spiral", "p": 2, "sigma_noise": 0.1}
     with pytest.raises(ConfigError, match="dataset"):
-        parse_config(doc)
+        parse_config(doc, "kernel-recovery")
 
 
 def test_theory_config_rejects_alpha_at_one():
     doc = copy.deepcopy(THEORY_DOC)
     doc["grid"] = [[1.0, 0.5]]
     with pytest.raises(ConfigError, match="alpha"):
-        parse_config(doc)
+        parse_config(doc, "theory")
 
 
 FIT_DOC = {
@@ -124,13 +123,13 @@ PREDICT_DOC = {
     "output_path": "pred.csv",
 }
 
-# (valid document, loader) for each of the five config kinds
+# (valid document, subcommand) for each of the five config kinds
 CONFIG_KINDS = [
-    (sim_doc(delta=[0.3, 0.5], output_path="sim.csv"), load_config),
-    (RECOVERY_DOC, load_config),
-    (THEORY_DOC, load_config),
-    (FIT_DOC, lambda path: load_command_config(path, "fit")),
-    (PREDICT_DOC, lambda path: load_command_config(path, "predict")),
+    (sim_doc(delta=[0.3, 0.5], output_path="sim.csv"), "sim-rate"),
+    (RECOVERY_DOC, "kernel-recovery"),
+    (THEORY_DOC, "theory"),
+    (FIT_DOC, "fit"),
+    (PREDICT_DOC, "predict"),
 ]
 
 
@@ -163,7 +162,7 @@ JSON_VALUES = st.recursive(
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_any_replaced_field_gives_config_or_config_error(tmp_path_factory, data):
-    doc, load = data.draw(st.sampled_from(CONFIG_KINDS))
+    doc, command = data.draw(st.sampled_from(CONFIG_KINDS))
     doc = copy.deepcopy(doc)
     *parents, last = data.draw(st.sampled_from(list(_paths(doc))))
     target = doc
@@ -173,7 +172,7 @@ def test_any_replaced_field_gives_config_or_config_error(tmp_path_factory, data)
     path = tmp_path_factory.mktemp("config") / "config.json"
     path.write_text(json.dumps(doc))
     try:
-        config = load(path)
+        config = load_config(path, command)
     except ConfigError:
         return
     assert dataclasses.is_dataclass(config)
@@ -186,7 +185,7 @@ def test_derive_seed_depends_on_all_parts():
 
 
 def test_sim_rate_row_count_and_order():
-    report = run_sim_rate(parse_config(sim_doc()))
+    report = run_sim_rate(parse_config(sim_doc(), "sim-rate"))
     assert isinstance(report, RateReport)
     assert len(report.rows) == 2 * 2
     keys = [(r.n, r.rep) for r in report.rows]
@@ -196,21 +195,21 @@ def test_sim_rate_row_count_and_order():
 
 
 def test_sim_rate_delta_sweep_rows():
-    config = parse_config(sim_doc(delta=[0.2, 0.4]))
+    config = parse_config(sim_doc(delta=[0.2, 0.4]), "sim-rate")
     report = run_sim_rate(config)
     assert len(report.rows) == 2 * 2 * 2
     assert "argmin_delta_by_n" in report.summary
 
 
 def test_sim_rate_threads_match_serial():
-    config = parse_config(sim_doc())
+    config = parse_config(sim_doc(), "sim-rate")
     a = run_sim_rate(config, threads=1)
     b = run_sim_rate(config, threads=4)
     assert sim_rate_csv(a) == sim_rate_csv(b)
 
 
 def test_sim_rate_csv_schema():
-    report = run_sim_rate(parse_config(sim_doc()))
+    report = run_sim_rate(parse_config(sim_doc(), "sim-rate"))
     text = sim_rate_csv(report)
     lines = text.splitlines()
     assert lines[0] == ("n,rep,epsilon,err_r1,err_r2,err_m,"
@@ -223,7 +222,7 @@ def test_sim_rate_csv_schema():
 
 
 def test_sim_rate_rows_recomputable():
-    config = parse_config(sim_doc())
+    config = parse_config(sim_doc(), "sim-rate")
     report = run_sim_rate(config)
     model = build_model(12, 2, 2.0, 1.0, seed=11)
     rng = np.random.default_rng(0)
@@ -236,9 +235,9 @@ def test_sim_rate_rows_recomputable():
 
 
 def test_sim_rate_csv_deterministic(tmp_path):
-    config = parse_config(sim_doc(output_path=str(tmp_path / "a.csv")))
+    config = parse_config(sim_doc(output_path=str(tmp_path / "a.csv")), "sim-rate")
     run_sim_rate(config)
-    config2 = parse_config(sim_doc(output_path=str(tmp_path / "b.csv")))
+    config2 = parse_config(sim_doc(output_path=str(tmp_path / "b.csv")), "sim-rate")
     run_sim_rate(config2, threads=3)
     a = (tmp_path / "a.csv").read_bytes()
     b = (tmp_path / "b.csv").read_bytes()
@@ -246,7 +245,8 @@ def test_sim_rate_csv_deterministic(tmp_path):
 
 
 def test_recovery_row_count_and_schema():
-    report = run_kernel_recovery(parse_config(copy.deepcopy(RECOVERY_DOC)))
+    report = run_kernel_recovery(
+        parse_config(copy.deepcopy(RECOVERY_DOC), "kernel-recovery"))
     # two variants per (n, rep)
     assert len(report.rows) == 2 * 2 * 2
     variants = {r.variant for r in report.rows}
@@ -258,7 +258,8 @@ def test_recovery_row_count_and_schema():
 
 
 def test_recovery_summary_contents():
-    report = run_kernel_recovery(parse_config(copy.deepcopy(RECOVERY_DOC)))
+    report = run_kernel_recovery(
+        parse_config(copy.deepcopy(RECOVERY_DOC), "kernel-recovery"))
     for variant in ("gsir1", "gsir2"):
         per = report.summary["by_variant"][variant]
         assert set(per["median_max_cancor"]) == {40, 60}
@@ -268,14 +269,14 @@ def test_recovery_summary_contents():
 def test_recovery_deterministic_bytes(tmp_path):
     doc = copy.deepcopy(RECOVERY_DOC)
     doc["output_path"] = str(tmp_path / "r1.csv")
-    run_kernel_recovery(parse_config(doc), threads=2)
+    run_kernel_recovery(parse_config(doc, "kernel-recovery"), threads=2)
     doc["output_path"] = str(tmp_path / "r2.csv")
-    run_kernel_recovery(parse_config(doc))
+    run_kernel_recovery(parse_config(doc, "kernel-recovery"))
     assert (tmp_path / "r1.csv").read_bytes() == (tmp_path / "r2.csv").read_bytes()
 
 
 def test_theory_table_examples():
-    report = run_theory_table(parse_config(copy.deepcopy(THEORY_DOC)))
+    report = run_theory_table(parse_config(copy.deepcopy(THEORY_DOC), "theory"))
     rows = {(r.alpha, r.beta): r for r in report.rows}
     assert rows[(3.0, 1.0)].delta_opt == pytest.approx(0.3, abs=1e-15)
     assert rows[(3.0, 1.0)].exponent_opt == pytest.approx(0.3, abs=1e-15)
@@ -287,7 +288,7 @@ def test_theory_table_examples():
 
 
 def test_theory_table_csv_schema():
-    report = run_theory_table(parse_config(copy.deepcopy(THEORY_DOC)))
+    report = run_theory_table(parse_config(copy.deepcopy(THEORY_DOC), "theory"))
     lines = theory_table_csv(report).splitlines()
     assert lines[0] == "alpha,beta,branch,delta_opt,exponent_opt,rn_sum,rnprime_sum"
     assert len(lines) == 4
@@ -297,11 +298,11 @@ def test_theory_table_epsilon_constant_guard():
     doc = copy.deepcopy(THEORY_DOC)
     doc["epsilon_constant"] = 10000.0
     with pytest.raises(ConfigError, match="epsilon"):
-        run_theory_table(parse_config(doc))
+        run_theory_table(parse_config(doc, "theory"))
 
 
 def test_run_experiment_dispatch():
-    report = run_experiment(parse_config(copy.deepcopy(THEORY_DOC)))
+    report = run_experiment(parse_config(copy.deepcopy(THEORY_DOC), "theory"))
     assert report.mode == "theory_table"
-    report = run_experiment(parse_config(sim_doc()))
+    report = run_experiment(parse_config(sim_doc(), "sim-rate"))
     assert report.mode == "sim_rate"
