@@ -2,9 +2,9 @@
 
 Subcommands: theory, sim-rate, kernel-recovery (experiment runners driven by
 a JSON config), plus fit and predict (train a model to JSON, evaluate it on
-new points).  Exit codes: 0 success, 2 config, usage or input-data error
-(including a malformed model or an input too large to allocate), 3
-numerical failure.
+new points).  Exit codes: 0 success; 3 numerical failure, a `NumericalError`
+or numpy `LinAlgError`; 2 every other input problem, a `ValueError` (config,
+data, model, sizes), a `MemoryError` or an `OSError`.
 """
 
 import argparse
@@ -46,6 +46,8 @@ def _columns(header, prefix, path):
             except ValueError:
                 continue
             found[j] = idx
+    if not found:
+        raise ConfigError(f"data file {path} has no {prefix} or {prefix}_1.. columns")
     expected = list(range(1, len(found) + 1))
     if sorted(found) != expected:
         raise ConfigError(f"data file {path} has non-contiguous {prefix}_* "
@@ -67,14 +69,10 @@ def read_points_csv(path, need_response):
     """Read x_1..x_p (and y columns when fitting) from a CSV file."""
     header, body = _read_table(path)
     x_idx = _columns(header, "x", path)
-    if not x_idx:
-        raise ConfigError(f"data file {path} has no x_1..x_p columns")
     x = _parse_block(body, x_idx, path)
     if not need_response:
         return x, None
     y_idx = _columns(header, "y", path)
-    if not y_idx:
-        raise ConfigError(f"data file {path} has no y column(s)")
     return x, _parse_block(body, y_idx, path)
 
 
@@ -86,13 +84,7 @@ def _run_fit(config):
         x, y = read_points_csv(config.data_csv, need_response=True)
     else:
         x, y, _ = generate(*config.dataset, config.base_seed)
-    n = x.shape[0]
-    if n < 3:
-        raise ConfigError(f"fit needs at least 3 samples, got {n}")
-    if config.d > n - 1:
-        raise ConfigError(f"field 'd' must satisfy 1 <= d <= n - 1 = {n - 1}, "
-                          f"got {config.d}")
-    check_dense_memory(n)
+    check_dense_memory(len(x))
     kx = resolve_kernel(config.kernel_x, x, "kernel_x")
     ky = resolve_kernel(config.kernel_y, y, "kernel_y")
     fit_fn = fit_gsir1 if config.variant == "gsir1" else fit_gsir2
@@ -100,7 +92,7 @@ def _run_fit(config):
     save_fit(fit, out)
     for note in fit.warnings:
         print(f"warning: {note}", file=sys.stderr)
-    print(f"fit {config.variant}: n={n} d={config.d} eigenvalues="
+    print(f"fit {config.variant}: n={len(x)} d={config.d} eigenvalues="
           f"{[format(v, '.6g') for v in fit.eigenvalues]} -> {out}")
 
 
@@ -114,9 +106,6 @@ def _run_predict(config):
         # RecursionError: JSON nested too deeply for the decoder
         raise ConfigError(f"cannot load model {config.model_path}: {exc}") from exc
     x, _ = read_points_csv(config.data_csv, need_response=False)
-    if x.shape[1] != fit.train_points.shape[1]:
-        raise ConfigError(f"data file {config.data_csv} has {x.shape[1]} x "
-                          f"columns, the model takes {fit.train_points.shape[1]}")
     pred = evaluate_predictors(fit, x)
     with open(out, "w", newline="") as fh:
         fh.write(csv_text([f"pred_{j + 1}" for j in range(pred.shape[1])], pred))
@@ -169,18 +158,13 @@ def main(argv=None):
             _run_predict(config)
         else:
             _run_mode(config, args.threads)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:
-        # numpy refuses an array larger than the address space at once
-        print(f"config error: input too large: {str(exc) or 'out of memory'}",
-              file=sys.stderr)
-        return 2
-    except (NumericalError, np.linalg.LinAlgError, ValueError,
-            FloatingPointError) as exc:
+    except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, MemoryError) as exc:
+        # MemoryError: numpy refuses an array larger than the address space
+        print(f"config error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2

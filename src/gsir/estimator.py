@@ -141,8 +141,8 @@ def _extract(sol, d, variant):
     qr, tau, piv, l, g, mu, q = sol
     n, rank = qr.shape
     if d > rank:
-        raise ValueError(f"d={d} exceeds the numerical rank {rank} of the "
-                         f"centered Gram matrix; the achievable d is {rank}")
+        raise NumericalError(f"d={d} exceeds the numerical rank {rank} of the "
+                             f"centered Gram matrix; the achievable d is {rank}")
     warnings = []
     if mu[d - 1] - mu[d] < GAP_TOL:
         warnings.append(f"eigenvalue gap mu_{d} - mu_{d + 1} = "

@@ -142,6 +142,11 @@ class SimModelParams:
     residual_kind: str = _field(_one_of(RESIDUAL_KINDS), "independent")
     alpha_u: float = _field(_above_one, 2.0)
 
+    def __post_init__(self):
+        if self.j_dim <= self.y_dim:
+            raise ConfigError(f"field 'model.j_dim' must exceed model.y_dim = {self.y_dim}"
+                              f" so that R's span is a proper subspace, got {self.j_dim}")
+
 
 def _as_sim_model(value, name):
     if not isinstance(value, dict):
@@ -302,6 +307,20 @@ def derive_seed(base_seed, n, rep):
     return np.random.SeedSequence((base_seed, n, rep))
 
 
+# Most (n, rep) tasks one run takes.  A sim-rate report row holds just under
+# 1 KB (tracemalloc: 870 B at y_dim=2), so a run at the cap holds about 1 GB
+# of rows per delta; the README configs run 80 tasks, the benchmark's 160.
+MAX_TASKS = 10 ** 6
+
+
+def _tasks(config):
+    """The (n, rep) pairs of a run, in report order."""
+    if len(config.n_grid) * config.replications > MAX_TASKS:
+        raise ConfigError(f"{len(config.n_grid)} n_grid entries x {config.replications} "
+                          f"replications exceed {MAX_TASKS} (n, rep) tasks")
+    return [(n, rep) for n in config.n_grid for rep in range(config.replications)]
+
+
 def _run_tasks(fn, tasks, threads):
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -373,8 +392,7 @@ def run_sim_rate(config, threads=1):
                                   record=rec))
         return out
 
-    tasks = [(n, rep) for n in config.n_grid for rep in range(config.replications)]
-    rows = [row for chunk in _run_tasks(one, tasks, threads) for row in chunk]
+    rows = [row for chunk in _run_tasks(one, _tasks(config), threads) for row in chunk]
     rows.sort(key=lambda r: (r.n, r.rep, r.delta))
 
     summary = {
@@ -435,7 +453,7 @@ def run_kernel_recovery(config, threads=1):
     and compared to the true predictor values there.
     """
     dataset = config.dataset
-    tasks = [(n, rep) for n in config.n_grid for rep in range(config.replications)]
+    tasks = _tasks(config)
     check_dense_memory(max(config.n_grid), max(1, min(threads, len(tasks))))
 
     def one(task):
@@ -511,8 +529,6 @@ def run_experiment(config, threads=1):
 
 def sim_rate_csv(report):
     """CSV text: n,rep,epsilon,err_r1,err_r2,err_m,proj_err_1..d,bound_ok_1..d."""
-    if not report.rows:
-        raise ValueError("report has no rows")
     d = report.rows[0].record.d
     header = (["n", "rep", "epsilon", "err_r1", "err_r2", "err_m"]
               + [f"proj_err_{j + 1}" for j in range(d)]
@@ -529,8 +545,6 @@ def sim_rate_csv(report):
 
 def kernel_recovery_csv(report):
     """CSV text: n,rep,variant,subspace_dist,max_cancor,eig_1..d."""
-    if not report.rows:
-        raise ValueError("report has no rows")
     d = len(report.rows[0].eigenvalues)
     return csv_text(["n", "rep", "variant", "subspace_dist", "max_cancor"]
                     + [f"eig_{j + 1}" for j in range(d)],

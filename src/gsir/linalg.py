@@ -1,8 +1,8 @@
 """Spectral functional calculus for symmetric positive semidefinite matrices.
 
-Every regularized inverse and inverse square root in the package applies a
-scalar function to the eigenvalues from `symmetric_eigh`, which keeps one
-numerical pathway: one symmetry check, one clamping rule for tiny negative
+The oracle's regularized inverse and inverse square root apply a scalar
+function to the eigenvalues from `symmetric_eigh` (the kernel estimator uses
+Cholesky solves): one symmetry check, one clamping rule for tiny negative
 eigenvalues.  `spectral_apply` forms the J x J matrix function itself, as a
 dense reference for the oracle's rank-of-R path.
 """
@@ -18,8 +18,8 @@ SYMMETRY_TOL = 1e-8
 EIGENVALUE_TOL = 1e-8
 
 
-class NumericalError(RuntimeError):
-    """An eigensolve failed or a matrix violated a numerical precondition."""
+class NumericalError(ValueError):
+    """A failure caused by the numbers (a ValueError, as LinAlgError is)."""
 
 
 def inv_shift(eps):

@@ -7,6 +7,8 @@ identified modulo additive constants.
 
 import numpy as np
 
+from .linalg import NumericalError
+
 # Relative singular-value threshold for declaring a block rank-deficient.
 _RANK_TOL = 1e-10
 
@@ -26,8 +28,8 @@ def _orth_block(a, which):
     a = a - a.mean(axis=0)
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or not s[-1] > _RANK_TOL * s[0] or s[0] == 0.0:
-        raise ValueError(f"{which} block is rank deficient after centering; "
-                         "columns must be linearly independent")
+        raise NumericalError(f"{which} block is rank deficient after centering; "
+                             "columns must be linearly independent")
     return u
 
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from scipy.special import zeta
 
-from .linalg import (DEFAULT_CLAMP, inv_shift, inv_sqrt_shift, operator_norm,
-                     symmetric_eigh)
+from .linalg import (DEFAULT_CLAMP, NumericalError, inv_shift, inv_sqrt_shift,
+                     operator_norm, symmetric_eigh)
 
 S_KINDS = ("identity", "random")
 RESIDUAL_KINDS = ("independent", "heteroscedastic")
@@ -192,7 +192,7 @@ def _apply(w, v, fn, a):
 def _orth_columns(a, d):
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     if s.size < d or not s[d - 1] > DEFAULT_CLAMP * s[0]:
-        raise ValueError(f"matrix has numerical rank below {d}")
+        raise NumericalError(f"matrix has numerical rank below {d}")
     return u[:, :d]
 
 

@@ -553,3 +553,121 @@ def test_every_subcommand_accepts_threads_1(tmp_path, command):
         config = predict_config(tmp_path, write_points(
             tmp_path / "new.csv", ["x_1", "x_2"], [[0.1, 0.2]]))
     assert main([command, "--config", config, "--threads", "1"]) == 0
+
+
+SIM_DOC = {"schema_version": 1, "mode": "sim_rate", "base_seed": 3,
+           "n_grid": [20, 40, 80], "replications": 2, "alpha": 2.0, "beta": 1.0,
+           "model": {"j_dim": 10, "y_dim": 2}}
+RECOVERY_DOC = {"schema_version": 1, "mode": "kernel_recovery", "base_seed": 2,
+                "n_grid": [40], "replications": 1,
+                "dataset": {"model": "m3_symmetric", "p": 2, "sigma_noise": 0.1},
+                "epsilon": 1e-3, "d": 1, "n_test": 100}
+
+
+def with_fields(doc, **fields):
+    """A deep copy of doc; a key "a__b" sets doc["a"]["b"]."""
+    doc = json.loads(json.dumps(doc))
+    for key, value in fields.items():
+        *path, last = key.split("__")
+        target = doc
+        for part in path:
+            target = target[part]
+        target[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("sim-rate", with_fields(SIM_DOC, replications=10 ** 30)),
+    ("kernel-recovery", with_fields(RECOVERY_DOC, replications=10 ** 30)),
+])
+def test_run_size_beyond_task_cap_is_config_error(tmp_path, capsys, monkeypatch,
+                                                 command, doc):
+    # refused before any sample is drawn or any task list is built
+    def no_task(*args, **kwargs):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr("gsir.experiments.simulate_sample", no_task)
+    monkeypatch.setattr("gsir.experiments.generate", no_task)
+    config = write_json(tmp_path / "exp.json", doc)
+    out = tmp_path / "out.csv"
+    err = assert_config_error(capsys, [command, "--config", config, "--out", str(out)])
+    assert "exceed 1000000 (n, rep) tasks" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_grid", [[20, 40, 80], [20, 40]])
+@pytest.mark.parametrize("j_dim,y_dim", [(1, 1), (2, 2), (2, 3)])
+def test_sim_rate_j_dim_not_above_y_dim_is_config_error(tmp_path, capsys, n_grid,
+                                                        j_dim, y_dim):
+    # R would span the whole feature space, so every eta_span_err is 0 and
+    # the slope fit over three grid points has no positive errors to fit
+    doc = with_fields(SIM_DOC, n_grid=n_grid, model={"j_dim": j_dim, "y_dim": y_dim})
+    config = write_json(tmp_path / "sim.json", doc)
+    out = tmp_path / "sim.csv"
+    err = assert_config_error(capsys, ["sim-rate", "--config", config, "--out", str(out)])
+    assert "'model.j_dim' must exceed model.y_dim" in err
+    assert not out.exists()
+
+
+# Each input is refused by numpy (a size beyond its index range) or by the
+# metrics (two test points for two true predictors) before anything large is
+# allocated; a plain ValueError, so a config error, not a numerical failure.
+@pytest.mark.parametrize("command,doc", [
+    ("sim-rate", with_fields(SIM_DOC, model__j_dim=10 ** 30)),
+    ("sim-rate", with_fields(SIM_DOC, n_grid=[20, 10 ** 30])),
+    ("kernel-recovery", with_fields(RECOVERY_DOC, n_test=10 ** 19)),
+    ("kernel-recovery", with_fields(RECOVERY_DOC, dataset__p=10 ** 30)),
+    ("kernel-recovery", with_fields(RECOVERY_DOC, dataset__model="m2_additive",
+                                    n_test=2)),
+], ids=["j_dim", "n_grid", "n_test", "p", "m2_n_test_2"])
+def test_input_errors_found_by_numpy_or_metrics_are_config_errors(
+        tmp_path, capsys, command, doc):
+    config = write_json(tmp_path / "exp.json", doc)
+    out = tmp_path / "out.csv"
+    assert_config_error(capsys, [command, "--config", config, "--out", str(out)])
+    assert not out.exists()
+
+
+def test_exit_code_follows_exception_type(tmp_path, capsys, monkeypatch):
+    from gsir.linalg import NumericalError
+    from gsir.modelio import ConfigError
+
+    config = theory_config(tmp_path)
+    cases = [(ValueError("bad value"), 2, "config error: bad value"),
+             (ConfigError("bad field"), 2, "config error: bad field"),
+             (MemoryError(), 2, "config error: MemoryError"),
+             (OSError("disk gone"), 2, "io error: disk gone"),
+             (NumericalError("no rank"), 3, "numerical failure: no rank"),
+             (np.linalg.LinAlgError("not converged"), 3,
+              "numerical failure: not converged")]
+    for exc, code, line in cases:
+        def fail(*args, exc=exc, **kwargs):
+            raise exc
+
+        monkeypatch.setattr("gsir.cli.run_experiment", fail)
+        capsys.readouterr()
+        assert main(["theory", "--config", config]) == code
+        assert capsys.readouterr().err == line + "\n"
+
+
+@pytest.mark.parametrize("name,lines,fragment", [
+    ("noncontiguous", ["x_1,x_3,y", "0.1,0.2,1", "0.3,0.4,2", "0.5,0.6,3"],
+     "non-contiguous x_* columns: [1, 3]"),
+    ("cell", ["x_1,y", "0.1,1", "abc,2", "0.5,3"], "malformed rows"),
+    ("short_row", ["x_1,x_2,y", "0.1,0.2,1", "0.3,0.4", "0.5,0.6,3"],
+     "malformed rows"),
+    ("blank_line", ["x_1,y", "0.1,1", "", "0.5,3", "0.7,4"], "malformed rows"),
+    ("header_only", ["x_1,y"], "needs a header row and data rows"),
+    ("no_x", ["z_1,y", "0.1,1", "0.3,2", "0.5,3"], "has no x or x_1.. columns"),
+    ("no_y", ["x_1,x_2", "0.1,1", "0.3,2", "0.5,3"], "has no y or y_1.. columns"),
+])
+def test_malformed_data_csv_is_config_error(tmp_path, capsys, name, lines,
+                                            fragment):
+    data = tmp_path / f"{name}.csv"
+    data.write_text("\n".join(lines) + "\n")
+    doc = fit_config_doc(tmp_path)
+    del doc["dataset"]
+    doc["data_csv"] = str(data)
+    config = write_json(tmp_path / "fit.json", doc)
+    assert fragment in assert_config_error(capsys, ["fit", "--config", config])
+    assert not (tmp_path / "model.json").exists()

@@ -77,6 +77,8 @@ def test_parse_sim_rate_defaults():
     (sim_doc(model={"residual_kind": "cauchy"}), "residual_kind"),
     (sim_doc(epsilon_constant=-1.0), "epsilon_constant"),
     (sim_doc(base_seed="abc"), "base_seed"),
+    (sim_doc(model={"j_dim": 2, "y_dim": 2}), "'model.j_dim' must exceed"),
+    (sim_doc(model={"j_dim": 2, "y_dim": 3}), "'model.j_dim' must exceed"),
 ])
 def test_config_errors_name_the_field(doc, fragment):
     with pytest.raises(ConfigError, match=fragment):
