@@ -77,9 +77,6 @@ def read_points_csv(path, need_response):
 
 
 def _run_fit(config):
-    out = config.output_path
-    if not out:
-        raise ConfigError("fit needs an output path: give --out or 'output_path'")
     if config.dataset is None:
         x, y = read_points_csv(config.data_csv, need_response=True)
     else:
@@ -89,17 +86,14 @@ def _run_fit(config):
     ky = resolve_kernel(config.kernel_y, y, "kernel_y")
     fit_fn = fit_gsir1 if config.variant == "gsir1" else fit_gsir2
     fit = fit_fn(x, y, kx, ky, config.epsilon, config.d)
-    save_fit(fit, out)
+    save_fit(fit, config.output_path)
     for note in fit.warnings:
         print(f"warning: {note}", file=sys.stderr)
     print(f"fit {config.variant}: n={len(x)} d={config.d} eigenvalues="
-          f"{[format(v, '.6g') for v in fit.eigenvalues]} -> {out}")
+          f"{[format(v, '.6g') for v in fit.eigenvalues]} -> {config.output_path}")
 
 
 def _run_predict(config):
-    out = config.output_path
-    if not out:
-        raise ConfigError("predict needs an output path: give --out or 'output_path'")
     try:
         fit = load_fit(config.model_path)
     except (OSError, ValueError, RecursionError) as exc:
@@ -107,9 +101,9 @@ def _run_predict(config):
         raise ConfigError(f"cannot load model {config.model_path}: {exc}") from exc
     x, _ = read_points_csv(config.data_csv, need_response=False)
     pred = evaluate_predictors(fit, x)
-    with open(out, "w", newline="") as fh:
+    with open(config.output_path, "w", newline="") as fh:
         fh.write(csv_text([f"pred_{j + 1}" for j in range(pred.shape[1])], pred))
-    print(f"predict: {pred.shape[0]} points x {pred.shape[1]} predictors -> {out}")
+    print(f"predict: {pred.shape[0]} points x {pred.shape[1]} predictors -> {fh.name}")
 
 
 def _run_mode(config, threads):
@@ -152,6 +146,9 @@ def main(argv=None):
         overrides = {"base_seed": args.seed, "output_path": args.out or None}
         config = dataclasses.replace(
             config, **{key: v for key, v in overrides.items() if v is not None})
+        if args.command in ("fit", "predict") and not config.output_path:
+            raise ConfigError(f"{args.command} needs an output path: give --out or "
+                              f"'output_path'")
         if args.command == "fit":
             _run_fit(config)
         elif args.command == "predict":

@@ -63,6 +63,7 @@ def true_predictors(model, x):
     return x[:, :1] ** 2 - 1.0
 
 
+@np.errstate(over="ignore")
 def generate(model, n, seed):
     """Draw (X, Y, F): design, noisy response, and true predictor values.
 
@@ -79,6 +80,8 @@ def generate(model, n, seed):
     f = true_predictors(model, x)
     noise = rng.standard_normal(n)
     y = f.sum(axis=1) + model.sigma_noise * noise
+    if not np.all(np.isfinite(y)):
+        raise ValueError(f"sigma_noise={model.sigma_noise} overflows the response")
     return x, y[:, None], f
 
 

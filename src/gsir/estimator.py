@@ -97,21 +97,23 @@ def _apply_q(qr, tau, c, trans):
     return dormqr("L", trans, qr, tau, c, lwork, overwrite_c=1)[0]
 
 
-def _solve(x, y, kernel_x, kernel_y, epsilon, variant):
-    """The eigenproblem on the range of Fx: (qr, tau, piv, l, g, mu, q).
-
-    qr, tau: dgeqrf of Fx, rows in pivot order piv, Rx in the upper triangle
-    of qr[:r]; l, g: L and G; mu, q: eigenpairs of B^T B, descending, with
-    mu padded by zeros to length n.  Gy is factored first, so only its factor
-    is alive beside Gx; Rx is freed before the 2 r_y^2 eigensolve workspace."""
+def _solve(x, y, kernel_x, kernel_y, epsilon, variant, d=None):
+    """The eigenproblem on the range of Fx, of rank r.  With d None: the n
+    eigenvalues mu, descending, 0 beyond r.  Else (coefficients, mu[:d],
+    warnings) of the top d predictors; a d above r is refused before the QR.
+    Gy is factored first, so only its factor is alive beside Gx; Rx is freed
+    before the 2 r_y^2 eigensolve workspace."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     f, piv_y = _factor(centered_gram(kernel_y, y))
     f = f.copy(order="F")      # frees Gy's n x n
     fx, piv = _factor(centered_gram(kernel_x, x))
     n, r = fx.shape
+    if d is not None and d > r:
+        raise NumericalError(f"d={d} exceeds the numerical rank {r} of the "
+                             f"centered Gram matrix; the achievable d is {r}")
     if r == 0:     # Gx = 0: nothing to fit, every mu is 0
-        return fx, None, piv, None, None, np.zeros(n), None
+        return np.zeros(n)
     qr, tau, _, _ = dgeqrf(fx, lwork=int(dgeqrf_lwork(n, r)[0]), overwrite_a=1)
     # F with rows in x's pivot order (one zero column if Gy = 0), then G
     f = f.T[:, np.argsort(piv_y)[piv]].T if f.shape[1] else np.zeros((n, 1))
@@ -133,23 +135,16 @@ def _solve(x, y, kernel_x, kernel_y, epsilon, variant):
     if info:
         raise NumericalError(f"eigendecomposition of B^T B failed (info={info})")
     mu = np.maximum(mu[::-1][:r], 0.0)   # B (r x r_y) has rank at most r
-    return qr, tau, piv, l, g, np.concatenate([mu, np.zeros(n - len(mu))]), q[:, ::-1]
-
-
-def _extract(sol, d, variant):
-    """Top-d coefficients, eigenvalues, and warnings from a solved problem."""
-    qr, tau, piv, l, g, mu, q = sol
-    n, rank = qr.shape
-    if d > rank:
-        raise NumericalError(f"d={d} exceeds the numerical rank {rank} of the "
-                             f"centered Gram matrix; the achievable d is {rank}")
+    mu, q = np.concatenate([mu, np.zeros(n - len(mu))]), q[:, ::-1]
+    if d is None:
+        return mu
     warnings = []
     if mu[d - 1] - mu[d] < GAP_TOL:
         warnings.append(f"eigenvalue gap mu_{d} - mu_{d + 1} = "
                         f"{mu[d - 1] - mu[d]:.3e} is below {GAP_TOL:.0e}; "
                         f"the d-th predictor is not uniquely determined")
     k = min(d, int(np.count_nonzero(mu > DEFAULT_CLAMP * mu[0])))
-    rx = np.asfortranarray(qr[:rank])      # BLAS reads Rx from the upper triangle
+    rx = np.asfortranarray(qr[:r])      # BLAS reads Rx from the upper triangle
     # h = S^-1 E q / sqrt(mu); p = B q / sqrt(mu) is h (variant 1) or L^T h
     e = dtrmm(1.0 / n, rx, g @ (q[:, :k] / np.sqrt(mu[:k])), trans_a=1)
     h = dtrsm(1.0, l, dtrsm(1.0, l, e, lower=1), lower=1, trans_a=1)
@@ -164,8 +159,8 @@ def _extract(sol, d, variant):
         h, p = np.column_stack([h, hf]), np.column_stack([p, fill])
     norm = np.linalg.norm(p, axis=0)
     out = np.zeros((n, 2 * d), order="F")      # Qx [Rx^-T h, Rx h] = [c, Gx c]
-    out[:rank, :d] = dtrsm(1.0, rx, h, trans_a=1) / norm
-    out[:rank, d:] = dtrmm(1.0, rx, h) / norm
+    out[:r, :d] = dtrsm(1.0, rx, h, trans_a=1) / norm
+    out[:r, d:] = dtrmm(1.0, rx, h) / norm
     out = _apply_q(qr, tau, out, "N")[np.argsort(piv)]
     if not np.all(np.isfinite(out)):
         raise NumericalError("fitted coefficients are not finite")
@@ -176,9 +171,8 @@ def _extract(sol, d, variant):
 
 def _fit(x, y, kernel_x, kernel_y, epsilon, d, variant):
     x, y = _check_inputs(x, y, epsilon, d)
-    sol = _solve(x, y, kernel_x, kernel_y, epsilon, variant)
     return GsirFit(variant, x.copy(), kernel_x, kernel_y, float(epsilon), d,
-                   *_extract(sol, d, variant))
+                   *_solve(x, y, kernel_x, kernel_y, epsilon, variant, d))
 
 
 def fit_gsir1(x, y, kernel_x, kernel_y, epsilon, d):
@@ -215,7 +209,7 @@ def gsir_spectrum(x, y, kernel_x, kernel_y, epsilon, variant="gsir1"):
     factor of rank n (see `_factor`) can leave one rounding-level value.
     """
     x, y = _check_inputs(x, y, epsilon, d=1)
-    return _solve(x, y, kernel_x, kernel_y, epsilon, variant)[5]
+    return _solve(x, y, kernel_x, kernel_y, epsilon, variant)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -167,6 +167,16 @@ class SimRateConfig:
     output_path: str = _field(_as_text, "")
     mode: str = "sim_rate"
 
+    def __post_init__(self):
+        # build_model's j^-alpha and (j^-alpha)^beta: 0 in float64 below 2^-1075 = e^-745.1
+        lam = (self.model.y_dim + np.arange(2.0)) ** -self.alpha
+        if not lam[1] > 0:
+            raise ConfigError(f"field 'alpha' needs alpha ln(model.y_dim + 1) < 745.1, "
+                              f"else j^-alpha is 0 at j = y_dim + 1; got {self.alpha}")
+        if not lam[0] ** self.beta > 0:
+            raise ConfigError(f"field 'beta' needs alpha beta ln(model.y_dim) < 745.1, "
+                              f"else (j^-alpha)^beta is 0 at j = y_dim; got {self.beta}")
+
 
 @dataclass(frozen=True)
 class RecoveryConfig:
@@ -186,6 +196,9 @@ class RecoveryConfig:
         if self.d > min(self.n_grid) - 1:
             raise ConfigError(f"field 'd' must be at most min(n_grid) - 1 = "
                               f"{min(self.n_grid) - 1}, got {self.d}")
+        if self.n_test <= max(self.d, self.dataset.d_true):
+            raise ConfigError(f"field 'n_test' must exceed max(d, true predictors) = "
+                              f"{max(self.d, self.dataset.d_true)}, got {self.n_test}")
 
 
 @dataclass(frozen=True)

@@ -628,6 +628,71 @@ def test_input_errors_found_by_numpy_or_metrics_are_config_errors(
     assert not out.exists()
 
 
+# Each run would fail, or write a CSV short of proj_err columns, only after
+# its draws: j^-alpha (or its beta-th power) underflows to 0 beyond j = 1, or
+# the metrics get no more test points than the columns they compare.
+@pytest.mark.parametrize("command,doc,field", [
+    ("sim-rate", with_fields(SIM_DOC, alpha=1e308), "alpha"),
+    ("sim-rate", with_fields(SIM_DOC, alpha=1e308, n_grid=[20, 40]), "alpha"),
+    ("sim-rate", with_fields(SIM_DOC, beta=1e308), "beta"),
+    ("kernel-recovery", with_fields(RECOVERY_DOC, dataset__model="m2_additive",
+                                    n_test=2), "n_test"),
+    ("kernel-recovery", with_fields(RECOVERY_DOC, d=3, n_test=3), "n_test"),
+], ids=["alpha", "alpha_2_grid_points", "beta", "m2_n_test_2", "d3_n_test_3"])
+def test_doomed_run_is_refused_before_any_draw(tmp_path, capsys, monkeypatch,
+                                               command, doc, field):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr("gsir.experiments.simulate_sample", no_draw)
+    monkeypatch.setattr("gsir.experiments.generate", no_draw)
+    config = write_json(tmp_path / "exp.json", doc)
+    out = tmp_path / "out.csv"
+    err = assert_config_error(capsys, [command, "--config", config, "--out", str(out)])
+    assert f"field '{field}'" in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command,doc", [
+    ("fit", None),
+    ("kernel-recovery", with_fields(RECOVERY_DOC, dataset__sigma_noise=1e308)),
+])
+def test_overflowing_noise_is_config_error_naming_it(tmp_path, capsys, command, doc):
+    # sigma_noise * noise overflows the response; numpy warns of nothing
+    doc = doc or fit_config_doc(tmp_path, dataset={
+        "model": "m1_ratio", "p": 2, "sigma_noise": 1e308, "n": 40})
+    config = write_json(tmp_path / "exp.json", doc)
+    out = tmp_path / "out.csv"
+    err = assert_config_error(capsys, [command, "--config", config, "--out", str(out)])
+    assert "sigma_noise=1e+308 overflows the response" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "predict"])
+def test_fit_and_predict_without_output_path_are_config_errors(tmp_path, capsys,
+                                                                command):
+    if command == "fit":
+        doc = fit_config_doc(tmp_path)
+        del doc["output_path"]
+    else:
+        fit_model_file(tmp_path)
+        doc = {"schema_version": 1, "model_path": str(tmp_path / "model.json"),
+               "data_csv": write_points(tmp_path / "new.csv", ["x_1", "x_2"],
+                                        [[0.1, 0.2]])}
+    config = write_json(tmp_path / "nowhere.json", doc)
+    err = assert_config_error(capsys, [command, "--config", config])
+    assert f"{command} needs an output path: give --out or 'output_path'" in err
+
+
+def test_threads_below_1_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["theory", "--config", theory_config(tmp_path), "--threads", "0"])
+    assert exc.value.code == 2
+    assert "--threads must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "theory.csv").exists()
+
+
 def test_exit_code_follows_exception_type(tmp_path, capsys, monkeypatch):
     from gsir.linalg import NumericalError
     from gsir.modelio import ConfigError

@@ -1,16 +1,21 @@
 import copy
 import dataclasses
+import importlib.util
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsir.experiments import (ConfigError, RateReport, derive_seed,
-                              kernel_recovery_csv, load_config, parse_config,
-                              run_experiment, run_kernel_recovery, run_sim_rate,
-                              run_theory_table, sim_rate_csv, theory_table_csv)
+from gsir.experiments import (R2_MIN, SLOPE_TOL, ConfigError, RateReport,
+                              derive_seed, kernel_recovery_csv, load_config,
+                              parse_config, run_experiment, run_kernel_recovery,
+                              run_sim_rate, run_theory_table, sim_rate_csv,
+                              theory_table_csv)
+from gsir.rates import fit_loglog_slope
 from gsir.seqsim import (build_model, error_report, estimate_regression_ops,
                          simulate_sample)
 
@@ -79,6 +84,9 @@ def test_parse_sim_rate_defaults():
     (sim_doc(base_seed="abc"), "base_seed"),
     (sim_doc(model={"j_dim": 2, "y_dim": 2}), "'model.j_dim' must exceed"),
     (sim_doc(model={"j_dim": 2, "y_dim": 3}), "'model.j_dim' must exceed"),
+    # 3^-700 and (2^-2)^600 are 0 in float64
+    (sim_doc(alpha=700.0), "'alpha' needs .* < 745.1"),
+    (sim_doc(beta=600.0), "'beta' needs .* < 745.1"),
 ])
 def test_config_errors_name_the_field(doc, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -196,6 +204,21 @@ def test_sim_rate_row_count_and_order():
     assert report.summary["branch"] == "smooth"
 
 
+def test_sim_rate_slopes_fit_the_per_n_medians():
+    config = parse_config(sim_doc(n_grid=[40, 80, 160]), "sim-rate")
+    report = run_sim_rate(config)
+    (med,) = report.summary["by_delta"]
+    for name in ("err_r1", "err_r2", "err_m", "eta_span_err"):
+        medians = [np.median([getattr(r.record, name) for r in report.rows if r.n == n])
+                   for n in config.n_grid]
+        assert [med[f"median_{name}"][n] for n in config.n_grid] == medians
+        line = fit_loglog_slope(config.n_grid, medians)
+        assert (med[f"slope_{name}"], med[f"r2_{name}"]) == (line.slope, line.r_squared)
+    assert med["slope_within_tolerance"] == (
+        abs(med["slope_err_r1"] + report.summary["exponent_opt"]) <= SLOPE_TOL
+        and med["r2_err_r1"] >= R2_MIN)
+
+
 def test_sim_rate_delta_sweep_rows():
     config = parse_config(sim_doc(delta=[0.2, 0.4]), "sim-rate")
     report = run_sim_rate(config)
@@ -308,3 +331,18 @@ def test_run_experiment_dispatch():
     assert report.mode == "theory_table"
     report = run_experiment(parse_config(sim_doc(), "sim-rate"))
     assert report.mode == "sim_rate"
+
+
+def test_readme_configs_are_the_digest_inputs():
+    # bench/digests.py runs its own copies of the README's three configs
+    root = Path(__file__).parents[1]
+    spec = importlib.util.spec_from_file_location("digests", root / "bench" / "digests.py")
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    blocks = re.findall(r"```json\n(.*?)```", (root / "README.md").read_text(), re.S)
+    readme = [json.loads(block) for block in blocks]
+    oracle = {command: doc for command, _, doc in digests.COMMANDS}
+    commands = ["sim-rate", "kernel-recovery", "fit"]
+    assert readme == [oracle[command] for command in commands]
+    for doc, command in zip(readme, commands):
+        assert dataclasses.is_dataclass(parse_config(doc, command))

@@ -196,6 +196,40 @@ def test_d_beyond_rank_reports_the_factor_rank(p):
 
 
 @pytest.mark.parametrize("variant", ["gsir1", "gsir2"])
+def test_d_beyond_rank_is_refused_before_the_qr_and_eigensolve(monkeypatch, variant):
+    # Gx of a linear kernel on two columns has rank 2: its factor alone
+    # refuses d = 3
+    calls = []
+    for name in ("dgeqrf", "dsyevd"):
+        solver = getattr(gsir.estimator, name)
+
+        def spy(*args, name=name, solver=solver, **kwargs):
+            calls.append(name)
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(gsir.estimator, name, spy)
+    x, y = make_data(60, 1)
+    linear, gauss = KernelSpec("linear"), KernelSpec("gaussian", 0.5)
+    with pytest.raises(NumericalError, match="^d=3 exceeds the numerical rank 2 of "
+                       "the centered Gram matrix; the achievable d is 2$"):
+        FIT[variant](x[:, :2], y, linear, gauss, EPS, 3)
+    assert calls == []
+    FIT[variant](x[:, :2], y, linear, gauss, EPS, 2)
+    assert calls == ["dgeqrf", "dsyevd"]
+
+
+def test_constant_x_leaves_no_direction():
+    # a constant x with an explicit gamma gives Gx = 0, a factor of rank 0
+    x, y = np.ones((20, 2)), make_data(20, 1)[1]
+    kernel = KernelSpec("gaussian", 0.5)
+    for variant, fit_fn in FIT.items():
+        with pytest.raises(NumericalError, match="the achievable d is 0$"):
+            fit_fn(x, y, kernel, kernel, EPS, 1)
+        assert np.array_equal(gsir_spectrum(x, y, kernel, kernel, EPS, variant),
+                              np.zeros(20))
+
+
+@pytest.mark.parametrize("variant", ["gsir1", "gsir2"])
 @pytest.mark.parametrize("eps", [1e-12, 1e-300])
 def test_tiny_epsilon_matches_reference(eps, variant):
     # c = Qx Rx^-T h keeps its digits however small eps is; the equivalent
