@@ -66,11 +66,11 @@ DIGESTS = {
     "theory stdout": "161e8bead8a950c9df1c8491adc2826d0e8d09e367720191f7beb31455fd8923",
     "sim.csv": "6d157c031b159358ea5707c803e87277c4537ea3677dc843ccfb1f9baeea1284",
     "sim-rate stdout": "bf4dbfe1fca25d6c3e60312de3424da2b2395dda98e4ce0e77c8efeb843d9c36",
-    "recovery.csv": "71777f102d24e4579076b43c2fe887447173aaeea4607d89dc6869213f4bfa5d",
-    "kernel-recovery stdout": "e4e4a719de66925c2457724e8c4f89d559c93cd0d89e4b4c9b9ff478ad37437b",
-    "model.json": "2278117fbb399f313f709ddf1f2e745309cbcc355f00ce3ac4ef647e90b5f495",
+    "recovery.csv": "214c6d4d70e177fb95bce025c22df29fe3bc61a3ee8627eae1f22704f93b8aee",
+    "kernel-recovery stdout": "8b378c6a58dfa89a8b5bdd9043d4ee7b68df841fa258e1c6864171b59c8bbc7b",
+    "model.json": "23c161d7820e73f45722003d08ff4d52eff4dc82f18f92c23973754a269adc5f",
     "fit stdout": "46200fd20bec3c6ec089a832e6b1c8a26a4471b7b94aeb4225bfc5b8b3451b86",
-    "pred.csv": "1d88760896df027a792fe44e16d54ae17a7ee08b6a8076c0269f256c1b610407",
+    "pred.csv": "147bedbceb8e027226d1dd61ac26a3da592b7b8fa4144c292ac4b9545d8ea163",
     "predict stdout": "90527239b7e54a56fe21ad7c2bf41f9e6c372943598f96c0bfd978a79bbec9ae",
 }
 

@@ -12,22 +12,27 @@ With n training points and T = Gx/n + eps I on centered Gram matrices, no
 n x n matrix is decomposed.  Pivoted Cholesky (LAPACK dpstrf, stopping at
 n * ulp * max diagonal) factors Gx ~ Fx Fx^T (n x r) and Gy ~ F F^T (n x r_y).
 The solve lives on the range of Fx, the numerical range of Gx, so every
-eigenvalue mu beyond r is exactly 0.  With Fx = Qx Rx (Householder QR),
-G = Qx^T F, E = Rx^T G / n and S = Rx^T Rx / n + eps I = L L^T, the mu are
-the eigenvalues of the r_y x r_y matrix B^T B, B = S^-1 E (variant 1) or
-L^-1 E (variant 2).  An eigenvector q gives p = B q / sqrt(mu), h = S^-1 E q
-/ sqrt(mu) and c = Qx Rx^-T h, which is T^-1 P F q / (n sqrt(mu)) with P the
+eigenvalue mu beyond r is exactly 0.  Fx is lower trapezoidal: an r x r
+triangle above n - r dense rows.  Reversing the order of the triangle's rows
+and of the columns turns it upper, and a triangular-pentagonal QR (LAPACK
+dtpqrt, O((n - r) r^2)) eliminates only the n - r rows below it; reversing
+back gives Fx = Qx Lx with Lx lower triangular.  When r = n there are no
+rows below: Qx = I and Lx is the factor's own triangle.  With G = Qx^T F,
+E = Lx^T G / n and S = Lx^T Lx / n + eps I = L L^T (dlauum), the mu are the
+eigenvalues of the r_y x r_y matrix B^T B, B = S^-1 E (variant 1) or L^-1 E
+(variant 2).  An eigenvector q gives p = B q / sqrt(mu), h = S^-1 E q /
+sqrt(mu) and c = Qx Lx^-T h, which is T^-1 P F q / (n sqrt(mu)) with P the
 projection onto the range of Fx.  Dividing by |p| gives c' Gx c = 1 (variant
 1) or c' Gx T c = 1 (variant 2).  The triangular solve keeps its accuracy for
-any eps; the Woodbury form (G q / sqrt(mu) - Rx h) / (eps n) of the same c
+any eps; the Woodbury form (G q / sqrt(mu) - Lx h) / (eps n) of the same c
 cancels digits as eps / |Gx / n| approaches rounding.
 """
 
 import numpy as np
 from dataclasses import dataclass, field
 from scipy.linalg.blas import dsyrk, dtrmm, dtrsm
-from scipy.linalg.lapack import (dgeqrf, dgeqrf_lwork, dormqr, dpotrf, dpstrf,
-                                 dsyevd)
+from scipy.linalg.lapack import (dlauum, dpotrf, dpstrf, dsyevd, dtpmqrt,
+                                 dtpqrt)
 
 from .kernels import KernelSpec, centered_gram, gram_matrix, _as_points
 from .linalg import DEFAULT_CLAMP, NumericalError
@@ -40,6 +45,9 @@ GAP_TOL = 1e-10
 
 # Rows per cross-Gram block in evaluate_predictors (memory _BLOCK x n).
 _BLOCK = 1024
+
+# Block size of the triangular-pentagonal QR of Fx (dtpqrt's nb).
+_QR_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -91,18 +99,12 @@ def _factor(g):
     return c[:, :r], piv - 1
 
 
-def _apply_q(qr, tau, c, trans):
-    """Qx c (trans "N") or Qx^T c ("T") in c's memory, blocked workspace."""
-    lwork = int(dormqr("L", trans, qr, tau, c, -1)[1][0])
-    return dormqr("L", trans, qr, tau, c, lwork, overwrite_c=1)[0]
-
-
 def _solve(x, y, kernel_x, kernel_y, epsilon, variant, d=None):
     """The eigenproblem on the range of Fx, of rank r.  With d None: the n
     eigenvalues mu, descending, 0 beyond r.  Else (coefficients, mu[:d],
     warnings) of the top d predictors; a d above r is refused before the QR.
-    Gy is factored first, so only its factor is alive beside Gx; Rx is freed
-    before the 2 r_y^2 eigensolve workspace."""
+    Gy is factored first, so only its factor is alive beside Gx; Gx's buffer
+    is freed once the QR has copied Fx out of it (it is Lx when r = n)."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     f, piv_y = _factor(centered_gram(kernel_y, y))
@@ -114,19 +116,25 @@ def _solve(x, y, kernel_x, kernel_y, epsilon, variant, d=None):
                              f"centered Gram matrix; the achievable d is {r}")
     if r == 0:     # Gx = 0: nothing to fit, every mu is 0
         return np.zeros(n)
-    qr, tau, _, _ = dgeqrf(fx, lwork=int(dgeqrf_lwork(n, r)[0]), overwrite_a=1)
-    # F with rows in x's pivot order (one zero column if Gy = 0), then G
-    f = f.T[:, np.argsort(piv_y)[piv]].T if f.shape[1] else np.zeros((n, 1))
-    g = np.asfortranarray(_apply_q(qr, tau, f, "T")[:r])
+    # Rows r-1..0, then r..n-1 of x's pivot order, with the columns reversed:
+    # the triangle on top is upper, and Q eliminates only the rows below it
+    rows = np.concatenate([piv[r - 1::-1], piv[r:]])
+    lx = fx[r - 1::-1, ::-1]
+    if r < n:
+        lx, v, t, _ = dtpqrt(0, min(r, _QR_BLOCK), lx, fx[r:, ::-1])
+    del fx
+    lx = np.asfortranarray(lx[::-1, ::-1])   # Lx, 0 above: the factor's own if r = n
+    # F with rows in that order (one zero column if Gy = 0), then G = Qx^T F
+    f = f.T[:, np.argsort(piv_y)[rows]].T if f.shape[1] else np.zeros((n, 1))
+    g = f[r - 1::-1] if r == n else dtpmqrt(0, v, t, f[:r], f[r:], trans="T")[0][::-1]
     del f
-    rx = np.tril(qr[:r].T).T    # Rx, Fortran ordered: a copy even when qr[:r] is qr
-    s = dsyrk(1.0 / n, rx, trans=1, lower=1)
+    s, _ = dlauum(lx, lower=1)
+    s *= 1.0 / n
     s[np.diag_indices(r)] += epsilon
     l, info = dpotrf(s, lower=1, overwrite_a=1)
     if info:
         raise NumericalError(f"Cholesky factorization of S failed (info={info})")
-    b = dtrsm(1.0, l, dtrmm(1.0 / n, rx, g, trans_a=1), lower=1, overwrite_b=1)
-    del rx
+    b = dtrsm(1.0, l, dtrmm(1.0 / n, lx, g, lower=1, trans_a=1), lower=1, overwrite_b=1)
     if variant == "gsir1":     # S^-1 E = L^-T L^-1 E
         b = dtrsm(1.0, l, b, lower=1, trans_a=1, overwrite_b=1)
     bb = dsyrk(1.0, b, trans=1, lower=1)
@@ -144,24 +152,25 @@ def _solve(x, y, kernel_x, kernel_y, epsilon, variant, d=None):
                         f"{mu[d - 1] - mu[d]:.3e} is below {GAP_TOL:.0e}; "
                         f"the d-th predictor is not uniquely determined")
     k = min(d, int(np.count_nonzero(mu > DEFAULT_CLAMP * mu[0])))
-    rx = np.asfortranarray(qr[:r])      # BLAS reads Rx from the upper triangle
     # h = S^-1 E q / sqrt(mu); p = B q / sqrt(mu) is h (variant 1) or L^T h
-    e = dtrmm(1.0 / n, rx, g @ (q[:, :k] / np.sqrt(mu[:k])), trans_a=1)
+    e = dtrmm(1.0 / n, lx, g @ (q[:, :k] / np.sqrt(mu[:k])), lower=1, trans_a=1)
     h = dtrsm(1.0, l, dtrsm(1.0, l, e, lower=1), lower=1, trans_a=1)
     p = h if variant == "gsir1" else dtrmm(1.0, l, h, lower=1, trans_a=1)
     if k < d:
-        # mu = 0 here: complete p orthonormally with the images of a = e_j,
-        # the leading columns of Qx, and map the new columns back to h
-        img = np.triu(rx[:d]).T
+        # mu = 0 here: complete p orthonormally with the images of c in the
+        # span of Fx's leading (pivot) columns, Lx^T Lx e_j, mapped back to h
+        img = dtrmm(1.0, lx, lx[:, :d], lower=1, trans_a=1)
         img = img if variant == "gsir1" else dtrmm(1.0, l, img, lower=1, trans_a=1)
         fill = np.linalg.qr(np.column_stack([p, img]))[0][:, k:d]
         hf = fill if variant == "gsir1" else dtrsm(1.0, l, fill, lower=1, trans_a=1)
         h, p = np.column_stack([h, hf]), np.column_stack([p, fill])
-    norm = np.linalg.norm(p, axis=0)
-    out = np.zeros((n, 2 * d), order="F")      # Qx [Rx^-T h, Rx h] = [c, Gx c]
-    out[:r, :d] = dtrsm(1.0, rx, h, trans_a=1) / norm
-    out[:r, d:] = dtrmm(1.0, rx, h) / norm
-    out = _apply_q(qr, tau, out, "N")[np.argsort(piv)]
+    norm = np.tile(np.linalg.norm(p, axis=0), 2)
+    # [c, Gx c] = Qx [Lx^-T h, Lx h], its first r rows in the QR's order
+    out = np.column_stack([dtrsm(1.0, lx, h, lower=1, trans_a=1),
+                           dtrmm(1.0, lx, h, lower=1)])[::-1] / norm
+    if r < n:
+        out = np.vstack(dtpmqrt(0, v, t, out, np.zeros((n - r, 2 * d)))[:2])
+    out = out[np.argsort(rows)]
     if not np.all(np.isfinite(out)):
         raise NumericalError("fitted coefficients are not finite")
     # Sign: each predictor's largest-magnitude value Gx c at the training points is > 0

@@ -12,6 +12,11 @@ except that the factor of a laplace Gram keeps one more, the rounding-level
 remainder along the constant vector that centering removes; a coefficient
 component along that vector does not change any prediction.
 
+`reference_qr_solve` is the thin-factor solve with a blocked Householder QR
+of the whole n x r pivoted-Cholesky factor of Gx (LAPACK dgeqrf, reflectors
+applied by dormqr) and S = Rx^T Rx / n + eps I formed by dsyrk, kept as the
+numerics reference for the structured QR of `gsir.estimator`.
+
 `whole_array_centered_gram` is the O(n^2) centering as whole-array
 expressions, which `gsir.kernels.centered_gram` computes in place and must
 match bit for bit.  `eval_kernel` evaluates one kernel value from its
@@ -20,10 +25,13 @@ reference with the estimator.
 """
 
 import numpy as np
+from scipy.linalg.blas import dsyrk, dtrmm, dtrsm
+from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dormqr, dpotrf, dsyevd
 from scipy.spatial.distance import cdist
 
-from gsir.kernels import gram_matrix
-from gsir.linalg import DEFAULT_CLAMP, symmetric_eigh
+from gsir.estimator import GAP_TOL, _factor
+from gsir.kernels import centered_gram, gram_matrix
+from gsir.linalg import DEFAULT_CLAMP, NumericalError, symmetric_eigh
 
 
 def whole_array_centered_gram(spec, x):
@@ -67,6 +75,80 @@ def reference_fit(x, y, kernel_x, kernel_y, epsilon, d, variant):
     if variant == "gsir2":
         coef = coef / np.sqrt(t)[:, None]
     return mu, v @ coef
+
+
+def _apply_q(qr, tau, c, trans):
+    """Qx c (trans "N") or Qx^T c ("T") in c's memory, blocked workspace."""
+    lwork = int(dormqr("L", trans, qr, tau, c, -1)[1][0])
+    return dormqr("L", trans, qr, tau, c, lwork, overwrite_c=1)[0]
+
+
+def reference_qr_solve(x, y, kernel_x, kernel_y, epsilon, variant, d=None):
+    """The thin solve with a Householder QR of the whole factor Fx: the mu
+    (d None) or (coefficients, mu[:d], warnings), as `gsir.estimator._solve`
+    returns them."""
+    f, piv_y = _factor(centered_gram(kernel_y, y))
+    f = f.copy(order="F")      # frees Gy's n x n
+    fx, piv = _factor(centered_gram(kernel_x, x))
+    n, r = fx.shape
+    if d is not None and d > r:
+        raise NumericalError(f"d={d} exceeds the numerical rank {r} of the "
+                             f"centered Gram matrix; the achievable d is {r}")
+    if r == 0:     # Gx = 0: nothing to fit, every mu is 0
+        return np.zeros(n)
+    qr, tau, _, _ = dgeqrf(fx, lwork=int(dgeqrf_lwork(n, r)[0]), overwrite_a=1)
+    # F with rows in x's pivot order (one zero column if Gy = 0), then G
+    f = f.T[:, np.argsort(piv_y)[piv]].T if f.shape[1] else np.zeros((n, 1))
+    g = np.asfortranarray(_apply_q(qr, tau, f, "T")[:r])
+    del f
+    rx = np.tril(qr[:r].T).T    # Rx, Fortran ordered: a copy even when qr[:r] is qr
+    s = dsyrk(1.0 / n, rx, trans=1, lower=1)
+    s[np.diag_indices(r)] += epsilon
+    l, info = dpotrf(s, lower=1, overwrite_a=1)
+    if info:
+        raise NumericalError(f"Cholesky factorization of S failed (info={info})")
+    b = dtrsm(1.0, l, dtrmm(1.0 / n, rx, g, trans_a=1), lower=1, overwrite_b=1)
+    del rx
+    if variant == "gsir1":     # S^-1 E = L^-T L^-1 E
+        b = dtrsm(1.0, l, b, lower=1, trans_a=1, overwrite_b=1)
+    bb = dsyrk(1.0, b, trans=1, lower=1)
+    del b
+    mu, q, info = dsyevd(bb, lower=1, overwrite_a=1)
+    if info:
+        raise NumericalError(f"eigendecomposition of B^T B failed (info={info})")
+    mu = np.maximum(mu[::-1][:r], 0.0)   # B (r x r_y) has rank at most r
+    mu, q = np.concatenate([mu, np.zeros(n - len(mu))]), q[:, ::-1]
+    if d is None:
+        return mu
+    warnings = []
+    if mu[d - 1] - mu[d] < GAP_TOL:
+        warnings.append(f"eigenvalue gap mu_{d} - mu_{d + 1} = "
+                        f"{mu[d - 1] - mu[d]:.3e} is below {GAP_TOL:.0e}; "
+                        f"the d-th predictor is not uniquely determined")
+    k = min(d, int(np.count_nonzero(mu > DEFAULT_CLAMP * mu[0])))
+    rx = np.asfortranarray(qr[:r])      # BLAS reads Rx from the upper triangle
+    # h = S^-1 E q / sqrt(mu); p = B q / sqrt(mu) is h (variant 1) or L^T h
+    e = dtrmm(1.0 / n, rx, g @ (q[:, :k] / np.sqrt(mu[:k])), trans_a=1)
+    h = dtrsm(1.0, l, dtrsm(1.0, l, e, lower=1), lower=1, trans_a=1)
+    p = h if variant == "gsir1" else dtrmm(1.0, l, h, lower=1, trans_a=1)
+    if k < d:
+        # mu = 0 here: complete p orthonormally with the images of a = e_j,
+        # the leading columns of Qx, and map the new columns back to h
+        img = np.triu(rx[:d]).T
+        img = img if variant == "gsir1" else dtrmm(1.0, l, img, lower=1, trans_a=1)
+        fill = np.linalg.qr(np.column_stack([p, img]))[0][:, k:d]
+        hf = fill if variant == "gsir1" else dtrsm(1.0, l, fill, lower=1, trans_a=1)
+        h, p = np.column_stack([h, hf]), np.column_stack([p, fill])
+    norm = np.linalg.norm(p, axis=0)
+    out = np.zeros((n, 2 * d), order="F")      # Qx [Rx^-T h, Rx h] = [c, Gx c]
+    out[:r, :d] = dtrsm(1.0, rx, h, trans_a=1) / norm
+    out[:r, d:] = dtrmm(1.0, rx, h) / norm
+    out = _apply_q(qr, tau, out, "N")[np.argsort(piv)]
+    if not np.all(np.isfinite(out)):
+        raise NumericalError("fitted coefficients are not finite")
+    # Sign: each predictor's largest-magnitude value Gx c at the training points is > 0
+    top = out[np.argmax(np.abs(out[:, d:]), axis=0), d + np.arange(d)]
+    return out[:, :d] * np.where(top < 0.0, -1.0, 1.0), mu[:d].copy(), tuple(warnings)
 
 
 def align_sign(estimated, reference):

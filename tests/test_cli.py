@@ -653,6 +653,19 @@ def test_doomed_run_is_refused_before_any_draw(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+def test_sim_rate_reports_d_at_the_numerical_rank_of_r(tmp_path):
+    # R's singular values 1 and y_dim^(-alpha beta) = 2^-60 ~ 8.7e-19 do not
+    # underflow, but the second is below DEFAULT_CLAMP = 1e-12 times the
+    # first: d = 1 < y_dim, a documented outcome, not a config error
+    doc = with_fields(SIM_DOC, beta=30.0)
+    config = write_json(tmp_path / "sim.json", doc)
+    out = tmp_path / "sim.csv"
+    assert main(["sim-rate", "--config", config, "--out", str(out)]) == 0
+    header = out.read_text().splitlines()[0].split(",")
+    assert [c for c in header if c.startswith(("proj_err", "bound_ok"))] == [
+        "proj_err_1", "bound_ok_1"]
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command,doc", [
     ("fit", None),

@@ -277,13 +277,19 @@ def traced_peak(call):
 
 def test_dense_fit_peak_memory():
     # The benchmark's fit settings.  Centering works in K's memory beside one
-    # block of rows.  Gx keeps all r = n columns at this n, so the fit holds
-    # three full n x n arrays (Gx's buffer with Qx and Rx, the copy of Rx,
-    # and S), plus G and Rx^T G / n at n x r_y each: 3.12 n^2.
+    # block of rows.  Gx keeps all r = n columns at this n, so there is no QR
+    # and the fit holds two full n x n arrays (Gx's buffer, which is Lx, and
+    # S), plus G and Lx^T G / n at n x r_y each: 2.13 n^2.
     n = 600
     x, y, _ = generate(SyntheticModel("m3_symmetric", 5, 0.2), n, 0)
     kx = KernelSpec("gaussian", median_bandwidth(x))
     ky = KernelSpec("gaussian", median_bandwidth(y))
     n2 = 8 * n * n
     assert traced_peak(lambda: centered_gram(kx, x)) <= 1.3 * n2
-    assert traced_peak(lambda: fit_gsir1(x, y, kx, ky, 1e-3, 1)) <= 3.2 * n2
+    assert traced_peak(lambda: fit_gsir1(x, y, kx, ky, 1e-3, 1)) <= 2.4 * n2
+    # On x[:, :3] the factor has r = 376 columns.  The peak is the moment the
+    # QR copies Fx's r x r triangle and the n - r rows below it out of Gx's
+    # buffer, beside the QR's two nb x r blocks: 1.76 n^2.
+    x3 = x[:, :3]
+    kx3 = KernelSpec("gaussian", median_bandwidth(x3))
+    assert traced_peak(lambda: fit_gsir1(x3, y, kx3, ky, 1e-3, 1)) <= 1.8 * n2

@@ -1,4 +1,5 @@
-"""The thin-factor solve against the dense reference in `reference_solve`."""
+"""The thin-factor solve against the dense reference in `reference_solve`,
+and its structured QR against the Householder QR of the whole factor."""
 
 import dataclasses
 
@@ -11,7 +12,8 @@ from gsir.datasets import SyntheticModel, generate
 from gsir.estimator import evaluate_predictors, fit_gsir1, fit_gsir2, gsir_spectrum
 from gsir.kernels import KernelSpec, centered_gram, median_bandwidth
 from gsir.linalg import NumericalError
-from reference_solve import align_sign, dense_centered_gram, reference_fit
+from reference_solve import (align_sign, dense_centered_gram, reference_fit,
+                             reference_qr_solve)
 
 FIT = {"gsir1": fit_gsir1, "gsir2": fit_gsir2}
 EPS = 0.01
@@ -55,9 +57,14 @@ def test_solve_matches_dense_reference(n, family, q, variant):
 
 
 @pytest.mark.parametrize("variant", ["gsir1", "gsir2"])
-def test_full_rank_factor_keeps_its_householder_vectors(variant):
-    # a laplace Gx keeps all r = n columns, so qr[:r] is all of qr: Rx must be
-    # a copy, or zeroing its lower triangle overwrites Qx's Householder vectors
+def test_full_rank_factor_is_its_own_triangle(monkeypatch, variant):
+    # a laplace Gx keeps all r = n columns, so no row lies below the factor's
+    # triangle: there is no QR, Lx is the factor itself, and forming S from a
+    # copy of it must leave it intact
+    def no_qr(*args, **kwargs):
+        raise AssertionError("a QR ran")
+
+    monkeypatch.setattr(gsir.estimator, "dtpqrt", no_qr)
     x, y = make_data(40, 1)
     kx, ky = KernelSpec("laplace", 0.5), KernelSpec("gaussian", 0.5)
     assert dpstrf(centered_gram(kx, x), lower=1, tol=-1)[2] == 40
@@ -198,9 +205,9 @@ def test_d_beyond_rank_reports_the_factor_rank(p):
 @pytest.mark.parametrize("variant", ["gsir1", "gsir2"])
 def test_d_beyond_rank_is_refused_before_the_qr_and_eigensolve(monkeypatch, variant):
     # Gx of a linear kernel on two columns has rank 2: its factor alone
-    # refuses d = 3
+    # refuses d = 3; at d = 2 the n - 2 rows below its triangle need one QR
     calls = []
-    for name in ("dgeqrf", "dsyevd"):
+    for name in ("dtpqrt", "dsyevd"):
         solver = getattr(gsir.estimator, name)
 
         def spy(*args, name=name, solver=solver, **kwargs):
@@ -215,7 +222,7 @@ def test_d_beyond_rank_is_refused_before_the_qr_and_eigensolve(monkeypatch, vari
         FIT[variant](x[:, :2], y, linear, gauss, EPS, 3)
     assert calls == []
     FIT[variant](x[:, :2], y, linear, gauss, EPS, 2)
-    assert calls == ["dgeqrf", "dsyevd"]
+    assert calls == ["dtpqrt", "dsyevd"]
 
 
 def test_constant_x_leaves_no_direction():
@@ -232,9 +239,61 @@ def test_constant_x_leaves_no_direction():
 @pytest.mark.parametrize("variant", ["gsir1", "gsir2"])
 @pytest.mark.parametrize("eps", [1e-12, 1e-300])
 def test_tiny_epsilon_matches_reference(eps, variant):
-    # c = Qx Rx^-T h keeps its digits however small eps is; the equivalent
-    # (G q / sqrt(mu) - Rx h) / (eps n) loses them as eps / |Gx / n| shrinks
+    # c = Qx Lx^-T h keeps its digits however small eps is; the equivalent
+    # (G q / sqrt(mu) - Lx h) / (eps n) loses them as eps / |Gx / n| shrinks
     x, y = make_data(50, 1)
     kernel = KernelSpec("gaussian", 0.5)
     fit = FIT[variant](x, y, kernel, kernel, eps, 1)
     assert_matches_reference(fit, x, y, 1)
+
+
+def qr_reference_cell(cell):
+    """(x, y, held-out x, kernel_x, rank of Gx's factor) of one cell."""
+    if cell == "gaussian_x3":
+        design = SyntheticModel("m3_symmetric", 5, 0.2)
+        x, y, _ = generate(design, 600, 0)
+        x, x_new = x[:, :3], generate(design, 300, 1)[0][:, :3]
+        return x, y, x_new, KernelSpec("gaussian", median_bandwidth(x)), 376
+    x, y = make_data(200, 3)
+    kernel, r = {"gaussian": (KernelSpec("gaussian", median_bandwidth(x)), 200),
+                 "laplace": (KernelSpec("laplace", 0.5), 200),
+                 "linear": (KernelSpec("linear"), 3)}[cell]
+    return x, y, make_data(300, 3)[0], kernel, r
+
+
+def assert_matches_qr_reference(x, y, x_new, kx, ky, d, variant):
+    fit = FIT[variant](x, y, kx, ky, EPS, d)
+    coef_ref, mu_ref, warnings_ref = reference_qr_solve(x, y, kx, ky, EPS, variant, d)
+    assert len(fit.warnings) == len(warnings_ref)
+    mu = gsir_spectrum(x, y, kx, ky, EPS, variant)
+    mu_all = reference_qr_solve(x, y, kx, ky, EPS, variant)
+    assert np.max(np.abs(mu - mu_all)) <= 1e-12 * mu_all[0]
+    assert np.max(np.abs(fit.eigenvalues - mu_ref)) <= 1e-12 * mu_ref[0]
+    pred = evaluate_predictors(fit, x_new)
+    pred_ref = evaluate_predictors(dataclasses.replace(fit, coefficients=coef_ref), x_new)
+    scale = np.max(np.abs(pred_ref), axis=0)
+    assert np.all(np.max(np.abs(pred - pred_ref), axis=0) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("variant", ["gsir1", "gsir2"])
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("cell", ["gaussian", "laplace", "linear", "gaussian_x3"])
+def test_structured_qr_matches_householder_qr(cell, d, variant):
+    # gaussian and laplace Gx keep r = n columns (no QR); linear Gx has r = 3
+    # and x[:, :3] at n = 600 r = 376, so n - r rows lie below the triangle
+    x, y, x_new, kx, r = qr_reference_cell(cell)
+    assert dpstrf(centered_gram(kx, x), lower=1, tol=-1)[2] == r
+    ky = KernelSpec("gaussian", median_bandwidth(y))
+    assert_matches_qr_reference(x, y, x_new, kx, ky, d, variant)
+
+
+@pytest.mark.parametrize("variant", ["gsir1", "gsir2"])
+@pytest.mark.parametrize("cell", ["gaussian", "linear", "gaussian_x3"])
+def test_structured_qr_completion_matches_householder_qr(cell, variant):
+    # a linear kernel on a 1-d response gives Gy rank 1, so two of the three
+    # predictors complete p within the span of Fx's top pivot columns
+    x, y, x_new, kx, _ = qr_reference_cell(cell)
+    fit = FIT[variant](x, y[:, :1], kx, KernelSpec("linear"), EPS, 3)
+    assert fit.eigenvalues[0] > 0 and np.all(fit.eigenvalues[1:] == 0.0)
+    assert_matches_qr_reference(x, y[:, :1], x_new, kx, KernelSpec("linear"), 3,
+                                variant)
