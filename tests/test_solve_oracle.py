@@ -248,17 +248,16 @@ def test_tiny_epsilon_matches_reference(eps, variant):
 
 
 def qr_reference_cell(cell):
-    """(x, y, held-out x, kernel_x, rank of Gx's factor) of one cell."""
+    """(x, y, held-out x, kernel_x) of one cell."""
     if cell == "gaussian_x3":
         design = SyntheticModel("m3_symmetric", 5, 0.2)
         x, y, _ = generate(design, 600, 0)
         x, x_new = x[:, :3], generate(design, 300, 1)[0][:, :3]
-        return x, y, x_new, KernelSpec("gaussian", median_bandwidth(x)), 376
+        return x, y, x_new, KernelSpec("gaussian", median_bandwidth(x))
     x, y = make_data(200, 3)
-    kernel, r = {"gaussian": (KernelSpec("gaussian", median_bandwidth(x)), 200),
-                 "laplace": (KernelSpec("laplace", 0.5), 200),
-                 "linear": (KernelSpec("linear"), 3)}[cell]
-    return x, y, make_data(300, 3)[0], kernel, r
+    kernel = {"gaussian": KernelSpec("gaussian", median_bandwidth(x)),
+              "laplace": KernelSpec("laplace", 0.5), "linear": KernelSpec("linear")}
+    return x, y, make_data(300, 3)[0], kernel[cell]
 
 
 def assert_matches_qr_reference(x, y, x_new, kx, ky, d, variant):
@@ -281,8 +280,9 @@ def assert_matches_qr_reference(x, y, x_new, kx, ky, d, variant):
 def test_structured_qr_matches_householder_qr(cell, d, variant):
     # gaussian and laplace Gx keep r = n columns (no QR); linear Gx has r = 3
     # and x[:, :3] at n = 600 r = 376, so n - r rows lie below the triangle
-    x, y, x_new, kx, r = qr_reference_cell(cell)
-    assert dpstrf(centered_gram(kx, x), lower=1, tol=-1)[2] == r
+    x, y, x_new, kx = qr_reference_cell(cell)
+    r = dpstrf(centered_gram(kx, x), lower=1, tol=-1)[2]
+    assert (r == len(x)) == (cell in ("gaussian", "laplace"))
     ky = KernelSpec("gaussian", median_bandwidth(y))
     assert_matches_qr_reference(x, y, x_new, kx, ky, d, variant)
 
@@ -292,7 +292,7 @@ def test_structured_qr_matches_householder_qr(cell, d, variant):
 def test_structured_qr_completion_matches_householder_qr(cell, variant):
     # a linear kernel on a 1-d response gives Gy rank 1, so two of the three
     # predictors complete p within the span of Fx's top pivot columns
-    x, y, x_new, kx, _ = qr_reference_cell(cell)
+    x, y, x_new, kx = qr_reference_cell(cell)
     fit = FIT[variant](x, y[:, :1], kx, KernelSpec("linear"), EPS, 3)
     assert fit.eigenvalues[0] > 0 and np.all(fit.eigenvalues[1:] == 0.0)
     assert_matches_qr_reference(x, y[:, :1], x_new, kx, KernelSpec("linear"), 3,
