@@ -14,7 +14,10 @@ fresh interpreter with OPENBLAS_NUM_THREADS=1, so the peak resident memory
 Stages, on the m3_symmetric design (p=5, sigma 0.2) with median-bandwidth
 gaussian kernels, eps=1e-3, d=1 (the benchmark's fit_predict settings):
 
+- median_bandwidth: `median_bandwidth` of x;
 - centered_gram:   `centered_gram` of x;
+- reflected_gram:  `reflected_gram` of x, the centering a fit runs (no row
+  for a checkout that lacks it);
 - fit_gsir1, fit_gsir2: one fit each;
 - fit_gsir1_laplace_y: gsir1 with a laplace kernel on y, whose centered Gram
   has full numerical rank, so the thin factor of Gy is as wide as it gets;
@@ -42,8 +45,8 @@ import tempfile
 import time
 from pathlib import Path
 
-SUITES = {"fit": ("centered_gram", "fit_gsir1", "fit_gsir2",
-                  "fit_gsir1_laplace_y", "predict_20000"),
+SUITES = {"fit": ("median_bandwidth", "centered_gram", "reflected_gram",
+                  "fit_gsir1", "fit_gsir2", "fit_gsir1_laplace_y", "predict_20000"),
           "oracle": ("simulate_sample", "empirical_operators",
                      "estimate_regression_ops", "error_report", "replication")}
 ORACLE_J, ORACLE_Y = 200, 2
@@ -91,6 +94,7 @@ def run_cell(stage, n, repeats, model_path):
     """Time one stage in this process and return its record."""
     if stage in SUITES["oracle"]:
         return _measure(_oracle_call(stage, n), repeats)
+    from gsir import kernels
     from gsir.datasets import SyntheticModel, generate
     from gsir.estimator import evaluate_predictors, fit_gsir1, fit_gsir2
     from gsir.kernels import KernelSpec, centered_gram, median_bandwidth
@@ -100,8 +104,14 @@ def run_cell(stage, n, repeats, model_path):
     x, y, _ = generate(design, n, SEED)
     kx = KernelSpec("gaussian", median_bandwidth(x))
     ky = KernelSpec("gaussian", median_bandwidth(y))
-    if stage == "centered_gram":
+    if stage == "median_bandwidth":
+        call = lambda: median_bandwidth(x)
+    elif stage == "centered_gram":
         call = lambda: centered_gram(kx, x)
+    elif stage == "reflected_gram":
+        if not hasattr(kernels, "reflected_gram"):
+            return {}
+        call = lambda: kernels.reflected_gram(kx, x)
     elif stage == "fit_gsir1":
         call = lambda: fit_gsir1(x, y, kx, ky, 1e-3, 1)
     elif stage == "fit_gsir2":
@@ -155,8 +165,9 @@ def main(argv=None):
                     _cell(src, "save_model", n, 1, model_path)
                 for stage in SUITES[args.suite]:
                     rec = _cell(src, stage, n, args.repeats, model_path)
-                    rows.append({"commit": name, "stage": stage, "n": n, **rec})
-                    print(json.dumps(rows[-1]), flush=True)
+                    if rec:
+                        rows.append({"commit": name, "stage": stage, "n": n, **rec})
+                        print(json.dumps(rows[-1]), flush=True)
     doc = {"harness": "bench/fit_stages.py", "suite": args.suite,
            "blas_threads": 1, "repeats": args.repeats, "cpu_count": os.cpu_count(),
            **({"predict_rows": PREDICT_ROWS} if args.suite == "fit" else

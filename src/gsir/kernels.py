@@ -2,11 +2,15 @@
 
 The centered Gram G = Q K Q (Q = I - 11^T/n) represents the covariance
 geometry of the feature maps after removing the constant function; every
-estimator downstream consumes G, never the raw K.
+estimator downstream consumes G, never the raw K.  The fits consume it in
+the coordinates of the Householder reflector H with H 1 = -sqrt(n) e_1
+(`reflected_gram`): H G H is H K H with its first row and column zeroed,
+so the constant vector that centering removes is e_1, an exact zero.
 """
 
 import numpy as np
 from dataclasses import dataclass
+from scipy.linalg.blas import dsymv, dsyr2
 from scipy.spatial.distance import cdist, pdist
 
 FAMILIES = ("gaussian", "laplace", "linear")
@@ -86,13 +90,51 @@ def centered_gram(spec, x):
     return k
 
 
+def centering_reflector(n):
+    """The unit u of H = I - 2 u u^T, the Householder reflector with
+    H 1 = -sqrt(n) e_1 (Golub & Van Loan, Matrix Computations, 5.1).  Then
+    H Q H = I - e_1 e_1^T, so H (Q K Q) H is H K H with its first row and
+    column zeroed."""
+    u = np.ones(n)
+    u[0] += np.sqrt(n)
+    return u / np.sqrt(2.0 * (n + np.sqrt(n)))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reflected_gram(spec, x):
+    """(g, top): g = H (Q K Q) H (see `centering_reflector`) in K's memory and
+    O(n^2), and top, K's largest diagonal entry.  H K H = K - 2 (u w^T +
+    w u^T) with w = K u - (u^T K u) u: one dsymv and one dsyr2.  Only the
+    triangle LAPACK reads is written, the lower triangle of the Fortran view
+    g.T (g's upper triangle); the other keeps K's entries.  An overflow
+    leaves non-finite entries, for the factorization to reject."""
+    x = _as_points(x)
+    n = x.shape[0]
+    if n < 2:
+        raise ValueError(f"centering needs at least 2 points, got {n}")
+    k = gram_matrix(spec, x)
+    top = float(np.max(np.diagonal(k)))
+    u = centering_reflector(n)
+    p = dsymv(1.0, k.T, u, lower=1)
+    dsyr2(-2.0, u, p - (u @ p) * u, a=k.T, lower=1, overwrite_a=1)
+    k[0] = 0.0
+    k[:, 0] = 0.0
+    return k, top
+
+
 def median_bandwidth(x):
-    """gamma = 1 / (2 m^2) where m is the median pairwise Euclidean distance."""
+    """gamma = 1 / (2 m^2) where m is the median pairwise Euclidean distance.
+
+    m is selected in place in `pdist`'s output, in O(N) for N pairs, and is
+    np.median's value bit for bit: the middle distance, or for even N the
+    mean (a + b) / 2 of the two middle ones."""
     x = _as_points(x)
     if x.shape[0] < 2:
         raise ValueError(f"median bandwidth needs at least 2 points, got {x.shape[0]}")
     dists = pdist(x)
-    m = float(np.median(dists))
+    h = len(dists) // 2
+    dists.partition(h)
+    m = float(dists[h] if len(dists) % 2 else (np.max(dists[:h]) + dists[h]) / 2.0)
     if m == 0.0:
         raise ValueError("median pairwise distance is zero (degenerate point set); "
                          "cannot form a bandwidth")

@@ -7,15 +7,16 @@ eigenbasis, and a full n x n eigendecomposition of the objective matrix.
 It weights only the numerical range of Gx, and keeps the eigenvalue cutoff
 for it: l is zero on the eigenvalues at or below DEFAULT_CLAMP times the
 largest.  The estimator takes the range of the pivoted-Cholesky factor of
-Gx instead.  At the tested sizes both keep the same number of directions,
-except that the factor of a laplace Gram keeps one more, the rounding-level
-remainder along the constant vector that centering removes; a coefficient
-component along that vector does not change any prediction.
+the reflected Gram H Gx H instead, whose first row and column, the constant
+vector that centering removes, are exactly zero.  At the tested sizes both
+keep the same number of directions of Gx.
 
 `reference_qr_solve` is the thin-factor solve with a blocked Householder QR
 of the whole n x r pivoted-Cholesky factor of Gx (LAPACK dgeqrf, reflectors
 applied by dormqr) and S = Rx^T Rx / n + eps I formed by dsyrk, kept as the
-numerics reference for the structured QR of `gsir.estimator`.
+numerics reference for the structured QR of `gsir.estimator`.  It factors
+the same reflected Grams H Gx H and H Gy H (`gsir.kernels.reflected_gram`)
+and maps its coefficients back with H, so it checks the QR stage alone.
 
 `whole_array_centered_gram` is the O(n^2) centering as whole-array
 expressions, which `gsir.kernels.centered_gram` computes in place and must
@@ -30,7 +31,7 @@ from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dormqr, dpotrf, dsyevd
 from scipy.spatial.distance import cdist
 
 from gsir.estimator import GAP_TOL, _factor
-from gsir.kernels import centered_gram, gram_matrix
+from gsir.kernels import centering_reflector, gram_matrix, reflected_gram
 from gsir.linalg import DEFAULT_CLAMP, NumericalError, symmetric_eigh
 
 
@@ -87,9 +88,9 @@ def reference_qr_solve(x, y, kernel_x, kernel_y, epsilon, variant, d=None):
     """The thin solve with a Householder QR of the whole factor Fx: the mu
     (d None) or (coefficients, mu[:d], warnings), as `gsir.estimator._solve`
     returns them."""
-    f, piv_y = _factor(centered_gram(kernel_y, y))
+    f, piv_y = _factor(*reflected_gram(kernel_y, y))
     f = f.copy(order="F")      # frees Gy's n x n
-    fx, piv = _factor(centered_gram(kernel_x, x))
+    fx, piv = _factor(*reflected_gram(kernel_x, x))
     n, r = fx.shape
     if d is not None and d > r:
         raise NumericalError(f"d={d} exceeds the numerical rank {r} of the "
@@ -144,6 +145,8 @@ def reference_qr_solve(x, y, kernel_x, kernel_y, epsilon, variant, d=None):
     out[:r, :d] = dtrsm(1.0, rx, h, trans_a=1) / norm
     out[:r, d:] = dtrmm(1.0, rx, h) / norm
     out = _apply_q(qr, tau, out, "N")[np.argsort(piv)]
+    u = centering_reflector(n)      # [c, Gx c] = H [c', Gx' c']
+    out -= np.outer(u, 2.0 * (u @ out))
     if not np.all(np.isfinite(out)):
         raise NumericalError("fitted coefficients are not finite")
     # Sign: each predictor's largest-magnitude value Gx c at the training points is > 0

@@ -241,7 +241,7 @@ def test_blocked_evaluation_is_bitwise_one_shot(d):
     fit = fit_gsir1(x, y, GAUSS, GAUSS, 0.05, d)
     x_new = np.random.default_rng(18).standard_normal((_BLOCK + 37, 2))
     k = gram_matrix(GAUSS, x_new, x)
-    one_shot = (k - k.mean(axis=1, keepdims=True)) @ fit.coefficients
+    one_shot = k @ (fit.coefficients - fit.coefficients.mean(axis=0))
     assert np.array_equal(evaluate_predictors(fit, x_new), one_shot)
 
 
@@ -277,9 +277,10 @@ def traced_peak(call):
 
 def test_dense_fit_peak_memory():
     # The benchmark's fit settings.  Centering works in K's memory beside one
-    # block of rows.  Gx keeps all r = n columns at this n, so there is no QR
-    # and the fit holds two full n x n arrays (Gx's buffer, which is Lx, and
-    # S), plus G and Lx^T G / n at n x r_y each: 2.13 n^2.
+    # block of rows.  The reflected Gx keeps r = n - 1 columns at this n; the
+    # QR packs Lx into Gx's buffer, with no r x r copy, so the fit's peak is
+    # that buffer beside S (r x r) and three r x r_y blocks (G, its Fortran
+    # copy for BLAS and Lx^T G / n), r_y = 33: 2.18 n^2.
     n = 600
     x, y, _ = generate(SyntheticModel("m3_symmetric", 5, 0.2), n, 0)
     kx = KernelSpec("gaussian", median_bandwidth(x))
@@ -287,9 +288,13 @@ def test_dense_fit_peak_memory():
     n2 = 8 * n * n
     assert traced_peak(lambda: centered_gram(kx, x)) <= 1.3 * n2
     assert traced_peak(lambda: fit_gsir1(x, y, kx, ky, 1e-3, 1)) <= 2.4 * n2
-    # On x[:, :3] the factor has r = 376 columns.  The peak is the moment the
-    # QR copies Fx's r x r triangle and the n - r rows below it out of Gx's
-    # buffer, beside the QR's two nb x r blocks: 1.76 n^2.
+    # On x[:, :3] the factor has r = 376 <= 0.9 n columns, so after the QR Lx
+    # moves out of Gx's buffer.  The peak is that moment: the buffer, the
+    # r x r copy and the QR's reflectors for the n - r rows below Lx: 1.72 n^2.
     x3 = x[:, :3]
     kx3 = KernelSpec("gaussian", median_bandwidth(x3))
     assert traced_peak(lambda: fit_gsir1(x3, y, kx3, ky, 1e-3, 1)) <= 1.8 * n2
+    # A laplace kernel on y keeps r_y = n - 1, and Gy's eigensolve takes about
+    # 3 r_y^2 beside Lx; with Gx's buffer freed that is 4.69 n^2 (5.30 with it)
+    ly = KernelSpec("laplace", median_bandwidth(y))
+    assert traced_peak(lambda: fit_gsir1(x3, y, kx3, ly, 1e-3, 1)) <= 4.8 * n2

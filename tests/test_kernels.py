@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.spatial.distance import pdist
 
 from gsir.kernels import (FAMILIES, ROW_BLOCK, KernelSpec, centered_gram,
-                          gram_matrix, median_bandwidth)
+                          centering_reflector, gram_matrix, median_bandwidth,
+                          reflected_gram)
 from reference_solve import eval_kernel, whole_array_centered_gram
 
 ATOL = 1e-12
@@ -147,6 +152,22 @@ def test_median_bandwidth_matches_brute_force():
     assert abs(median_bandwidth(x) - 1.0 / (2.0 * m * m)) < ATOL
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(2, 25), p=st.integers(1, 3))
+def test_median_bandwidth_is_np_median_bitwise(data, n, p):
+    # n (n - 1) / 2 pairs: odd for n = 2, 3, 6, 7, ..., even for n = 4, 5, ...;
+    # coordinates drawn from a few values give tied distances
+    values = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
+                       st.floats(-100.0, 100.0, allow_nan=False))
+    x = data.draw(hnp.arrays(float, (n, p), elements=values))
+    m = float(np.median(pdist(x)))
+    if m == 0.0:
+        with pytest.raises(ValueError, match="degenerate"):
+            median_bandwidth(x)
+    else:
+        assert median_bandwidth(x) == 1.0 / (2.0 * m * m)
+
+
 def test_median_bandwidth_degenerate_points():
     with pytest.raises(ValueError, match="degenerate"):
         median_bandwidth(np.zeros((4, 2)))
@@ -169,3 +190,20 @@ def test_centered_gram_is_bitwise_the_whole_array_expression(family, layout, n):
     g = centered_gram(spec, x)
     assert g.tobytes() == whole_array_centered_gram(spec, x).tobytes()
     assert g.tobytes() == g.T.tobytes()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("n", [2, 3, 40])
+def test_reflected_gram_is_the_centered_gram_in_reflected_coordinates(family, n):
+    x = np.random.default_rng(n).standard_normal((n, 3))
+    spec = KernelSpec(family, 0.3)
+    u = centering_reflector(n)
+    h = np.eye(n) - 2.0 * np.outer(u, u)
+    assert np.max(np.abs(h @ np.ones(n) + np.sqrt(n) * np.eye(n)[0])) < 1e-14 * n
+    g, top = reflected_gram(spec, x)
+    assert top == np.max(np.diagonal(gram_matrix(spec, x)))
+    # only g's upper triangle (the lower one of the Fortran view g.T) is written
+    g = np.triu(g) + np.triu(g, 1).T
+    expect = h @ centered_gram(spec, x) @ h
+    assert np.all(g[0] == 0.0) and np.all(g[:, 0] == 0.0)
+    assert np.max(np.abs(g - expect)) <= 1e-14 * n * np.max(np.abs(expect))

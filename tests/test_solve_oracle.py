@@ -5,12 +5,13 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import dpstrf
+from scipy.linalg.lapack import dpstrf, dtpqrt
 
 import gsir.estimator
 from gsir.datasets import SyntheticModel, generate
-from gsir.estimator import evaluate_predictors, fit_gsir1, fit_gsir2, gsir_spectrum
-from gsir.kernels import KernelSpec, centered_gram, median_bandwidth
+from gsir.estimator import (_factor, evaluate_predictors, fit_gsir1, fit_gsir2,
+                            gsir_spectrum)
+from gsir.kernels import KernelSpec, centered_gram, median_bandwidth, reflected_gram
 from gsir.linalg import NumericalError
 from reference_solve import (align_sign, dense_centered_gram, reference_fit,
                              reference_qr_solve)
@@ -54,21 +55,6 @@ def test_solve_matches_dense_reference(n, family, q, variant):
     fit = FIT[variant](x, y, kernel, kernel, EPS, q)
     assert fit.warnings == ()
     assert_matches_reference(fit, x, y, q)
-
-
-@pytest.mark.parametrize("variant", ["gsir1", "gsir2"])
-def test_full_rank_factor_is_its_own_triangle(monkeypatch, variant):
-    # a laplace Gx keeps all r = n columns, so no row lies below the factor's
-    # triangle: there is no QR, Lx is the factor itself, and forming S from a
-    # copy of it must leave it intact
-    def no_qr(*args, **kwargs):
-        raise AssertionError("a QR ran")
-
-    monkeypatch.setattr(gsir.estimator, "dtpqrt", no_qr)
-    x, y = make_data(40, 1)
-    kx, ky = KernelSpec("laplace", 0.5), KernelSpec("gaussian", 0.5)
-    assert dpstrf(centered_gram(kx, x), lower=1, tol=-1)[2] == 40
-    assert_matches_reference(FIT[variant](x, y, kx, ky, EPS, 2), x, y, 2)
 
 
 @pytest.mark.parametrize("variant", ["gsir1", "gsir2"])
@@ -278,8 +264,9 @@ def assert_matches_qr_reference(x, y, x_new, kx, ky, d, variant):
 @pytest.mark.parametrize("d", [1, 3])
 @pytest.mark.parametrize("cell", ["gaussian", "laplace", "linear", "gaussian_x3"])
 def test_structured_qr_matches_householder_qr(cell, d, variant):
-    # gaussian and laplace Gx keep r = n columns (no QR); linear Gx has r = 3
-    # and x[:, :3] at n = 600 r = 376, so n - r rows lie below the triangle
+    # centered gaussian and laplace Gx keep r = n columns, their reflections
+    # r = n - 1, so one row lies below the triangle; linear Gx has r = 3 and
+    # x[:, :3] at n = 600 r = 376, so n - r rows lie below it
     x, y, x_new, kx = qr_reference_cell(cell)
     r = dpstrf(centered_gram(kx, x), lower=1, tol=-1)[2]
     assert (r == len(x)) == (cell in ("gaussian", "laplace"))
@@ -297,3 +284,45 @@ def test_structured_qr_completion_matches_householder_qr(cell, variant):
     assert fit.eigenvalues[0] > 0 and np.all(fit.eigenvalues[1:] == 0.0)
     assert_matches_qr_reference(x, y[:, :1], x_new, kx, KernelSpec("linear"), 3,
                                 variant)
+
+
+@pytest.mark.parametrize("cell", ["gaussian", "laplace"])
+def test_factor_rank_is_below_n_where_the_centered_gram_keeps_n(cell):
+    # dpstrf keeps all n columns of these centered Grams, singular as centering
+    # makes them; the zero first row and column of the reflected Gram, where
+    # the constant vector went, leave n - 1
+    x, _, _, kx = qr_reference_cell(cell)
+    n = len(x)
+    assert dpstrf(centered_gram(kx, x), lower=1, tol=-1)[2] == n
+    assert _factor(*reflected_gram(kx, x))[0].shape[1] == n - 1
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_spectrum_has_no_rounding_level_tail(seed):
+    # both laplace Grams keep all n columns when centered, and a solve on
+    # those factors ended its spectrum in one value near 1e-17 mu_1; on the
+    # reflected factors the last value is exactly 0 and the others are not
+    # rounding
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((30, 3))
+    y = np.column_stack([np.sin(x[:, 0]), x[:, 1]]) + 0.1 * rng.standard_normal((30, 2))
+    kernel = KernelSpec("laplace", 0.5)
+    for points in (x, y):
+        assert dpstrf(centered_gram(kernel, points), lower=1, tol=-1)[2] == 30
+    for variant in FIT:
+        mu = gsir_spectrum(x, y, kernel, kernel, EPS, variant)
+        assert mu[-1] == 0.0 and np.all(mu[:-1] > 1e-6 * mu[0])
+
+
+def test_every_fit_runs_the_qr_on_at_least_one_row(monkeypatch):
+    heights = []
+
+    def spy(l, nb, a, b, **kwargs):
+        heights.append(b.shape[0])
+        return dtpqrt(l, nb, a, b, **kwargs)
+
+    monkeypatch.setattr(gsir.estimator, "dtpqrt", spy)
+    for cell in ("gaussian", "laplace", "linear", "gaussian_x3"):
+        x, y, _, kx = qr_reference_cell(cell)
+        fit_gsir1(x, y, kx, KernelSpec("laplace", 0.5), EPS, 1)
+    assert len(heights) == 4 and min(heights) >= 1
