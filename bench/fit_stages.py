@@ -1,9 +1,9 @@
-"""Stage timings of the dense fit path or of the sequence-space oracle, for
-one checkout or two side by side.
+"""Stage timings of the dense fit path, of the sequence-space oracle, or of
+the five CLI subcommands, for one checkout or two side by side.
 
     python bench/fit_stages.py --out BENCH.json [--label NAME=SRC_DIR ...]
                                [--n 500 1000 2000 4000] [--repeats 3]
-                               [--suite fit|oracle]
+                               [--suite fit|oracle|cli]
 
 Each label names a `src` directory holding a `gsir` package (default: this
 checkout's `src` as "current").  Every (label, stage, n) cell runs in its own
@@ -33,22 +33,35 @@ as they are after the first replication of a `sim-rate` run:
   includes empirical_operators) and error_report, one call each;
 - replication: simulate_sample, estimate_regression_ops and error_report in
   a row, what `sim-rate` does per (n, rep).
+
+CLI suite (`--suite cli`; `--n` does not apply): the five README commands of
+`bench/digests.py` (theory, sim-rate, kernel-recovery, fit, then predict of
+the fitted model), each as a fresh interpreter that imports `gsir.cli` and
+calls `main`, so import cost counts as users pay it.  Each repeat runs every
+label once, labels alternating, and a row holds the medians over repeats of:
+import_cpu_s (`import gsir.cli`), run_cpu_s (`main`), cpu_s (their sum, with
+its quartiles), process_cpu_s (the whole interpreter, start-up included) and
+peak_rss_mb.
 """
 
 import argparse
 import json
 import os
 import resource
+import statistics
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
+from digests import COMMANDS, POINTS
+
 SUITES = {"fit": ("median_bandwidth", "centered_gram", "reflected_gram",
                   "fit_gsir1", "fit_gsir2", "fit_gsir1_laplace_y", "predict_20000"),
           "oracle": ("simulate_sample", "empirical_operators",
-                     "estimate_regression_ops", "error_report", "replication")}
+                     "estimate_regression_ops", "error_report", "replication"),
+          "cli": tuple(command for command, _, _ in COMMANDS)}
 ORACLE_J, ORACLE_Y = 200, 2
 PREDICT_ROWS = 20000
 SEED = 0
@@ -129,12 +142,96 @@ def run_cell(stage, n, repeats, model_path):
     return _measure(call, repeats)
 
 
+def _env(src):
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src))
+
+
 def _cell(src, stage, n, repeats, model_path):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src))
+    env = _env(src)
     cmd = [sys.executable, __file__, "--cell", stage, str(n), str(repeats),
            str(model_path)]
     out = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True)
     return json.loads(out.stdout.splitlines()[-1])
+
+
+# One CLI command in a fresh interpreter: CPU seconds of the import and of
+# main, then peak RSS, as the last stdout line.  It imports nothing before
+# gsir.cli that a `gsir` process would not.
+CLI_PROBE = """import time
+c0 = time.process_time()
+import gsir.cli
+c1 = time.process_time()
+code = gsir.cli.main({argv!r})
+c2 = time.process_time()
+import json, resource
+print(json.dumps([code, c1 - c0, c2 - c1,
+                  resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0]))
+"""
+
+
+def _children_cpu():
+    r = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return r.ru_utime + r.ru_stime
+
+
+def _cli_run(src, command, work):
+    """{import_cpu_s, run_cpu_s, process_cpu_s, peak_rss_mb} of one command."""
+    c0 = _children_cpu()
+    out = subprocess.run([sys.executable, "-c", CLI_PROBE.format(
+        argv=[command, "--config", command + ".json"])], cwd=work, env=_env(src),
+        check=True, capture_output=True, text=True)
+    code, import_s, run_s, rss = json.loads(out.stdout.splitlines()[-1])
+    if code != 0:
+        raise RuntimeError(f"gsir {command} exited {code}: {out.stderr}")
+    return {"import_cpu_s": import_s, "run_cpu_s": run_s,
+            "process_cpu_s": _children_cpu() - c0, "peak_rss_mb": rss}
+
+
+def cli_rows(labels, repeats):
+    """Median fresh-process costs of each README command, per label."""
+    runs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for rep in range(repeats):
+            for pair in labels:
+                name, src = pair.split("=", 1)
+                work = Path(tmp, name)
+                if rep == 0:
+                    work.mkdir()
+                    subprocess.run([sys.executable, "-c", POINTS], cwd=work,
+                                   env=_env(src), check=True)
+                for command, _, config in COMMANDS:
+                    (work / f"{command}.json").write_text(json.dumps(config))
+                    runs.setdefault((name, command), []).append(
+                        _cli_run(src, command, work))
+    rows = []
+    for (name, command), recs in runs.items():
+        cpu = [r["import_cpu_s"] + r["run_cpu_s"] for r in recs]
+        q1, _, q3 = statistics.quantiles(cpu, n=4) if len(cpu) > 1 else cpu * 3
+        row = {"commit": name, "stage": command, "cpu_s": round(statistics.median(cpu), 4),
+               "cpu_s_quartiles": [round(q1, 4), round(q3, 4)]}
+        for key in ("import_cpu_s", "run_cpu_s", "process_cpu_s", "peak_rss_mb"):
+            row[key] = round(statistics.median(r[key] for r in recs), 4)
+        rows.append(row)
+        print(json.dumps(row), flush=True)
+    return rows
+
+
+def stage_rows(labels, ns, repeats, suite):
+    """Best-of-repeats cost of each fit or oracle stage, per n and label."""
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for n in ns:
+            for pair in labels:
+                name, src = pair.split("=", 1)
+                model_path = Path(tmp) / f"{name}_{n}.json"
+                if suite == "fit":
+                    _cell(src, "save_model", n, 1, model_path)
+                for stage in SUITES[suite]:
+                    rec = _cell(src, stage, n, repeats, model_path)
+                    if rec:
+                        rows.append({"commit": name, "stage": stage, "n": n, **rec})
+                        print(json.dumps(rows[-1]), flush=True)
+    return rows
 
 
 def main(argv=None):
@@ -155,23 +252,15 @@ def main(argv=None):
     if not args.out:
         parser.error("--out is required")
     labels = args.label or [f"current={Path(__file__).resolve().parents[1] / 'src'}"]
-    rows = []
-    with tempfile.TemporaryDirectory() as tmp:
-        for n in args.n:
-            for pair in labels:
-                name, src = pair.split("=", 1)
-                model_path = Path(tmp) / f"{name}_{n}.json"
-                if args.suite == "fit":
-                    _cell(src, "save_model", n, 1, model_path)
-                for stage in SUITES[args.suite]:
-                    rec = _cell(src, stage, n, args.repeats, model_path)
-                    if rec:
-                        rows.append({"commit": name, "stage": stage, "n": n, **rec})
-                        print(json.dumps(rows[-1]), flush=True)
+    if args.suite == "cli":
+        rows = cli_rows(labels, args.repeats)
+    else:
+        rows = stage_rows(labels, args.n, args.repeats, args.suite)
     doc = {"harness": "bench/fit_stages.py", "suite": args.suite,
            "blas_threads": 1, "repeats": args.repeats, "cpu_count": os.cpu_count(),
            **({"predict_rows": PREDICT_ROWS} if args.suite == "fit" else
-              {"j_dim": ORACLE_J, "y_dim": ORACLE_Y}),
+              {"j_dim": ORACLE_J, "y_dim": ORACLE_Y} if args.suite == "oracle" else
+              {"configs": "bench/digests.py COMMANDS"}),
            "rows": rows}
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     return 0

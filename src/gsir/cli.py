@@ -16,7 +16,6 @@ import sys
 import numpy as np
 
 from .datasets import generate
-from .estimator import evaluate_predictors, fit_gsir1, fit_gsir2
 from .experiments import (check_dense_memory, load_config, resolve_kernel,
                           run_experiment)
 from .linalg import NumericalError
@@ -77,6 +76,7 @@ def read_points_csv(path, need_response):
 
 
 def _run_fit(config):
+    from .estimator import fit_gsir1, fit_gsir2
     if config.dataset is None:
         x, y = read_points_csv(config.data_csv, need_response=True)
     else:
@@ -94,6 +94,7 @@ def _run_fit(config):
 
 
 def _run_predict(config):
+    from .estimator import evaluate_predictors
     try:
         fit = load_fit(config.model_path)
     except (OSError, ValueError, RecursionError) as exc:
@@ -108,11 +109,9 @@ def _run_predict(config):
 
 def _run_mode(config, threads):
     report = run_experiment(config, threads=threads)
-    if config.output_path:
-        print(f"{config.mode}: {len(report.rows)} rows -> {config.output_path}")
-    else:
-        print(f"{config.mode}: {len(report.rows)} rows (no output_path; "
-              f"summary below)")
+    dest = (f"-> {config.output_path}" if config.output_path
+            else "(no output_path; summary below)")
+    print(f"{config.mode}: {len(report.rows)} rows {dest}")
     print(json.dumps(report.summary, indent=2, default=str))
 
 
@@ -138,6 +137,10 @@ def main(argv=None):
     if args.threads < 1:
         parser.error("--threads must be at least 1")
     try:
+        if args.command in ("kernel-recovery", "fit", "predict"):
+            # Only these load the fit stack: as one unit, kernels first, before
+            # any work (later, or estimator first, recovery peaked 7 MB higher).
+            from . import kernels, estimator  # noqa: F401
         config = load_config(args.config, args.command)
         if args.seed is not None and not hasattr(config, "base_seed"):
             raise ConfigError(f"{args.command} takes no seed")

@@ -8,7 +8,6 @@ the truth at any point set.
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.special import ndtr, ndtri
 
 from .modelio import csv_text
 
@@ -71,6 +70,7 @@ def generate(model, n, seed):
     inverse CDF so one seed fixes the draw exactly.  Y is the row sum of F
     plus sigma times standard-normal noise, shape (n, 1).
     """
+    from scipy.special import ndtr, ndtri
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     rng = np.random.default_rng(seed)

@@ -42,15 +42,14 @@ from scipy.linalg.lapack import (dlauum, dpotrf, dpstrf, dsyevd, dtpmqrt,
 from .kernels import (KernelSpec, centering_reflector, gram_matrix,
                       reflected_gram, _as_points)
 from .linalg import DEFAULT_CLAMP, NumericalError
-
-VARIANTS = ("gsir1", "gsir2")
+from .rates import VARIANTS
 
 # Eigenvalue gap below which the d-th predictor is not well separated from
 # the next direction and the fit carries an ambiguity warning.
 GAP_TOL = 1e-10
 
-# Rows per cross-Gram block in evaluate_predictors (memory _BLOCK x n).
-_BLOCK = 1024
+# Rows per reused cross-Gram block; a multiple of 8, as OpenBLAS groups rows.
+_BLOCK = 64
 
 # Block size of the triangular-pentagonal QR of Fx (dtpqrt's nb).
 _QR_BLOCK = 32
@@ -222,16 +221,10 @@ def _fit(x, y, kernel_x, kernel_y, epsilon, d, variant):
 def fit_gsir1(x, y, kernel_x, kernel_y, epsilon, d):
     """Fit d predictors with the fully inverted regression operator.
 
-    Parameters
-    ----------
-    x, y : array-like, shapes (n, p) and (n, q)
-        Training predictors and responses (1-d inputs are treated as columns).
-    kernel_x, kernel_y : KernelSpec
-    epsilon : float
-        Ridge shift added to the covariance operator before inversion.
-    d : int
-        Number of predictors to extract, at most the rank of the centered
-        Gram matrix of x.
+    x (n, p) and y (n, q) are the training predictors and responses (1-d
+    inputs are columns), kernel_x and kernel_y their KernelSpecs; epsilon is
+    the ridge shift added to the covariance operator before inversion; d is
+    at most the rank of the centered Gram matrix of x.
     """
     return _fit(x, y, kernel_x, kernel_y, epsilon, d, "gsir1")
 
@@ -266,9 +259,11 @@ def evaluate_predictors(fit, x_new):
                          f"training points have {fit.train_points.shape[1]}")
     # sum_i c_i (k(x, X_i) - mean_l k(x, X_l)) = sum_i (c_i - mean c) k(x, X_i)
     coef = fit.coefficients - fit.coefficients.mean(axis=0)
-    out = np.empty((x_new.shape[0], coef.shape[1]))
-    for s in range(0, x_new.shape[0], _BLOCK):
-        k_new = gram_matrix(fit.kernel_x, x_new[s:s + _BLOCK], fit.train_points)
+    out = np.empty((len(x_new), coef.shape[1]))
+    buf = np.empty((_BLOCK, len(coef)))
+    for s in range(0, len(x_new), _BLOCK):
+        block = x_new[s:s + _BLOCK]
+        k_new = gram_matrix(fit.kernel_x, block, fit.train_points, out=buf[:len(block)])
         pred = np.matmul(k_new, coef, out=out[s:s + _BLOCK])
         if not np.isfinite(pred).all():
             raise NumericalError("predictions are not finite: the cross-Gram overflows")

@@ -18,12 +18,10 @@ import numpy as np
 from dataclasses import MISSING, dataclass, field, fields
 
 from .datasets import SyntheticModel, generate
-from .estimator import VARIANTS, evaluate_predictors, fit_gsir1, fit_gsir2
-from .kernels import KernelSpec, median_bandwidth
 from .metrics import max_canonical_correlation, subspace_distance
 from .modelio import (ConfigError, _as_int, _as_kernel, _as_real, _as_text,
                       _one_of, _reject_unknown, _require, csv_text)
-from .rates import fit_loglog_slope, optimal_rate_theory, rate_bound_terms
+from .rates import VARIANTS, fit_loglog_slope, optimal_rate_theory, rate_bound_terms
 from .seqsim import (build_model, error_report, estimate_regression_ops,
                      simulate_sample, truncation_tail_fraction,
                      RESIDUAL_KINDS, S_KINDS)
@@ -446,6 +444,7 @@ def run_sim_rate(config, threads=1):
 def resolve_kernel(spec, points, name):
     """KernelSpec for the parsed (family, gamma) of config field `name`;
     'median' is set from points."""
+    from .kernels import KernelSpec, median_bandwidth
     family, gamma = spec
     if gamma != "median":
         return KernelSpec(family, gamma)
@@ -465,6 +464,7 @@ def run_kernel_recovery(config, threads=1):
     SeedSequence; fitted predictors are evaluated at the held-out test design
     and compared to the true predictor values there.
     """
+    from .estimator import evaluate_predictors, fit_gsir1, fit_gsir2
     dataset = config.dataset
     tasks = _tasks(config)
     check_dense_memory(max(config.n_grid), max(1, min(threads, len(tasks))))

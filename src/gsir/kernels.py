@@ -50,15 +50,15 @@ def _as_points(x, name="points"):
     return x
 
 
-def gram_matrix(spec, x, z=None):
-    """Gram matrix k(x_i, z_j); z defaults to x."""
+def gram_matrix(spec, x, z=None, out=None):
+    """Gram matrix k(x_i, z_j); z defaults to x.  Written into out if given."""
     x = _as_points(x)
     z = x if z is None else _as_points(z, "second point set")
     if x.shape[1] != z.shape[1]:
         raise ValueError(f"point dimensions differ: {x.shape[1]} vs {z.shape[1]}")
     if spec.family == "linear":
-        return x @ z.T
-    k = cdist(x, z, "sqeuclidean" if spec.family == "gaussian" else "cityblock")
+        return np.matmul(x, z.T, out=out)
+    k = cdist(x, z, "sqeuclidean" if spec.family == "gaussian" else "cityblock", out=out)
     k *= -spec.gamma
     return np.exp(k, out=k)
 

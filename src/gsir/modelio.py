@@ -14,8 +14,7 @@ import sys
 
 import numpy as np
 
-from .estimator import GsirFit, VARIANTS
-from .kernels import FAMILIES, KernelSpec
+from .rates import VARIANTS
 
 FORMAT_VERSION = 1
 
@@ -76,6 +75,7 @@ def _one_of(choices):
 
 def _as_kernel(doc, name):
     """(family, gamma) of a kernel section; gamma is 'median' when left out."""
+    from .kernels import FAMILIES
     if not isinstance(doc, dict):
         raise ConfigError(f"field {name!r} must be an object, got {doc!r}")
     _reject_unknown(doc, ("family", "gamma"), name)
@@ -157,6 +157,7 @@ def _finite_array(value, name, ndim):
 
 def fit_from_json(text):
     """Rebuild a GsirFit from its JSON form; ConfigError names a bad field."""
+    from .estimator import GsirFit, KernelSpec
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ConfigError("model document must be a JSON object")

@@ -10,7 +10,8 @@ the formulas switch branches at beta = (alpha - 1) / (2 alpha), continuously.
 import numpy as np
 from dataclasses import dataclass
 
-from .estimator import VARIANTS
+# The two regularized inverse-regression variants (`gsir.estimator`).
+VARIANTS = ("gsir1", "gsir2")
 
 
 @dataclass(frozen=True)

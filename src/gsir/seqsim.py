@@ -12,7 +12,6 @@ compared against them at any (n, epsilon).
 import numpy as np
 from dataclasses import dataclass
 from functools import cached_property
-from scipy.special import zeta
 
 from .linalg import (DEFAULT_CLAMP, NumericalError, inv_shift, inv_sqrt_shift,
                      operator_norm, symmetric_eigh)
@@ -277,6 +276,7 @@ def lemma_alpha_sum(lambdas, epsilon):
 
 def truncation_tail_fraction(alpha, j_dim):
     """Fraction of total spectrum mass sum j^-alpha lost beyond j_dim."""
+    from scipy.special import zeta
     if not alpha > 1:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
     return float(zeta(alpha, j_dim + 1) / zeta(alpha, 1))

@@ -447,7 +447,7 @@ def test_dense_path_beyond_physical_memory_is_config_error(tmp_path, capsys,
 
     monkeypatch.setattr(gsir.experiments, "_physical_memory", lambda: 10 ** 4)
     monkeypatch.setattr(gsir.kernels, "gram_matrix", no_gram)
-    monkeypatch.setattr(gsir.experiments, "median_bandwidth", no_gram)
+    monkeypatch.setattr(gsir.kernels, "median_bandwidth", no_gram)
     monkeypatch.setattr("gsir.cli.resolve_kernel", no_gram)
     doc = doc or fit_config_doc(tmp_path)
     config = write_json(tmp_path / "exp.json", doc)

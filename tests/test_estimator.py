@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from gsir.datasets import SyntheticModel, generate
 from gsir.estimator import (_BLOCK, evaluate_predictors, fit_gsir1, fit_gsir2,
                             gsir_spectrum)
-from gsir.kernels import KernelSpec, centered_gram, gram_matrix, median_bandwidth
+from gsir.kernels import (FAMILIES, KernelSpec, centered_gram, gram_matrix,
+                          median_bandwidth)
 from gsir.linalg import inv_shift, inv_sqrt_shift, spectral_apply, sqrt
 from gsir.seqsim import span_projection_error
 from reference_solve import align_sign, eval_kernel
@@ -237,12 +238,19 @@ def test_variant_spans_agree_for_low_rank_response():
 
 @pytest.mark.parametrize("d", [1, 3])
 def test_blocked_evaluation_is_bitwise_one_shot(d):
-    x, y = make_data(17, 40)
-    fit = fit_gsir1(x, y, GAUSS, GAUSS, 0.05, d)
-    x_new = np.random.default_rng(18).standard_normal((_BLOCK + 37, 2))
-    k = gram_matrix(GAUSS, x_new, x)
-    one_shot = k @ (fit.coefficients - fit.coefficients.mean(axis=0))
-    assert np.array_equal(evaluate_predictors(fit, x_new), one_shot)
+    # Two full blocks and a 37-row tail, which is not a multiple of 8, for
+    # every kernel family: the blocks reuse one buffer, and OpenBLAS gives
+    # their rows the bits of one whole-array product when the block's row
+    # count is a multiple of 8.
+    assert _BLOCK % 8 == 0
+    x, y = make_data(17, 40, p=4)
+    x_new = np.random.default_rng(18).standard_normal((2 * _BLOCK + 37, 4))
+    for family in FAMILIES:
+        spec = KernelSpec(family, 0.5)
+        fit = fit_gsir1(x, y, spec, GAUSS, 0.05, d)
+        k = gram_matrix(spec, x_new, x)
+        one_shot = k @ (fit.coefficients - fit.coefficients.mean(axis=0))
+        assert np.array_equal(evaluate_predictors(fit, x_new), one_shot), family
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,0 +1,85 @@
+"""Each subcommand loads only its own stack, checked in fresh interpreters.
+
+`import gsir.cli` loads no SciPy; theory runs on numpy alone; sim-rate adds
+`scipy.special` but none of the fit stack's SciPy (`scipy.linalg`,
+`scipy.sparse`, `scipy.spatial`); and the package's lazy re-exports still
+resolve every name the README imports from `gsir`.
+"""
+
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gsir
+
+README = Path(__file__).parents[1] / "README.md"
+FIT_STACK_SCIPY = ("scipy.linalg", "scipy.sparse", "scipy.spatial")
+
+
+def fresh(code, cwd):
+    """Run code in a fresh interpreter; return its last stdout line as JSON."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(gsir.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def scipy_after(cwd, argv=None):
+    """The scipy modules loaded after `import gsir.cli`, then main(argv)."""
+    run = "" if argv is None else f"assert gsir.cli.main({argv!r}) == 0; "
+    return fresh("import json, sys, gsir.cli; " + run +
+                 "print(json.dumps(sorted(m for m in sys.modules "
+                 "if m.split('.')[0] == 'scipy')))", cwd)
+
+
+def test_importing_the_cli_loads_no_scipy(tmp_path):
+    assert scipy_after(tmp_path) == []
+
+
+def test_theory_loads_no_scipy(tmp_path):
+    (tmp_path / "theory.json").write_text(json.dumps(
+        {"schema_version": 1, "mode": "theory_table", "grid": [[2, 1], [3, 0.2]],
+         "output_path": "theory.csv"}))
+    assert scipy_after(tmp_path, ["theory", "--config", "theory.json"]) == []
+    assert (tmp_path / "theory.csv").exists()
+
+
+def test_sim_rate_loads_scipy_special_but_no_fit_stack(tmp_path):
+    (tmp_path / "sim.json").write_text(json.dumps(
+        {"schema_version": 1, "mode": "sim_rate", "base_seed": 1,
+         "n_grid": [20, 40, 80], "replications": 1, "alpha": 2.0, "beta": 1.0,
+         "model": {"j_dim": 20, "y_dim": 2}, "output_path": "sim.csv"}))
+    loaded = scipy_after(tmp_path, ["sim-rate", "--config", "sim.json"])
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded if m.startswith(FIT_STACK_SCIPY)]
+    assert (tmp_path / "sim.csv").exists()
+
+
+def readme_names():
+    """Every name a README code block imports `from gsir`."""
+    names = []
+    for group in re.findall(r"^from gsir import (\([^)]*\)|.*)$",
+                            README.read_text(), flags=re.MULTILINE):
+        names += re.findall(r"\w+", group)
+    return names
+
+
+def test_every_readme_import_resolves(tmp_path):
+    names = readme_names()
+    assert "fit_gsir1" in names and "error_report" in names
+    code = (f"import json; from gsir import {', '.join(names)}; "
+            f"print(json.dumps([callable(v) for v in ({', '.join(names)},)]))")
+    assert fresh(code, tmp_path) == [True] * len(names)
+
+
+def test_unknown_package_attribute_is_an_attribute_error():
+    assert set(readme_names()) <= set(gsir.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gsir.no_such_name

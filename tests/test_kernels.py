@@ -179,6 +179,18 @@ def test_median_bandwidth_needs_two_points():
 
 
 @pytest.mark.parametrize("family", FAMILIES)
+def test_gram_matrix_fills_the_given_buffer(family):
+    rng = np.random.default_rng(3)
+    x, z = rng.standard_normal((9, 3)), rng.standard_normal((5, 3))
+    spec = KernelSpec(family, 0.7)
+    buf = np.full((12, 5), np.nan)
+    k = gram_matrix(spec, x, z, out=buf[:9])
+    assert np.shares_memory(k, buf) and k.shape == (9, 5)
+    assert np.array_equal(k, gram_matrix(spec, x, z))
+    assert np.isnan(buf[9:]).all()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])
 @pytest.mark.parametrize("n", [ROW_BLOCK - 5, ROW_BLOCK, 3 * ROW_BLOCK + 7])
 def test_centered_gram_is_bitwise_the_whole_array_expression(family, layout, n):
