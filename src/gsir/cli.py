@@ -11,12 +11,13 @@ import argparse
 import csv
 import dataclasses
 import json
+import re
 import sys
 
 import numpy as np
 
 from .datasets import generate
-from .experiments import (check_dense_memory, load_config, resolve_kernel,
+from .experiments import (_seed, check_dense_memory, load_config, resolve_kernel,
                           run_experiment)
 from .linalg import NumericalError
 from .modelio import ConfigError, csv_text, load_fit, save_fit
@@ -34,27 +35,24 @@ def _read_table(path):
 
 
 def _columns(header, prefix, path):
-    """Indices of prefix_1..prefix_k columns (or the bare name), in order."""
-    if prefix in header:
-        return [header.index(prefix)]
-    found = {}
-    for idx, name in enumerate(header):
-        if name.startswith(prefix + "_"):
-            try:
-                j = int(name[len(prefix) + 1:])
-            except ValueError:
-                continue
-            found[j] = idx
+    """Indices of the prefix columns, in order: a lone prefix, or prefix_1..
+    prefix_k in any order; each name once, never both forms.  The lone name
+    is column 0 in the message."""
+    cols = sorted((int(m[1] or 0), idx) for idx, m in enumerate(
+        re.fullmatch(rf"{prefix}(?:_(\d+))?", name) for name in header) if m)
+    found = [j for j, _ in cols]
     if not found:
         raise ConfigError(f"data file {path} has no {prefix} or {prefix}_1.. columns")
-    expected = list(range(1, len(found) + 1))
-    if sorted(found) != expected:
+    lone = [header[i] for _, i in cols] == [prefix]
+    if not lone and found != list(range(1, len(found) + 1)):
         raise ConfigError(f"data file {path} has non-contiguous {prefix}_* "
-                          f"columns: {sorted(found)}")
-    return [found[j] for j in expected]
+                          f"columns: {found}")
+    return [idx for _, idx in cols]
 
 
-def _parse_block(body, idxs, path):
+def _block(header, body, prefix, path):
+    """The finite float array of the prefix columns."""
+    idxs = _columns(header, prefix, path)
     try:
         block = np.array([[float(row[i]) for i in idxs] for row in body])
     except (ValueError, IndexError) as exc:
@@ -67,12 +65,8 @@ def _parse_block(body, idxs, path):
 def read_points_csv(path, need_response):
     """Read x_1..x_p (and y columns when fitting) from a CSV file."""
     header, body = _read_table(path)
-    x_idx = _columns(header, "x", path)
-    x = _parse_block(body, x_idx, path)
-    if not need_response:
-        return x, None
-    y_idx = _columns(header, "y", path)
-    return x, _parse_block(body, y_idx, path)
+    x = _block(header, body, "x", path)
+    return x, _block(header, body, "y", path) if need_response else None
 
 
 def _run_fit(config):
@@ -144,9 +138,8 @@ def main(argv=None):
         config = load_config(args.config, args.command)
         if args.seed is not None and not hasattr(config, "base_seed"):
             raise ConfigError(f"{args.command} takes no seed")
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        overrides = {"base_seed": args.seed, "output_path": args.out or None}
+        seed = None if args.seed is None else _seed(args.seed, "--seed")
+        overrides = {"base_seed": seed, "output_path": args.out or None}
         config = dataclasses.replace(
             config, **{key: v for key, v in overrides.items() if v is not None})
         if args.command in ("fit", "predict") and not config.output_path:

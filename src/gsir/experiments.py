@@ -36,53 +36,50 @@ R2_MIN = 0.95      # minimum r^2 for a trustworthy slope
 # config parsing: the converters of `modelio` and the config-only ones below
 # --------------------------------------------------------------------------
 
-def _above_one(value, name):
-    value = _as_real(value, name)
-    if not value > 1:
-        raise ConfigError(f"field {name!r} must exceed 1, got {value}")
-    return value
+def _between(lo, hi=float("inf")):
+    """Converter of a number in the open interval (lo, hi)."""
+    def convert(value, name):
+        value = _as_real(value, name)
+        if not lo < value < hi:
+            raise ConfigError(f"field {name!r} must lie in ({lo}, {hi}), got {value}")
+        return value
+    return convert
 
 
+_above_one = _between(1)
 _count = partial(_as_int, minimum=1)
 _seed = partial(_as_int, minimum=0)
 _positive = partial(_as_real, positive=True)
 
 
-def _as_n_grid(value, name):
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"field 'n_grid' must be a nonempty list, got {value!r}")
-    grid = tuple(_as_int(v, "n_grid entry", minimum=10) for v in value)
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError(f"field 'n_grid' must be strictly increasing, got {list(grid)}")
-    return grid
+def _alpha_beta(value, name):
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"field {name!r} must be an [alpha, beta] pair, got {value!r}")
+    return _above_one(value[0], f"{name} alpha"), _positive(value[1], f"{name} beta")
+
+
+def _as_list(convert, increasing=False):
+    """Converter of a nonempty JSON list to the tuple of its converted entries."""
+    def read(value, name):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"field {name!r} must be a nonempty list, got {value!r}")
+        out = tuple(convert(v, f"{name} entry") for v in value)
+        if increasing and any(b <= a for a, b in zip(out, out[1:])):
+            raise ConfigError(f"field {name!r} must be strictly increasing, "
+                              f"got {list(out)}")
+        return out
+    return read
+
+
+_as_n_grid = _as_list(partial(_as_int, minimum=10), increasing=True)
 
 
 def _as_deltas(value, name):
+    """(): the theoretical optimum; a bare number is a one-entry list."""
     if value == "optimal":
         return ()
-    out = []
-    for v in value if isinstance(value, list) else [value]:
-        v = _as_real(v, "delta")
-        if not 0 < v < 1:
-            raise ConfigError(f"field 'delta' values must lie in (0, 1), got {v}")
-        out.append(v)
-    if not out:
-        raise ConfigError("field 'delta' must not be an empty list")
-    return tuple(out)
-
-
-def _as_grid(value, name):
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"field 'grid' must be a nonempty list of [alpha, beta] "
-                          f"pairs, got {value!r}")
-    grid = []
-    for item in value:
-        if not isinstance(item, list) or len(item) != 2:
-            raise ConfigError(f"each 'grid' entry must be an [alpha, beta] pair, "
-                              f"got {item!r}")
-        grid.append((_above_one(item[0], "grid alpha"),
-                     _as_real(item[1], "grid beta", positive=True)))
-    return tuple(grid)
+    return _as_list(_between(0, 1), increasing=True)(
+        value if isinstance(value, list) else [value], name)
 
 
 def _as_dataset(ds, name, sized=False):
@@ -201,7 +198,7 @@ class RecoveryConfig:
 
 @dataclass(frozen=True)
 class TheoryConfig:
-    grid: tuple = _field(_as_grid)     # ((alpha, beta), ...)
+    grid: tuple = _field(_as_list(_alpha_beta))  # ((alpha, beta), ...)
     n_ref: int = _field(partial(_as_int, minimum=2), 10000)
     epsilon_constant: float = _field(_positive, 1.0)
     output_path: str = _field(_as_text, "")
@@ -332,9 +329,15 @@ def _tasks(config):
     return [(n, rep) for n in config.n_grid for rep in range(config.replications)]
 
 
+def _workers(threads, tasks):
+    """Worker threads for tasks: at most one per task and one per CPU."""
+    return min(threads, len(tasks), os.cpu_count() or 1)
+
+
 def _run_tasks(fn, tasks, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = _workers(threads, tasks)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]
 
@@ -404,7 +407,6 @@ def run_sim_rate(config, threads=1):
         return out
 
     rows = [row for chunk in _run_tasks(one, _tasks(config), threads) for row in chunk]
-    rows.sort(key=lambda r: (r.n, r.rep, r.delta))
 
     summary = {
         "alpha": config.alpha,
@@ -465,15 +467,14 @@ def run_kernel_recovery(config, threads=1):
     and compared to the true predictor values there.
     """
     from .estimator import evaluate_predictors, fit_gsir1, fit_gsir2
-    dataset = config.dataset
     tasks = _tasks(config)
-    check_dense_memory(max(config.n_grid), max(1, min(threads, len(tasks))))
+    check_dense_memory(max(config.n_grid), _workers(threads, tasks))
 
     def one(task):
         n, rep = task
         train_seed, test_seed = derive_seed(config.base_seed, n, rep).spawn(2)
-        x, y, _ = generate(dataset, n, train_seed)
-        x_test, _, f_test = generate(dataset, config.n_test, test_seed)
+        x, y, _ = generate(config.dataset, n, train_seed)
+        x_test, _, f_test = generate(config.dataset, config.n_test, test_seed)
         kx = resolve_kernel(config.kernel_x, x, "kernel_x")
         ky = resolve_kernel(config.kernel_y, y, "kernel_y")
         out = []

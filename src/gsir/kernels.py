@@ -15,9 +15,6 @@ from scipy.spatial.distance import cdist, pdist
 
 FAMILIES = ("gaussian", "laplace", "linear")
 
-# Rows per block of centring: one block x n temporary.
-ROW_BLOCK = 32
-
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -65,28 +62,21 @@ def gram_matrix(spec, x, z=None, out=None):
 
 @np.errstate(over="ignore", invalid="ignore")
 def centered_gram(spec, x):
-    """Q K Q in O(n^2) and in K's memory: (g + g^T) / 2, g = K less its row
-    means r and column means c plus its grand mean m.  K is bitwise symmetric,
-    so a block of rows alone gives ((k_ij - r_i - c_j + m) + (k_ij - r_j - c_i
-    + m)) / 2, exactly symmetric.  An overflow leaves non-finite entries, for
-    the factorization to reject."""
+    """Q K Q in K's memory, the reference centring (fits use `reflected_gram`):
+    (g + g^T) / 2, g = K less its row and column means plus its grand mean,
+    symmetrized one row and column at a time.  An overflow leaves non-finite
+    entries, for the factorization to reject."""
     x = _as_points(x)
     n = x.shape[0]
     if n < 2:
         raise ValueError(f"centering needs at least 2 points, got {n}")
     k = gram_matrix(spec, x)
     r, c, m = k.mean(axis=1), k.mean(axis=0), k.mean()
-    t = np.empty((ROW_BLOCK, n))
-    for s in range(0, n, ROW_BLOCK):
-        rows = k[s:s + ROW_BLOCK]
-        g = np.subtract(rows, r[s:s + ROW_BLOCK, None], out=t[:len(rows)])  # g_ij
-        g -= c
-        g += m
-        rows -= r                               # g_ji
-        rows -= c[s:s + ROW_BLOCK, None]
-        rows += m
-        np.add(g, rows, out=rows)
-        rows /= 2.0
+    k -= r[:, None]
+    k -= c
+    k += m
+    for i in range(n):
+        k[i, i:] = k[i:, i] = (k[i, i:] + k[i:, i]) / 2.0
     return k
 
 

@@ -749,3 +749,51 @@ def test_malformed_data_csv_is_config_error(tmp_path, capsys, name, lines,
     config = write_json(tmp_path / "fit.json", doc)
     assert fragment in assert_config_error(capsys, ["fit", "--config", config])
     assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("delta", [[0.3, 0.3], [0.4, 0.2]])
+def test_sim_rate_refuses_a_delta_list_that_does_not_increase(tmp_path, capsys,
+                                                              monkeypatch, delta):
+    # refused as the config is parsed: a repeated delta would write each row twice
+    drawn = []
+    monkeypatch.setattr("gsir.experiments.simulate_sample",
+                        lambda *args, **kwargs: drawn.append(args))
+    out = tmp_path / "sim.csv"
+    config = write_json(tmp_path / "sim.json",
+                        with_fields(SIM_DOC, delta=delta, output_path=str(out)))
+    err = assert_config_error(capsys, ["sim-rate", "--config", config])
+    assert "'delta'" in err and "strictly increasing" in err
+    assert not drawn and not out.exists()
+
+
+@pytest.mark.parametrize("header", [["x_1", "x_1", "y"], ["x_1", "y", "y_1"],
+                                    ["x", "x_1", "y"]])
+def test_fit_refuses_a_data_column_named_twice(tmp_path, capsys, header):
+    rows = [[0.1 * i, 0.3 * i * i, np.sin(i)] for i in range(12)]
+    doc = fit_config_doc(tmp_path, data_csv=write_points(tmp_path / "train.csv",
+                                                         header, rows))
+    del doc["dataset"]
+    config = write_json(tmp_path / "fit.json", doc)
+    assert "non-contiguous" in assert_config_error(capsys, ["fit", "--config", config])
+    assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("header", [["x_1", "x_1"], ["x", "x_1"]])
+def test_predict_refuses_a_data_column_named_twice(tmp_path, capsys, header):
+    # a one-predictor model, so that reading either column alone would succeed
+    config = write_json(tmp_path / "fit.json", fit_config_doc(
+        tmp_path, dataset={"model": "m1_ratio", "p": 1, "sigma_noise": 0.1, "n": 40}))
+    assert main(["fit", "--config", config]) == 0
+    data = write_points(tmp_path / "new.csv", header, [[0.1, 0.2], [0.3, 0.4]])
+    err = assert_config_error(capsys, ["predict", "--config",
+                                       predict_config(tmp_path, data)])
+    assert "non-contiguous x_* columns" in err
+    assert not (tmp_path / "pred.csv").exists()
+
+
+def test_data_columns_are_read_in_index_order(tmp_path):
+    from gsir.cli import read_points_csv
+    data = write_points(tmp_path / "d.csv", ["x_2", "y", "x_1"],
+                        [[2.0, 0.5, 1.0], [4.0, 0.7, 3.0]])
+    x, y = read_points_csv(data, need_response=True)
+    assert x.tolist() == [[1.0, 2.0], [3.0, 4.0]] and y.tolist() == [[0.5], [0.7]]

@@ -346,3 +346,59 @@ def test_readme_configs_are_the_digest_inputs():
     assert readme == [oracle[command] for command in commands]
     for doc, command in zip(readme, commands):
         assert dataclasses.is_dataclass(parse_config(doc, command))
+
+
+def record_pools(monkeypatch, cpus):
+    """Pretend the machine has cpus CPUs; the max_workers of every thread pool
+    asked for are recorded, and the pool runs its tasks serially."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr("gsir.experiments.ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr("gsir.experiments.os.cpu_count", lambda: cpus)
+    return sizes
+
+
+@pytest.mark.parametrize("cpus,workers", [(3, [3]), (8, [4]), (1, []), (None, [])])
+def test_sim_rate_threads_are_capped_by_tasks_and_cpus(monkeypatch, cpus, workers):
+    config = parse_config(sim_doc(), "sim-rate")      # 2 n x 2 replications
+    serial = sim_rate_csv(run_sim_rate(config, threads=1))
+    sizes = record_pools(monkeypatch, cpus)
+    assert sim_rate_csv(run_sim_rate(config, threads=10 ** 6)) == serial
+    assert sizes == workers
+
+
+def test_kernel_recovery_sizes_its_memory_check_by_the_workers(monkeypatch):
+    checked = []
+    monkeypatch.setattr("gsir.experiments.check_dense_memory",
+                        lambda n, fits=1: checked.append((n, fits)))
+    sizes = record_pools(monkeypatch, 3)
+    run_kernel_recovery(parse_config(RECOVERY_DOC, "kernel-recovery"), threads=10 ** 6)
+    assert sizes == [3] and checked == [(60, 3)]
+
+
+@pytest.mark.parametrize("field,value", [("delta", [0.3, 0.3]), ("delta", [0.4, 0.2]),
+                                         ("delta", []), ("n_grid", [40, 40])])
+def test_config_lists_must_strictly_increase(field, value):
+    with pytest.raises(ConfigError, match=f"field '{field}' must be"):
+        parse_config(sim_doc(**{field: value}), "sim-rate")
+
+
+def test_theory_grid_is_a_list_of_pairs():
+    for grid, fragment in (([], "nonempty list"), ([[2.0]], r"\[alpha, beta\] pair"),
+                           ([[2.0, 0.0]], "grid entry beta")):
+        with pytest.raises(ConfigError, match=fragment):
+            parse_config({**THEORY_DOC, "grid": grid}, "theory")
+    assert parse_config({**THEORY_DOC, "grid": [[2, 1]]}, "theory").grid == ((2.0, 1.0),)

@@ -6,6 +6,7 @@
 resolve every name the README imports from `gsir`.
 """
 
+import importlib.util
 import json
 import os
 import re
@@ -83,3 +84,15 @@ def test_unknown_package_attribute_is_an_attribute_error():
     assert set(readme_names()) <= set(gsir.__all__)
     with pytest.raises(AttributeError, match="no_such_name"):
         gsir.no_such_name
+
+
+def test_every_traced_function_resolves():
+    # perfbench's tracer wraps these (module, function) pairs by name; a
+    # renamed or deleted function fails here rather than in a traced run
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert len(tracing.TRACED) == 24 and set(tracing.COMPUTED) <= set(tracing.TRACED)
+    for module, name in tracing.TRACED:
+        assert callable(getattr(importlib.import_module(module), name)), (module, name)
