@@ -66,11 +66,11 @@ DIGESTS = {
     "theory stdout": "161e8bead8a950c9df1c8491adc2826d0e8d09e367720191f7beb31455fd8923",
     "sim.csv": "6d157c031b159358ea5707c803e87277c4537ea3677dc843ccfb1f9baeea1284",
     "sim-rate stdout": "bf4dbfe1fca25d6c3e60312de3424da2b2395dda98e4ce0e77c8efeb843d9c36",
-    "recovery.csv": "5f1008910d5caf55b3ff1a79fe7eb116c67d6e801ec59126f9560b98e4934d3c",
-    "kernel-recovery stdout": "c004c3aeee6f1d489ac446fd7ad981ec9e787c2b319dead02ad80abbb0498fa9",
-    "model.json": "3eaa5725255fa7b49a208294aa0e9680fe611b3a041ee099adc132dc8b581003",
+    "recovery.csv": "fd6c0abf47513e362d4633c0068ac849dc60cc150341df1fc1e2cc7693a6f57d",
+    "kernel-recovery stdout": "ef8c14248c7c37d73076764f778a66be4c854ffa60a470f5294da4e129befea6",
+    "model.json": "e9e01fb2c2757e9136a9cb0b265e2d9c267ed42446f2960fb46e9728f6ccf627",
     "fit stdout": "46200fd20bec3c6ec089a832e6b1c8a26a4471b7b94aeb4225bfc5b8b3451b86",
-    "pred.csv": "56275ebe19115820ab4bb1676eebf5a060443c89a6f7fa6a28531626fba632bc",
+    "pred.csv": "facc06f13cf7305c9b9caaa2bacd379408d6d94c3458a4a471ab9c842b14b1a1",
     "predict stdout": "90527239b7e54a56fe21ad7c2bf41f9e6c372943598f96c0bfd978a79bbec9ae",
 }
 

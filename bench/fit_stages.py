@@ -24,6 +24,9 @@ gaussian kernels, eps=1e-3, d=1 (the benchmark's fit_predict settings):
 - predict_20000:   `evaluate_predictors` of a saved gsir1 model on 20 000
   held-out rows (the model is fitted by an earlier, untimed process).
 
+Each fit row also records r and r_y, the ranks of the pivoted-Cholesky
+factors of Gx and Gy, read from `estimator._factor`'s output.
+
 Oracle stages (`--suite oracle`), on the README sim model (J=200, y_dim=2,
 alpha=2, beta=1, identity S) at eps = n^(-2/7), the optimal schedule.  Each
 cell first runs one untimed replication, so per-model constants are in place
@@ -107,7 +110,7 @@ def run_cell(stage, n, repeats, model_path):
     """Time one stage in this process and return its record."""
     if stage in SUITES["oracle"]:
         return _measure(_oracle_call(stage, n), repeats)
-    from gsir import kernels
+    from gsir import estimator, kernels
     from gsir.datasets import SyntheticModel, generate
     from gsir.estimator import evaluate_predictors, fit_gsir1, fit_gsir2
     from gsir.kernels import KernelSpec, centered_gram, median_bandwidth
@@ -139,7 +142,16 @@ def run_cell(stage, n, repeats, model_path):
         fit = load_fit(model_path)
         x_new, _, _ = generate(design, PREDICT_ROWS, SEED + 1)
         call = lambda: evaluate_predictors(fit, x_new)
-    return _measure(call, repeats)
+    ranks, factor = [], estimator._factor
+
+    def spy(*args):      # Gy is factored first, then Gx
+        c, piv = factor(*args)
+        ranks.append(c.shape[1])
+        return c, piv
+
+    estimator._factor = spy
+    rec = _measure(call, repeats)
+    return {**rec, "r": ranks[1], "r_y": ranks[0]} if ranks else rec
 
 
 def _env(src):

@@ -14,28 +14,31 @@ Householder reflector H with H 1 = -sqrt(n) e_1, where the GSIR objective is
 the same (H is orthogonal): H Gx H and H Gy H are H K H with their first row
 and column zeroed (`kernels.reflected_gram`), so the constant vector that
 centering removes is an exact zero, and the coefficients and Gx c map back
-by one H, O(n d).  Pivoted Cholesky (LAPACK dpstrf, stopping at n * ulp *
-max diagonal) factors H Gx H ~ Fx Fx^T (n x r) and H Gy H ~ F F^T
-(n x r_y), with r, r_y <= n - 1.  The solve lives on the range of Fx, the
-numerical range of Gx, so every eigenvalue mu beyond r is exactly 0.  Fx is
-lower trapezoidal: an r x r triangle above n - r >= 1 dense rows.  Reversing
-the order of the triangle's rows and of the columns turns it upper, and a
-triangular-pentagonal QR (LAPACK dtpqrt, O((n - r) r^2)) eliminates only
-the n - r rows below it; reversing back gives Fx = Qx Lx with Lx lower
-triangular, packed into Gx's own buffer.  With G = Qx^T F, E = Lx^T G / n
-and S = Lx^T Lx / n + eps I = L L^T (dlauum), the mu are the eigenvalues of
-the r_y x r_y matrix B^T B, B = S^-1 E (variant 1) or L^-1 E (variant 2).
-An eigenvector q gives p = B q / sqrt(mu), h = S^-1 E q / sqrt(mu) and
-c = Qx Lx^-T h, which is T^-1 P F q / (n sqrt(mu)) with P the projection
-onto the range of Fx.  Dividing by |p| gives c' Gx c = 1 (variant 1) or
-c' Gx T c = 1 (variant 2).  The triangular solve keeps its accuracy for any
-eps; the Woodbury form (G q / sqrt(mu) - Lx h) / (eps n) of the same c
-cancels digits as eps / |Gx / n| approaches rounding.
+by one H, O(n d).  Pivoted Cholesky (LAPACK dpstrf) factors H Gx H ~ Fx Fx^T
+(n x r) and H Gy H ~ F F^T (n x r_y), with r, r_y <= n - 1, and stops once
+every residual diagonal entry is at most _STOP_TAU * eps (or rounding, if
+that is larger): only the eigenvalues of Gx/n above about eps shape T^-1,
+and T moves by at most _STOP_TAU * eps (see `_factor`).  The solve lives on
+the range of Fx, so every eigenvalue mu beyond r is exactly 0.  Fx is lower
+trapezoidal: an r x r triangle above n - r >= 1 dense rows.  A copy of the
+triangle with the order of its rows and of its columns reversed is upper,
+and a triangular-pentagonal QR (LAPACK dtpqrt, O((n - r) r^2)) eliminates
+only the n - r rows below it; reversing back gives Fx = Qx Lx with Lx lower
+triangular.  With G = Qx^T F, E = Lx^T G / n and S = Lx^T Lx / n + eps I =
+L L^T (dlauum), the mu are the nonzero eigenvalues of B B^T (r x r) or of
+B^T B (r_y x r_y), whichever is smaller, with B = S^-1 E (variant 1) or
+L^-1 E (variant 2).  A unit eigenvector p of B B^T (for one q of B^T B,
+p = B q / sqrt(mu)) gives h = p (variant 1) or L^-T p (variant 2), which is
+S^-1 E q / sqrt(mu), and c = Qx Lx^-T h, which is T^-1 P F q / (n sqrt(mu))
+with P the projection onto the range of Fx.  Dividing by |p| gives
+c' Gx c = 1 (variant 1) or c' Gx T c = 1 (variant 2).  The triangular solve
+keeps its accuracy for any eps; the Woodbury form (G q / sqrt(mu) - Lx h) /
+(eps n) of the same c cancels digits as eps / |Gx / n| approaches rounding.
 """
 
 import numpy as np
 from dataclasses import dataclass, field
-from scipy.linalg.blas import dswap, dsyrk, dtrmm, dtrsm
+from scipy.linalg.blas import dsyrk, dtrmm, dtrsm
 from scipy.linalg.lapack import (dlauum, dpotrf, dpstrf, dsyevd, dtpmqrt,
                                  dtpqrt)
 
@@ -56,6 +59,12 @@ _QR_BLOCK = 32
 
 # LAPACK's unit roundoff, dlamch('E'), which dpstrf's stop is scaled by.
 _ULP = np.finfo(float).eps / 2
+
+# The pivoted Choleskys stop once the residual diagonal is at most this
+# fraction of eps (see `_factor`): T = Gx / n + eps I then moves by at most
+# _STOP_TAU * eps, and only the eigenvalues of Gx / n above about eps shape
+# T^-1.
+_STOP_TAU = 1e-4
 
 
 @dataclass(frozen=True)
@@ -93,46 +102,40 @@ def _check_inputs(x, y, epsilon, d):
     return x, y
 
 
-def _factor(g, top):
+def _factor(g, top, epsilon):
     """(c, piv) with g[piv][:, piv] ~ c c^T, c n x r lower trapezoidal; g is
     factored from the lower triangle of g.T, in its own memory (g.T is
-    Fortran ordered), so c is Fortran ordered too.  dpstrf stops at n * ulp
-    times its first pivot, but LAPACK applies that stop only from the second
-    pivot on; a first pivot at or below n * ulp * top, with top the largest
-    diagonal entry of the uncentered K, is rounding and gives r = 0.  A
-    reflected Gram has a zero first row and column, so r <= n - 1."""
+    Fortran ordered), so c is Fortran ordered too.  dpstrf stops once the
+    largest residual diagonal entry is at most tol = max(_STOP_TAU * eps,
+    n * ulp * top), with top the largest diagonal entry of the uncentered K.
+    The residual g - c c^T is a Schur complement, positive semidefinite, so
+    its norm over n is at most tol: T = Gx / n + eps I moves by at most tol,
+    and T^-1 by at most tol / eps relative, _STOP_TAU unless rounding is
+    larger.  LAPACK applies tol only from the second pivot on; a first pivot
+    at or below tol gives r = 0.  A reflected Gram has a zero first row and
+    column, so r <= n - 1."""
     if not np.all(np.isfinite(g)):
         raise NumericalError("centered Gram matrix contains non-finite entries")
     n = g.shape[0]
-    c, piv, r, _ = dpstrf(g.T, lower=1, tol=-1, overwrite_a=1)
-    if r and c[0, 0] ** 2 <= n * _ULP * top:
+    tol = max(_STOP_TAU * epsilon, n * _ULP * top)
+    c, piv, r, _ = dpstrf(g.T, lower=1, tol=tol, overwrite_a=1)
+    if r and c[0, 0] ** 2 <= tol:
         r = 0
     for j in range(1, r):
         c[:j, j] = 0.0
     return c[:, :r], piv - 1
 
 
-def _rotate(a):
-    """Reverse the order of a's rows and of its columns, in place: for a
-    contiguous square a that reverses its memory, one dswap of its two
-    halves, the second read backwards."""
-    flat = a.reshape(-1, order="F")
-    h = flat.size // 2
-    if h:
-        dswap(flat[:h], flat[flat.size - h:], incy=-1)
-
-
 def _solve(x, y, kernel_x, kernel_y, epsilon, variant, d=None):
     """The eigenproblem on the range of Fx, of rank r.  With d None: the n
     eigenvalues mu, descending, 0 beyond r.  Else (coefficients, mu[:d],
     warnings) of the top d predictors; a d above r is refused before the QR.
-    Gy is factored first, so only its factor is alive beside Gx, and Lx is
-    packed into Gx's buffer."""
+    Gy is factored first, so only its factor is alive beside Gx."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    f, piv_y = _factor(*reflected_gram(kernel_y, y))
+    f, piv_y = _factor(*reflected_gram(kernel_y, y), epsilon)
     f = f.copy(order="F")      # frees Gy's n x n
-    fx, piv = _factor(*reflected_gram(kernel_x, x))
+    fx, piv = _factor(*reflected_gram(kernel_x, x), epsilon)
     n, r = fx.shape
     if d is not None and d > r:
         raise NumericalError(f"d={d} exceeds the numerical rank {r} of the "
@@ -143,19 +146,10 @@ def _solve(x, y, kernel_x, kernel_y, epsilon, variant, d=None):
     # the triangle on top is upper, and Q eliminates the n - r >= 1 rows below
     rows = np.concatenate([piv[r - 1::-1], piv[r:]])
     below = fx[r:, ::-1].copy(order="F")
-    flat = fx.reshape(-1, order="F")     # Fx's columns, contiguous in Gx's buffer
-    for j in range(1, r):                # pack the triangle to leading dimension r
-        flat[j * r:(j + 1) * r] = flat[j * n:j * n + r]
-    lx = flat[:r * r].reshape((r, r), order="F")
-    del fx, flat
-    _rotate(lx)
+    lx = fx[r - 1::-1, ::-1].copy(order="F")
+    del fx                               # frees Gx's n x n
     lx, v, t, _ = dtpqrt(0, min(r, _QR_BLOCK), lx, below, overwrite_a=1, overwrite_b=1)
-    _rotate(lx)                          # Lx, 0 above the diagonal
-    # Lx stays in Gx's buffer: an r x r copy beside it raised the kernel-
-    # recovery benchmark's peak RSS by 7 MB at r near n.  At r <= 0.9 n the
-    # buffer is 1.23 times Lx or more, and a copy frees it.
-    if 10 * r <= 9 * n:
-        lx = lx.copy(order="F")
+    lx = lx[::-1, ::-1].copy(order="F")  # Lx, 0 above the diagonal
     # F with rows in that order (one zero column if Gy = 0), then G = Qx^T F
     f = f.T[:, np.argsort(piv_y)[rows]].T if f.shape[1] else np.zeros((n, 1))
     g = dtpmqrt(0, v, t, f[:r], f[r:], trans="T")[0][::-1]
@@ -167,14 +161,16 @@ def _solve(x, y, kernel_x, kernel_y, epsilon, variant, d=None):
     if info:
         raise NumericalError(f"Cholesky factorization of S failed (info={info})")
     b = dtrsm(1.0, l, dtrmm(1.0 / n, lx, g, lower=1, trans_a=1), lower=1, overwrite_b=1)
+    del g
     if variant == "gsir1":     # S^-1 E = L^-T L^-1 E
         b = dtrsm(1.0, l, b, lower=1, trans_a=1, overwrite_b=1)
-    bb = dsyrk(1.0, b, trans=1, lower=1)
-    del b
-    mu, q, info = dsyevd(bb, lower=1, overwrite_a=1)
+    # The nonzero mu are the eigenvalues of the smaller of B B^T and B^T B
+    wide = b.shape[1] > r
+    mu, q, info = dsyevd(dsyrk(1.0, b, trans=int(not wide), lower=1), lower=1,
+                         overwrite_a=1)
     if info:
-        raise NumericalError(f"eigendecomposition of B^T B failed (info={info})")
-    mu = np.maximum(mu[::-1][:r], 0.0)   # B (r x r_y) has rank at most r
+        raise NumericalError(f"eigendecomposition of the objective failed (info={info})")
+    mu = np.maximum(mu[::-1], 0.0)       # B has rank at most min(r, r_y)
     mu, q = np.concatenate([mu, np.zeros(n - len(mu))]), q[:, ::-1]
     if d is None:
         return mu
@@ -184,18 +180,18 @@ def _solve(x, y, kernel_x, kernel_y, epsilon, variant, d=None):
                         f"{mu[d - 1] - mu[d]:.3e} is below {GAP_TOL:.0e}; "
                         f"the d-th predictor is not uniquely determined")
     k = min(d, int(np.count_nonzero(mu > DEFAULT_CLAMP * mu[0])))
-    # h = S^-1 E q / sqrt(mu); p = B q / sqrt(mu) is h (variant 1) or L^T h
-    e = dtrmm(1.0 / n, lx, g @ (q[:, :k] / np.sqrt(mu[:k])), lower=1, trans_a=1)
-    h = dtrsm(1.0, l, dtrsm(1.0, l, e, lower=1), lower=1, trans_a=1)
-    p = h if variant == "gsir1" else dtrmm(1.0, l, h, lower=1, trans_a=1)
+    # p: unit eigenvectors of B B^T, which are B q / sqrt(mu) for those of
+    # B^T B; h = S^-1 E q / sqrt(mu) is p (variant 1) or L^-T p
+    p = q[:, :k] if wide else b @ (q[:, :k] / np.sqrt(mu[:k]))
+    del b
     if k < d:
         # mu = 0 here: complete p orthonormally with the images of c in the
-        # span of Fx's leading (pivot) columns, Lx^T Lx e_j, mapped back to h
+        # span of Fx's leading (pivot) columns, Lx^T Lx e_j
         img = dtrmm(1.0, lx, lx[:, :d], lower=1, trans_a=1)
         img = img if variant == "gsir1" else dtrmm(1.0, l, img, lower=1, trans_a=1)
         fill = np.linalg.qr(np.column_stack([p, img]))[0][:, k:d]
-        hf = fill if variant == "gsir1" else dtrsm(1.0, l, fill, lower=1, trans_a=1)
-        h, p = np.column_stack([h, hf]), np.column_stack([p, fill])
+        p = np.column_stack([p, fill])
+    h = p if variant == "gsir1" else dtrsm(1.0, l, p, lower=1, trans_a=1)
     norm = np.tile(np.linalg.norm(p, axis=0), 2)
     # [c, Gx c] = Qx [Lx^-T h, Lx h], its first r rows in the QR's order
     out = np.column_stack([dtrsm(1.0, lx, h, lower=1, trans_a=1),
@@ -243,7 +239,8 @@ def gsir_spectrum(x, y, kernel_x, kernel_y, epsilon, variant="gsir1"):
 
     Has length n; every value beyond the rank of the pivoted-Cholesky factor
     of Gx (or of Gy) is exactly 0, because the solve works on its range.
-    That rank is at most n - 1 (see `_factor`), so at least the last value
+    That factor stops at the rank that the ridge can see, the _STOP_TAU * eps
+    rank (see `_factor`), which is at most n - 1, so at least the last value
     is 0: centering leaves no rounding-level remainder.
     """
     x, y = _check_inputs(x, y, epsilon, d=1)

@@ -1,15 +1,17 @@
 """Reference implementations for the tests.
 
 `reference_fit` is the dense GSIR solve, kept as the reference for
-`gsir.estimator`.  It forms every n x n matrix explicitly: Q K Q centering
-with the dense centering matrix Q, the projection V^T Gy V onto the Gx
-eigenbasis, and a full n x n eigendecomposition of the objective matrix.
-It weights only the numerical range of Gx, and keeps the eigenvalue cutoff
-for it: l is zero on the eigenvalues at or below DEFAULT_CLAMP times the
-largest.  The estimator takes the range of the pivoted-Cholesky factor of
-the reflected Gram H Gx H instead, whose first row and column, the constant
-vector that centering removes, are exactly zero.  At the tested sizes both
-keep the same number of directions of Gx.
+`gsir.estimator`.  It forms every n x n matrix explicitly: the projection
+V^T Gy V onto the Gx eigenbasis, and a full n x n eigendecomposition of the
+objective matrix.  It weights only the numerical range of Gx, and keeps the
+eigenvalue cutoff for it: l is zero on the eigenvalues at or below
+DEFAULT_CLAMP times the largest.  By default its Grams are the ones the
+estimator's factors represent, `stopped_gram`: the pivoted Cholesky of the
+reflected Gram H G H stops at `_factor`'s tol, max(_STOP_TAU eps, n ulp
+max K_ii), so the reference checks the solve on the same Grams.  With
+exact=True they are the full Q K Q, formed with the dense centering matrix
+Q: the solve as it was when the factors stopped at LAPACK's own n ulp
+times the largest pivot, and so the reference for the stop's effect.
 
 `reference_qr_solve` is the thin-factor solve with a blocked Householder QR
 of the whole n x r pivoted-Cholesky factor of Gx (LAPACK dgeqrf, reflectors
@@ -54,13 +56,28 @@ def dense_centered_gram(spec, x):
     return (g + g.T) / 2.0
 
 
-def reference_fit(x, y, kernel_x, kernel_y, epsilon, d, variant):
-    """Full descending spectrum and top-d coefficients of the dense solve."""
+def stopped_gram(spec, x, epsilon):
+    """The centered Gram that `gsir.estimator._factor` represents at this
+    eps: H F F^T H, with F its factor of H G H in the original row order."""
+    x = np.asarray(x, dtype=float).reshape(len(x), -1)
+    f, piv = _factor(*reflected_gram(spec, x), epsilon)
+    full = np.zeros_like(f)
+    full[piv] = f
+    u = centering_reflector(len(x))
+    full -= np.outer(u, 2.0 * (u @ full))
+    return full @ full.T
+
+
+def reference_fit(x, y, kernel_x, kernel_y, epsilon, d, variant, exact=False):
+    """Full descending spectrum and top-d coefficients of the dense solve, on
+    the stopped Grams or (exact) on the full ones."""
     x = np.asarray(x, dtype=float).reshape(len(x), -1)
     y = np.asarray(y, dtype=float).reshape(len(y), -1)
     n = x.shape[0]
-    gx = dense_centered_gram(kernel_x, x)
-    gy = dense_centered_gram(kernel_y, y)
+    gram = dense_centered_gram if exact else (
+        lambda spec, points: stopped_gram(spec, points, epsilon))
+    gx = gram(kernel_x, x)
+    gy = gram(kernel_y, y)
     w, v = symmetric_eigh(gx)
     active = w > DEFAULT_CLAMP * w[-1]
     t = w / n + epsilon
@@ -88,9 +105,9 @@ def reference_qr_solve(x, y, kernel_x, kernel_y, epsilon, variant, d=None):
     """The thin solve with a Householder QR of the whole factor Fx: the mu
     (d None) or (coefficients, mu[:d], warnings), as `gsir.estimator._solve`
     returns them."""
-    f, piv_y = _factor(*reflected_gram(kernel_y, y))
+    f, piv_y = _factor(*reflected_gram(kernel_y, y), epsilon)
     f = f.copy(order="F")      # frees Gy's n x n
-    fx, piv = _factor(*reflected_gram(kernel_x, x))
+    fx, piv = _factor(*reflected_gram(kernel_x, x), epsilon)
     n, r = fx.shape
     if d is not None and d > r:
         raise NumericalError(f"d={d} exceeds the numerical rank {r} of the "

@@ -9,8 +9,8 @@ from scipy.linalg.lapack import dpstrf, dtpqrt
 
 import gsir.estimator
 from gsir.datasets import SyntheticModel, generate
-from gsir.estimator import (_factor, evaluate_predictors, fit_gsir1, fit_gsir2,
-                            gsir_spectrum)
+from gsir.estimator import (_STOP_TAU, _ULP, _factor, evaluate_predictors, fit_gsir1,
+                            fit_gsir2, gsir_spectrum)
 from gsir.kernels import KernelSpec, centered_gram, median_bandwidth, reflected_gram
 from gsir.linalg import NumericalError
 from reference_solve import (align_sign, dense_centered_gram, reference_fit,
@@ -71,8 +71,8 @@ def test_linear_kernel_null_space_does_not_leak(n, q, variant):
 
 @pytest.mark.parametrize("variant", ["gsir1", "gsir2"])
 def test_spectrum_is_zero_beyond_the_rank_of_gx(variant):
-    # linear Gx has rank 3 and laplace Gy full rank, so B^T B is wide but of
-    # rank 3: its rounding-level eigenvalues must not reach the spectrum
+    # linear Gx has rank 3 and laplace Gy full rank, so B is 3 x r_y and of
+    # rank 3: no rounding-level eigenvalue beyond it may reach the spectrum
     x, y = make_data(200, 1)
     mu = gsir_spectrum(x, y, KernelSpec("linear"), KernelSpec("laplace", 0.5),
                        EPS, variant)
@@ -120,9 +120,12 @@ def test_d_beyond_positive_spectrum_completes_orthonormally(n, variant):
 
 @pytest.mark.parametrize("fit_fn", [fit_gsir1, fit_gsir2])
 @pytest.mark.parametrize("n", [300, 1000])
-def test_permuted_rows_give_the_same_predictions(n, fit_fn):
+def test_permuted_rows_give_the_same_predictions(n, fit_fn, monkeypatch):
     # the near-null tail of the factor's range, and with it the coefficients,
-    # depends on the pivot order; predictions and their signs must not
+    # depends on the pivot order; predictions and their signs must not.  Both
+    # fits share the stop's floor n ulp max K_ii: at _STOP_TAU eps the row
+    # order also picks the columns kept, which the tau-bound test bounds
+    monkeypatch.setattr(gsir.estimator, "_STOP_TAU", 0.0)
     design = SyntheticModel("m3_symmetric", 5, 0.2)
     x, y, _ = generate(design, n, 11)
     x_new, _, _ = generate(design, 500, 12)
@@ -155,9 +158,11 @@ def test_overflowing_gram_raises(on):
 
 
 def test_no_eigensolver_is_wider_than_the_rank_of_gy(monkeypatch):
+    # a gaussian Gy keeps r_y < r columns, a laplace Gy r_y > r: the
+    # eigenproblem is B^T B (r_y x r_y) or B B^T (r x r), the smaller one
     x, y = make_data(300, 1)
     kernel = KernelSpec("gaussian", 0.5)
-    r_y = dpstrf(centered_gram(kernel, y), lower=1, tol=-1)[2]
+    r = _factor(*reflected_gram(kernel, x), EPS)[0].shape[1]
     widths = []
 
     def spy(solver):
@@ -171,9 +176,13 @@ def test_no_eigensolver_is_wider_than_the_rank_of_gy(monkeypatch):
                      "dsyevr", "dsyev", "symmetric_eigh"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, spy(getattr(module, name)))
-    for fit_fn in (fit_gsir1, fit_gsir2):
-        fit_fn(x, y, kernel, kernel, EPS, 2)
-    assert widths and max(widths) <= r_y < 300 // 4
+    for kernel_y in (kernel, KernelSpec("laplace", 0.5)):
+        r_y = _factor(*reflected_gram(kernel_y, y), EPS)[0].shape[1]
+        assert (r_y < 300 // 4 < r) if kernel_y is kernel else (r < r_y)
+        widths.clear()
+        for fit_fn in (fit_gsir1, fit_gsir2):
+            fit_fn(x, y, kernel, kernel_y, EPS, 2)
+        assert widths and max(widths) <= min(r, r_y)
 
 
 @pytest.mark.parametrize("p", [1, 2, 4])
@@ -275,6 +284,21 @@ def test_structured_qr_matches_householder_qr(cell, d, variant):
 
 
 @pytest.mark.parametrize("variant", ["gsir1", "gsir2"])
+@pytest.mark.parametrize("d", [1, 3])
+def test_wide_gy_factor_matches_both_references(d, variant):
+    # a laplace Gy keeps more columns than the gaussian Gx, r < r_y: the mu
+    # come from the r x r B B^T, against the dense reference and against the
+    # r_y x r_y B^T B of the Householder-QR reference
+    x, y, x_new, kx = qr_reference_cell("gaussian")
+    ky = KernelSpec("laplace", 0.5)
+    r = _factor(*reflected_gram(kx, x), EPS)[0].shape[1]
+    assert r < _factor(*reflected_gram(ky, y), EPS)[0].shape[1]
+    fit = FIT[variant](x, y, kx, ky, EPS, d)
+    assert_matches_reference(fit, x, y, d)
+    assert_matches_qr_reference(x, y, x_new, kx, ky, d, variant)
+
+
+@pytest.mark.parametrize("variant", ["gsir1", "gsir2"])
 @pytest.mark.parametrize("cell", ["gaussian", "linear", "gaussian_x3"])
 def test_structured_qr_completion_matches_householder_qr(cell, variant):
     # a linear kernel on a 1-d response gives Gy rank 1, so two of the three
@@ -290,11 +314,11 @@ def test_structured_qr_completion_matches_householder_qr(cell, variant):
 def test_factor_rank_is_below_n_where_the_centered_gram_keeps_n(cell):
     # dpstrf keeps all n columns of these centered Grams, singular as centering
     # makes them; the zero first row and column of the reflected Gram, where
-    # the constant vector went, leave n - 1
+    # the constant vector went, leave n - 1 at the stop's floor (eps = 0)
     x, _, _, kx = qr_reference_cell(cell)
     n = len(x)
     assert dpstrf(centered_gram(kx, x), lower=1, tol=-1)[2] == n
-    assert _factor(*reflected_gram(kx, x))[0].shape[1] == n - 1
+    assert _factor(*reflected_gram(kx, x), 0.0)[0].shape[1] == n - 1
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -326,3 +350,68 @@ def test_every_fit_runs_the_qr_on_at_least_one_row(monkeypatch):
         x, y, _, kx = qr_reference_cell(cell)
         fit_gsir1(x, y, kx, KernelSpec("laplace", 0.5), EPS, 1)
     assert len(heights) == 4 and min(heights) >= 1
+
+
+def stop_tol(n, top, eps):
+    return max(_STOP_TAU * eps, n * _ULP * top)
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3])
+@pytest.mark.parametrize("family", ["gaussian", "laplace", "linear"])
+def test_stop_leaves_residual_diagonal_at_most_tol(family, eps):
+    # the residual R = H G H - F F^T of each Gram is positive semidefinite,
+    # its diagonal is at most tol, and so is its norm over n: T moves by at
+    # most _STOP_TAU eps
+    x, y = make_data(200, 3)
+    for points in (x, y):
+        spec = KernelSpec(family, median_bandwidth(points))
+        g, top = reflected_gram(spec, points)
+        dense = np.triu(g) + np.triu(g, 1).T      # reflected_gram writes g's upper triangle
+        n, tol = len(points), stop_tol(len(points), top, eps)
+        f, piv = _factor(g, top, eps)
+        if family == "gaussian":
+            assert f.shape[1] < n - 1             # the stop cut columns
+        resid = dense[np.ix_(piv, piv)] - f @ f.T
+        slack = 8 * n * _ULP * top                # rounding of the dense check
+        assert np.max(np.diagonal(resid)) <= tol + slack
+        w = np.linalg.eigvalsh(resid)
+        assert w[0] >= -slack and w[-1] / n <= tol + slack
+
+
+@pytest.mark.parametrize("variant", ["gsir1", "gsir2"])
+def test_stop_moves_mu_and_predictions_within_the_tau_bound(variant):
+    # With W = Gx / n and V = Gy / n the mu are the eigenvalues of
+    # V^1/2 X V^1/2, X = T^-1 W T^-1 (gsir1) or W T^-1 (gsir2).  The stop
+    # lowers W and V by at most tol (test above), and T >= eps I, so
+    # |dT^-1| <= rho / eps with rho = tol / eps, and Weyl's inequality gives
+    # |d mu| <= beta = rho (3 |V| / eps + 1/4) (gsir1, |X| <= 1 / (4 eps))
+    # or rho (|V| + eps) (gsir2, |X| <= 1).  Davis-Kahan (Yu, Wang &
+    # Samworth 2015) moves the j-th eigenvector by at most 2^1.5 beta / gap_j;
+    # the predictions are it mapped through T^-1 and Gx, which move by at most
+    # rho relative each, so to first order they move by at most bound_j of
+    # their scale.  The exact stop is the dense reference on the full Grams.
+    design = SyntheticModel("m3_symmetric", 5, 0.2)
+    x, y, _ = generate(design, 300, 11)
+    x_new, _, _ = generate(design, 500, 12)
+    kx = KernelSpec("gaussian", median_bandwidth(x))
+    ky = KernelSpec("gaussian", median_bandwidth(y))
+    eps, d, n = 1e-3, 2, len(x)
+    fit = FIT[variant](x, y, kx, ky, eps, d)
+    mu = gsir_spectrum(x, y, kx, ky, eps, variant)
+    mu_ref, coef_ref = reference_fit(x, y, kx, ky, eps, d, variant, exact=True)
+    for kernel, points in ((kx, x), (ky, y)):        # the stop cut both factors
+        assert (_factor(*reflected_gram(kernel, points), eps)[0].shape[1] <
+                _factor(*reflected_gram(kernel, points), 0.0)[0].shape[1])
+    rho = stop_tol(n, 1.0, eps) / eps               # gaussian K_ii = 1
+    v = np.linalg.eigvalsh(dense_centered_gram(ky, y))[-1] / n
+    beta = rho * (3 * v / eps + 0.25 if variant == "gsir1" else v + eps)
+    assert np.max(np.abs(mu - mu_ref)) <= beta
+    gaps = np.minimum(mu_ref[:d] - mu_ref[1:d + 1],
+                      np.concatenate([[np.inf], mu_ref[:d - 1] - mu_ref[1:d]]))
+    bound = 2 ** 1.5 * beta / gaps + 2 * rho / (1 - rho)
+    pred = evaluate_predictors(fit, x_new)
+    pred_ref = evaluate_predictors(dataclasses.replace(fit, coefficients=coef_ref), x_new)
+    for j in range(d):
+        s = align_sign(pred[:, j], pred_ref[:, j])
+        scale = np.max(np.abs(pred_ref[:, j]))
+        assert np.max(np.abs(s * pred[:, j] - pred_ref[:, j])) <= bound[j] * scale
