@@ -66,11 +66,11 @@ DIGESTS = {
     "theory stdout": "161e8bead8a950c9df1c8491adc2826d0e8d09e367720191f7beb31455fd8923",
     "sim.csv": "6d157c031b159358ea5707c803e87277c4537ea3677dc843ccfb1f9baeea1284",
     "sim-rate stdout": "bf4dbfe1fca25d6c3e60312de3424da2b2395dda98e4ce0e77c8efeb843d9c36",
-    "recovery.csv": "fd6c0abf47513e362d4633c0068ac849dc60cc150341df1fc1e2cc7693a6f57d",
-    "kernel-recovery stdout": "ef8c14248c7c37d73076764f778a66be4c854ffa60a470f5294da4e129befea6",
-    "model.json": "e9e01fb2c2757e9136a9cb0b265e2d9c267ed42446f2960fb46e9728f6ccf627",
+    "recovery.csv": "5435db3e2e10f16415a0e7f6ef78ec177a2933847916e4696c9ffebc03a72d41",
+    "kernel-recovery stdout": "fdb0829426672269212e998c0722617459474e5ffd158d8699a0736d2b5edcb8",
+    "model.json": "8792e1dbe16f9700820e248035eb461acf17d2a2fb6f3a241b5cc62a100856b9",
     "fit stdout": "46200fd20bec3c6ec089a832e6b1c8a26a4471b7b94aeb4225bfc5b8b3451b86",
-    "pred.csv": "facc06f13cf7305c9b9caaa2bacd379408d6d94c3458a4a471ab9c842b14b1a1",
+    "pred.csv": "2050583eb14d089e644a234f3311a5a83dcf4ebb737a2cbf485a8019b67d4ecb",
     "predict stdout": "90527239b7e54a56fe21ad7c2bf41f9e6c372943598f96c0bfd978a79bbec9ae",
 }
 

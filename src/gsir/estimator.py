@@ -15,10 +15,11 @@ the same (H is orthogonal): H Gx H and H Gy H are H K H with their first row
 and column zeroed (`kernels.reflected_gram`), so the constant vector that
 centering removes is an exact zero, and the coefficients and Gx c map back
 by one H, O(n d).  Pivoted Cholesky (LAPACK dpstrf) factors H Gx H ~ Fx Fx^T
-(n x r) and H Gy H ~ F F^T (n x r_y), with r, r_y <= n - 1, and stops once
-every residual diagonal entry is at most _STOP_TAU * eps (or rounding, if
-that is larger): only the eigenvalues of Gx/n above about eps shape T^-1,
-and T moves by at most _STOP_TAU * eps (see `_factor`).  The solve lives on
+(n x r) and H Gy H ~ F F^T (n x r_y), with r, r_y <= n - 1.  The factor of
+Gx stops once every residual diagonal entry is at most _STOP_TAU * eps (or
+rounding, if that is larger): only the eigenvalues of Gx/n above about eps
+shape T^-1, and T moves by at most _STOP_TAU * eps (see `_factor`).  No
+ridge sits on Gy, so its factor stops at rounding.  The solve lives on
 the range of Fx, so every eigenvalue mu beyond r is exactly 0.  Fx is lower
 trapezoidal: an r x r triangle above n - r >= 1 dense rows.  A copy of the
 triangle with the order of its rows and of its columns reversed is upper,
@@ -60,7 +61,7 @@ _QR_BLOCK = 32
 # LAPACK's unit roundoff, dlamch('E'), which dpstrf's stop is scaled by.
 _ULP = np.finfo(float).eps / 2
 
-# The pivoted Choleskys stop once the residual diagonal is at most this
+# The pivoted Cholesky of Gx stops once the residual diagonal is at most this
 # fraction of eps (see `_factor`): T = Gx / n + eps I then moves by at most
 # _STOP_TAU * eps, and only the eigenvalues of Gx / n above about eps shape
 # T^-1.
@@ -102,18 +103,19 @@ def _check_inputs(x, y, epsilon, d):
     return x, y
 
 
-def _factor(g, top, epsilon):
+def _factor(g, top, epsilon=0.0):
     """(c, piv) with g[piv][:, piv] ~ c c^T, c n x r lower trapezoidal; g is
     factored from the lower triangle of g.T, in its own memory (g.T is
     Fortran ordered), so c is Fortran ordered too.  dpstrf stops once the
     largest residual diagonal entry is at most tol = max(_STOP_TAU * eps,
-    n * ulp * top), with top the largest diagonal entry of the uncentered K.
-    The residual g - c c^T is a Schur complement, positive semidefinite, so
-    its norm over n is at most tol: T = Gx / n + eps I moves by at most tol,
-    and T^-1 by at most tol / eps relative, _STOP_TAU unless rounding is
-    larger.  LAPACK applies tol only from the second pivot on; a first pivot
-    at or below tol gives r = 0.  A reflected Gram has a zero first row and
-    column, so r <= n - 1."""
+    n * ulp * top), with top the largest diagonal entry of the uncentered K
+    and eps the ridge that g sits under: Gx's, or 0 for Gy, whose stop then
+    scales with the data.  The residual g - c c^T is a Schur complement,
+    positive semidefinite, so its norm over n is at most tol: T = Gx / n +
+    eps I moves by at most tol, and T^-1 by at most tol / eps relative,
+    _STOP_TAU unless rounding is larger.  LAPACK applies tol only from the
+    second pivot on; a first pivot at or below tol gives r = 0.  A reflected
+    Gram has a zero first row and column, so r <= n - 1."""
     if not np.all(np.isfinite(g)):
         raise NumericalError("centered Gram matrix contains non-finite entries")
     n = g.shape[0]
@@ -133,7 +135,7 @@ def _solve(x, y, kernel_x, kernel_y, epsilon, variant, d=None):
     Gy is factored first, so only its factor is alive beside Gx."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    f, piv_y = _factor(*reflected_gram(kernel_y, y), epsilon)
+    f, piv_y = _factor(*reflected_gram(kernel_y, y))
     f = f.copy(order="F")      # frees Gy's n x n
     fx, piv = _factor(*reflected_gram(kernel_x, x), epsilon)
     n, r = fx.shape
@@ -239,7 +241,7 @@ def gsir_spectrum(x, y, kernel_x, kernel_y, epsilon, variant="gsir1"):
 
     Has length n; every value beyond the rank of the pivoted-Cholesky factor
     of Gx (or of Gy) is exactly 0, because the solve works on its range.
-    That factor stops at the rank that the ridge can see, the _STOP_TAU * eps
+    Gx's factor stops at the rank that the ridge can see, the _STOP_TAU * eps
     rank (see `_factor`), which is at most n - 1, so at least the last value
     is 0: centering leaves no rounding-level remainder.
     """

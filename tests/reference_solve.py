@@ -5,13 +5,13 @@
 V^T Gy V onto the Gx eigenbasis, and a full n x n eigendecomposition of the
 objective matrix.  It weights only the numerical range of Gx, and keeps the
 eigenvalue cutoff for it: l is zero on the eigenvalues at or below
-DEFAULT_CLAMP times the largest.  By default its Grams are the ones the
-estimator's factors represent, `stopped_gram`: the pivoted Cholesky of the
-reflected Gram H G H stops at `_factor`'s tol, max(_STOP_TAU eps, n ulp
-max K_ii), so the reference checks the solve on the same Grams.  With
-exact=True they are the full Q K Q, formed with the dense centering matrix
-Q: the solve as it was when the factors stopped at LAPACK's own n ulp
-times the largest pivot, and so the reference for the stop's effect.
+DEFAULT_CLAMP times the largest.  Gy is the full Q K Q, formed with the
+dense centering matrix Q.  By default Gx is the one the estimator's factor
+represents, `stopped_gram`: the pivoted Cholesky of the reflected Gram
+H Gx H stops at `_factor`'s tol, max(_STOP_TAU eps, n ulp max K_ii), so the
+reference checks the solve on the same Grams.  With exact=True Gx is the
+full Q K Q too: the solve as it was when the factor stopped at LAPACK's own
+n ulp times the largest pivot, and so the reference for the stop's effect.
 
 `reference_qr_solve` is the thin-factor solve with a blocked Householder QR
 of the whole n x r pivoted-Cholesky factor of Gx (LAPACK dgeqrf, reflectors
@@ -70,14 +70,12 @@ def stopped_gram(spec, x, epsilon):
 
 def reference_fit(x, y, kernel_x, kernel_y, epsilon, d, variant, exact=False):
     """Full descending spectrum and top-d coefficients of the dense solve, on
-    the stopped Grams or (exact) on the full ones."""
+    the stopped Gx or (exact) on the full one."""
     x = np.asarray(x, dtype=float).reshape(len(x), -1)
     y = np.asarray(y, dtype=float).reshape(len(y), -1)
     n = x.shape[0]
-    gram = dense_centered_gram if exact else (
-        lambda spec, points: stopped_gram(spec, points, epsilon))
-    gx = gram(kernel_x, x)
-    gy = gram(kernel_y, y)
+    gx = dense_centered_gram(kernel_x, x) if exact else stopped_gram(kernel_x, x, epsilon)
+    gy = dense_centered_gram(kernel_y, y)
     w, v = symmetric_eigh(gx)
     active = w > DEFAULT_CLAMP * w[-1]
     t = w / n + epsilon
@@ -105,7 +103,7 @@ def reference_qr_solve(x, y, kernel_x, kernel_y, epsilon, variant, d=None):
     """The thin solve with a Householder QR of the whole factor Fx: the mu
     (d None) or (coefficients, mu[:d], warnings), as `gsir.estimator._solve`
     returns them."""
-    f, piv_y = _factor(*reflected_gram(kernel_y, y), epsilon)
+    f, piv_y = _factor(*reflected_gram(kernel_y, y))
     f = f.copy(order="F")      # frees Gy's n x n
     fx, piv = _factor(*reflected_gram(kernel_x, x), epsilon)
     n, r = fx.shape

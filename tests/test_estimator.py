@@ -177,13 +177,13 @@ def test_objective_matrices_are_psd(n):
 
 @pytest.mark.parametrize("seed", [12, 13])
 def test_gsir1_objective_value_matches_eigenvalue(seed):
-    # on the Grams the fit's factors represent, stopped at its tol
+    # on the Gx the fit's factor represents, stopped at its tol
     x, y = make_data(seed, 40)
     eps = 0.05
     fit = fit_gsir1(x, y, GAUSS, GAUSS, eps, 2)
     n = 40
     gx = stopped_gram(GAUSS, x, eps)
-    gy = stopped_gram(GAUSS, y, eps)
+    gy = centered_gram(GAUSS, y)
     b = np.linalg.inv(gx / n + eps * np.eye(n))
     a = b @ gy @ gx @ b / (n * n)
     for j in range(2):
@@ -195,7 +195,7 @@ def test_gsir1_objective_value_matches_eigenvalue(seed):
 @contextlib.contextmanager
 def floor_stop():
     """Both fits of a permutation test share the stop's floor n ulp max K_ii:
-    at _STOP_TAU eps the row order also picks the columns the factors keep,
+    at _STOP_TAU eps the row order also picks the columns Gx's factor keeps,
     which `test_solve_oracle` bounds against the exact stop."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gsir.estimator, "_STOP_TAU", 0.0)
@@ -303,7 +303,7 @@ def test_dense_fit_peak_memory():
     # reflected Gx keeps r = 499 of n = 600 columns at eps = 1e-3; the QR
     # copies Lx's triangle and the n - r rows below it out of Gx's buffer, so
     # the fit's peak is that moment: the buffer, the r x r copy, the
-    # (n - r) x r rows and Gy's n x r_y factor, r_y = 26: 1.89 n^2.
+    # (n - r) x r rows and Gy's n x r_y factor, r_y = 34: 1.90 n^2.
     n = 600
     x, y, _ = generate(SyntheticModel("m3_symmetric", 5, 0.2), n, 0)
     kx = KernelSpec("gaussian", median_bandwidth(x))
@@ -311,6 +311,9 @@ def test_dense_fit_peak_memory():
     n2 = 8 * n * n
     assert traced_peak(lambda: centered_gram(kx, x)) <= 1.3 * n2
     assert traced_peak(lambda: fit_gsir1(x, y, kx, ky, 1e-3, 1)) <= 2.4 * n2
+    # At eps = 1e-12 the stop's floor rules and Gx keeps r = n - 1 columns:
+    # the r x r copy of Lx beside Gx's buffer, 2.17 n^2.
+    assert traced_peak(lambda: fit_gsir1(x, y, kx, ky, 1e-12, 1)) <= 2.4 * n2
     # On x[:, :3] the factor has r = 171 columns: the same moment is 1.34 n^2.
     x3 = x[:, :3]
     kx3 = KernelSpec("gaussian", median_bandwidth(x3))

@@ -118,19 +118,25 @@ def test_d_beyond_positive_spectrum_completes_orthonormally(n, variant):
         assert np.allclose(np.diag(gram), 1.0, atol=1e-8)
 
 
+def m3_cell(n):
+    """x, y, 500 held-out rows and median gaussian kernels on m3_symmetric."""
+    design = SyntheticModel("m3_symmetric", 5, 0.2)
+    x, y, _ = generate(design, n, 11)
+    x_new, _, _ = generate(design, 500, 12)
+    return (x, y, x_new, KernelSpec("gaussian", median_bandwidth(x)),
+            KernelSpec("gaussian", median_bandwidth(y)))
+
+
 @pytest.mark.parametrize("fit_fn", [fit_gsir1, fit_gsir2])
 @pytest.mark.parametrize("n", [300, 1000])
 def test_permuted_rows_give_the_same_predictions(n, fit_fn, monkeypatch):
     # the near-null tail of the factor's range, and with it the coefficients,
     # depends on the pivot order; predictions and their signs must not.  Both
     # fits share the stop's floor n ulp max K_ii: at _STOP_TAU eps the row
-    # order also picks the columns kept, which the tau-bound test bounds
+    # order also picks the columns kept, which
+    # test_permuted_rows_stay_within_the_tau_bound bounds
     monkeypatch.setattr(gsir.estimator, "_STOP_TAU", 0.0)
-    design = SyntheticModel("m3_symmetric", 5, 0.2)
-    x, y, _ = generate(design, n, 11)
-    x_new, _, _ = generate(design, 500, 12)
-    kx = KernelSpec("gaussian", median_bandwidth(x))
-    ky = KernelSpec("gaussian", median_bandwidth(y))
+    x, y, x_new, kx, ky = m3_cell(n)
     perm = np.random.default_rng(13).permutation(n)
     pred = evaluate_predictors(fit_fn(x, y, kx, ky, 1e-3, 2), x_new)
     pred_p = evaluate_predictors(fit_fn(x[perm], y[perm], kx, ky, 1e-3, 2), x_new)
@@ -177,7 +183,7 @@ def test_no_eigensolver_is_wider_than_the_rank_of_gy(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, spy(getattr(module, name)))
     for kernel_y in (kernel, KernelSpec("laplace", 0.5)):
-        r_y = _factor(*reflected_gram(kernel_y, y), EPS)[0].shape[1]
+        r_y = _factor(*reflected_gram(kernel_y, y))[0].shape[1]
         assert (r_y < 300 // 4 < r) if kernel_y is kernel else (r < r_y)
         widths.clear()
         for fit_fn in (fit_gsir1, fit_gsir2):
@@ -292,7 +298,7 @@ def test_wide_gy_factor_matches_both_references(d, variant):
     x, y, x_new, kx = qr_reference_cell("gaussian")
     ky = KernelSpec("laplace", 0.5)
     r = _factor(*reflected_gram(kx, x), EPS)[0].shape[1]
-    assert r < _factor(*reflected_gram(ky, y), EPS)[0].shape[1]
+    assert r < _factor(*reflected_gram(ky, y))[0].shape[1]
     fit = FIT[variant](x, y, kx, ky, EPS, d)
     assert_matches_reference(fit, x, y, d)
     assert_matches_qr_reference(x, y, x_new, kx, ky, d, variant)
@@ -361,15 +367,15 @@ def stop_tol(n, top, eps):
 def test_stop_leaves_residual_diagonal_at_most_tol(family, eps):
     # the residual R = H G H - F F^T of each Gram is positive semidefinite,
     # its diagonal is at most tol, and so is its norm over n: T moves by at
-    # most _STOP_TAU eps
+    # most _STOP_TAU eps.  No ridge sits on Gy: its tol is the floor
     x, y = make_data(200, 3)
-    for points in (x, y):
+    for points, ridge in ((x, eps), (y, 0.0)):
         spec = KernelSpec(family, median_bandwidth(points))
         g, top = reflected_gram(spec, points)
         dense = np.triu(g) + np.triu(g, 1).T      # reflected_gram writes g's upper triangle
-        n, tol = len(points), stop_tol(len(points), top, eps)
-        f, piv = _factor(g, top, eps)
-        if family == "gaussian":
+        n, tol = len(points), stop_tol(len(points), top, ridge)
+        f, piv = _factor(g, top, ridge)
+        if family == "gaussian" and ridge:
             assert f.shape[1] < n - 1             # the stop cut columns
         resid = dense[np.ix_(piv, piv)] - f @ f.T
         slack = 8 * n * _ULP * top                # rounding of the dense check
@@ -378,40 +384,83 @@ def test_stop_leaves_residual_diagonal_at_most_tol(family, eps):
         assert w[0] >= -slack and w[-1] / n <= tol + slack
 
 
-@pytest.mark.parametrize("variant", ["gsir1", "gsir2"])
-def test_stop_moves_mu_and_predictions_within_the_tau_bound(variant):
-    # With W = Gx / n and V = Gy / n the mu are the eigenvalues of
-    # V^1/2 X V^1/2, X = T^-1 W T^-1 (gsir1) or W T^-1 (gsir2).  The stop
-    # lowers W and V by at most tol (test above), and T >= eps I, so
-    # |dT^-1| <= rho / eps with rho = tol / eps, and Weyl's inequality gives
-    # |d mu| <= beta = rho (3 |V| / eps + 1/4) (gsir1, |X| <= 1 / (4 eps))
-    # or rho (|V| + eps) (gsir2, |X| <= 1).  Davis-Kahan (Yu, Wang &
-    # Samworth 2015) moves the j-th eigenvector by at most 2^1.5 beta / gap_j;
-    # the predictions are it mapped through T^-1 and Gx, which move by at most
-    # rho relative each, so to first order they move by at most bound_j of
-    # their scale.  The exact stop is the dense reference on the full Grams.
-    design = SyntheticModel("m3_symmetric", 5, 0.2)
-    x, y, _ = generate(design, 300, 11)
-    x_new, _, _ = generate(design, 500, 12)
-    kx = KernelSpec("gaussian", median_bandwidth(x))
-    ky = KernelSpec("gaussian", median_bandwidth(y))
-    eps, d, n = 1e-3, 2, len(x)
-    fit = FIT[variant](x, y, kx, ky, eps, d)
-    mu = gsir_spectrum(x, y, kx, ky, eps, variant)
+def tau_bound(x, y, kx, ky, eps, d, variant):
+    """(mu_ref, coef_ref, beta, bound): the exact stop's spectrum and top-d
+    coefficients (the dense reference on the full Gx), the largest move of
+    the mu that the stop can make, and of each predictor relative to its
+    scale.
+
+    With W = Gx / n and V = Gy / n the mu are the eigenvalues of
+    V^1/2 X V^1/2, X = T^-1 W T^-1 = T^-1 - eps T^-2 (gsir1) or
+    W T^-1 = I - eps T^-1 (gsir2).  The stop lowers W by at most tol and
+    leaves V as it is (`test_stop_leaves_residual_diagonal_at_most_tol`), and
+    T >= eps I, so |dT^-1| <= rho / eps with rho = tol / eps, and Weyl's
+    inequality gives |d mu| <= |V| |dX| <= beta = 3 rho |V| / eps (gsir1) or
+    rho |V| (gsir2): relative to |V|, so to the scale of the mu.  Davis-Kahan
+    (Yu, Wang & Samworth 2015) moves the j-th eigenvector by at most
+    2^1.5 beta / gap_j; the predictions are it mapped through T^-1 and Gx,
+    which move by at most rho relative each, so to first order they move by
+    at most bound_j of their scale."""
+    n = len(x)
     mu_ref, coef_ref = reference_fit(x, y, kx, ky, eps, d, variant, exact=True)
-    for kernel, points in ((kx, x), (ky, y)):        # the stop cut both factors
-        assert (_factor(*reflected_gram(kernel, points), eps)[0].shape[1] <
-                _factor(*reflected_gram(kernel, points), 0.0)[0].shape[1])
-    rho = stop_tol(n, 1.0, eps) / eps               # gaussian K_ii = 1
+    rho = stop_tol(n, reflected_gram(kx, x)[1], eps) / eps
     v = np.linalg.eigvalsh(dense_centered_gram(ky, y))[-1] / n
-    beta = rho * (3 * v / eps + 0.25 if variant == "gsir1" else v + eps)
-    assert np.max(np.abs(mu - mu_ref)) <= beta
+    beta = rho * v * (3 / eps if variant == "gsir1" else 1.0)
     gaps = np.minimum(mu_ref[:d] - mu_ref[1:d + 1],
                       np.concatenate([[np.inf], mu_ref[:d - 1] - mu_ref[1:d]]))
-    bound = 2 ** 1.5 * beta / gaps + 2 * rho / (1 - rho)
+    return mu_ref, coef_ref, beta, 2 ** 1.5 * beta / gaps + 2 * rho / (1 - rho)
+
+
+@pytest.mark.parametrize("variant", ["gsir1", "gsir2"])
+def test_stop_moves_mu_and_predictions_within_the_tau_bound(variant):
+    # against the exact stop, the dense reference on the full Gx
+    x, y, x_new, kx, ky = m3_cell(300)
+    eps, d = 1e-3, 2
+    # the stop cuts Gx's factor, and Gy's stays at the floor
+    assert (_factor(*reflected_gram(kx, x), eps)[0].shape[1] <
+            _factor(*reflected_gram(kx, x))[0].shape[1])
+    fit = FIT[variant](x, y, kx, ky, eps, d)
+    mu = gsir_spectrum(x, y, kx, ky, eps, variant)
+    mu_ref, coef_ref, beta, bound = tau_bound(x, y, kx, ky, eps, d, variant)
+    assert np.max(np.abs(mu - mu_ref)) <= beta
     pred = evaluate_predictors(fit, x_new)
     pred_ref = evaluate_predictors(dataclasses.replace(fit, coefficients=coef_ref), x_new)
     for j in range(d):
         s = align_sign(pred[:, j], pred_ref[:, j])
         scale = np.max(np.abs(pred_ref[:, j]))
         assert np.max(np.abs(s * pred[:, j] - pred_ref[:, j])) <= bound[j] * scale
+
+
+@pytest.mark.parametrize("fit_fn", [fit_gsir1, fit_gsir2])
+@pytest.mark.parametrize("n", [300, 1000])
+def test_permuted_rows_stay_within_the_tau_bound(n, fit_fn):
+    # at _STOP_TAU eps the row order also picks the columns Gx's factor
+    # keeps.  Each fit is within the tau bound of the exact stop, whose
+    # predictions do not depend on the row order, so the two fits are within
+    # twice that bound of each other, with the same signs
+    x, y, x_new, kx, ky = m3_cell(n)
+    perm = np.random.default_rng(13).permutation(n)
+    fit = fit_fn(x, y, kx, ky, 1e-3, 2)
+    pred = evaluate_predictors(fit, x_new)
+    pred_p = evaluate_predictors(fit_fn(x[perm], y[perm], kx, ky, 1e-3, 2), x_new)
+    _, coef_ref, _, bound = tau_bound(x, y, kx, ky, 1e-3, 2, fit.variant)
+    pred_ref = evaluate_predictors(dataclasses.replace(fit, coefficients=coef_ref), x_new)
+    scale = np.max(np.abs(pred_ref), axis=0)
+    assert np.all(np.max(np.abs(pred_p - pred), axis=0) <= 2 * bound * scale)
+
+
+@pytest.mark.parametrize("variant", ["gsir1", "gsir2"])
+def test_linear_kernel_y_fit_does_not_depend_on_the_scale_of_y(variant):
+    # no ridge sits on Gy, so its factor's stop scales with y: a linear
+    # kernel_y on y * 1e-4, whose centered Gram is below _STOP_TAU * EPS,
+    # keeps the same columns, and the fit the same predictors with every mu
+    # scaled by 1e-8
+    x, y = make_data(200, 3)
+    kx, ky = KernelSpec("gaussian", 0.5), KernelSpec("linear")
+    assert np.max(np.diagonal(centered_gram(ky, y * 1e-4))) < _STOP_TAU * EPS
+    fit = FIT[variant](x, y, kx, ky, EPS, 2)
+    fit_s = FIT[variant](x, y * 1e-4, kx, ky, EPS, 2)
+    assert np.allclose(fit_s.eigenvalues, 1e-8 * fit.eigenvalues, rtol=1e-9, atol=0.0)
+    pred, pred_s = evaluate_predictors(fit, x), evaluate_predictors(fit_s, x)
+    scale = np.max(np.abs(pred), axis=0)
+    assert np.all(np.max(np.abs(pred_s - pred), axis=0) <= 1e-9 * scale)
