@@ -65,7 +65,7 @@ DIGESTS = {
     "theory.csv": "d10af54de8ea6ca52ede265e98e43c29b64f41b34a83d4efd56baef43a9b6394",
     "theory stdout": "161e8bead8a950c9df1c8491adc2826d0e8d09e367720191f7beb31455fd8923",
     "sim.csv": "6d157c031b159358ea5707c803e87277c4537ea3677dc843ccfb1f9baeea1284",
-    "sim-rate stdout": "bf4dbfe1fca25d6c3e60312de3424da2b2395dda98e4ce0e77c8efeb843d9c36",
+    "sim-rate stdout": "8daa3b143b68a77cdd56a45adf642e419ec65804237869a50a48619deb81f24a",
     "recovery.csv": "5435db3e2e10f16415a0e7f6ef78ec177a2933847916e4696c9ffebc03a72d41",
     "kernel-recovery stdout": "fdb0829426672269212e998c0722617459474e5ffd158d8699a0736d2b5edcb8",
     "model.json": "8792e1dbe16f9700820e248035eb461acf17d2a2fb6f3a241b5cc62a100856b9",

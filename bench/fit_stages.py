@@ -155,7 +155,8 @@ def run_cell(stage, n, repeats, model_path):
 
 
 def _env(src):
-    return dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src))
+    # absolute: the cells run in a temporary working directory
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(Path(src).resolve()))
 
 
 def _cell(src, stage, n, repeats, model_path):

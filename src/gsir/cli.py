@@ -23,17 +23,6 @@ from .linalg import NumericalError
 from .modelio import ConfigError, csv_text, load_fit, save_fit
 
 
-def _read_table(path):
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise ConfigError(f"cannot read data file {path}: {exc}") from exc
-    if len(rows) < 2:
-        raise ConfigError(f"data file {path} needs a header row and data rows")
-    return rows[0], rows[1:]
-
-
 def _columns(header, prefix, path):
     """Indices of the prefix columns, in order: a lone prefix, or prefix_1..
     prefix_k in any order; each name once, never both forms.  The lone name
@@ -50,23 +39,36 @@ def _columns(header, prefix, path):
     return [idx for _, idx in cols]
 
 
-def _block(header, body, prefix, path):
-    """The finite float array of the prefix columns."""
-    idxs = _columns(header, prefix, path)
-    try:
-        block = np.array([[float(row[i]) for i in idxs] for row in body])
-    except (ValueError, IndexError) as exc:
-        raise ConfigError(f"data file {path} has malformed rows: {exc}") from exc
-    if not np.all(np.isfinite(block)):
-        raise ConfigError(f"data file {path} contains NaN or infinite values")
-    return block
-
-
 def read_points_csv(path, need_response):
-    """Read x_1..x_p (and y columns when fitting) from a CSV file."""
-    header, body = _read_table(path)
-    x = _block(header, body, "x", path)
-    return x, _block(header, body, "y", path) if need_response else None
+    """Read x_1..x_p (and y columns when fitting) from a CSV file as C-contiguous
+    arrays, in one pass that parses each needed cell with float() into one buffer."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header, first = next(reader, None), next(reader, None)
+            if first is None:
+                raise ConfigError(f"data file {path} needs a header row and data rows")
+            blocks = [_columns(header, c, path) for c in "xy"[:1 + need_response]]
+            idxs = [i for block in blocks for i in block]
+
+            def cells():
+                for rows in ([first], reader):
+                    for row in rows:
+                        if len(row) != len(header):
+                            raise ValueError(f"line {reader.line_num} has {len(row)} "
+                                             f"cells, the header has {len(header)}")
+                        yield from (float(row[i]) for i in idxs)
+            flat = np.fromiter(cells(), float)
+    except OSError as exc:
+        raise ConfigError(f"cannot read data file {path}: {exc}") from exc
+    except ConfigError:
+        raise
+    except (ValueError, csv.Error) as exc:    # a cell, a row's width, csv's field limit
+        raise ConfigError(f"data file {path} has malformed rows: {exc}") from exc
+    if not np.all(np.isfinite(flat)):
+        raise ConfigError(f"data file {path} contains NaN or infinite values")
+    x, y = np.hsplit(flat.reshape(-1, len(idxs)), [len(blocks[0])])
+    return np.ascontiguousarray(x), np.ascontiguousarray(y) if need_response else None
 
 
 def _run_fit(config):

@@ -48,8 +48,8 @@ from .kernels import (KernelSpec, centering_reflector, gram_matrix,
 from .linalg import DEFAULT_CLAMP, NumericalError
 from .rates import VARIANTS
 
-# Eigenvalue gap below which the d-th predictor is not well separated from
-# the next direction and the fit carries an ambiguity warning.
+# Eigenvalue gap, relative to mu_1, at or below which the d-th predictor is not
+# well separated from the next and the fit warns (always when every mu is 0).
 GAP_TOL = 1e-10
 
 # Rows per reused cross-Gram block; a multiple of 8, as OpenBLAS groups rows.
@@ -177,9 +177,9 @@ def _solve(x, y, kernel_x, kernel_y, epsilon, variant, d=None):
     if d is None:
         return mu
     warnings = []
-    if mu[d - 1] - mu[d] < GAP_TOL:
+    if mu[d - 1] - mu[d] <= GAP_TOL * mu[0]:
         warnings.append(f"eigenvalue gap mu_{d} - mu_{d + 1} = "
-                        f"{mu[d - 1] - mu[d]:.3e} is below {GAP_TOL:.0e}; "
+                        f"{mu[d - 1] - mu[d]:.3e} is at most {GAP_TOL:.0e} of mu_1; "
                         f"the d-th predictor is not uniquely determined")
     k = min(d, int(np.count_nonzero(mu > DEFAULT_CLAMP * mu[0])))
     # p: unit eigenvectors of B B^T, which are B q / sqrt(mu) for those of

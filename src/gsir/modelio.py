@@ -7,7 +7,6 @@ digits, which round-trips IEEE doubles exactly, so save -> load -> predict
 reproduces predictions bit-for-bit; every CSV row ends in a bare newline.
 """
 
-import csv
 import io
 import json
 import sys
@@ -96,11 +95,12 @@ def _cell(value):
 
 
 def csv_text(header, rows):
-    """CSV text of a header and rows of cells, one newline-ended line each."""
+    """CSV text of a header and rows of cells (or a 2-d array), one newline-ended
+    line each; no cell the program writes needs quoting, so none is quoted."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([_cell(v) for v in row] for row in rows)
+    buf.write(",".join(header) + "\n")
+    for row in rows.tolist() if isinstance(rows, np.ndarray) else rows:
+        buf.write(",".join(map(_cell, row)) + "\n")
     return buf.getvalue()
 
 
@@ -108,6 +108,8 @@ def _emit(obj):
     if isinstance(obj, dict):
         return "{" + ",".join(f"{json.dumps(k)}:{_emit(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)):
+        if all(type(v) is float for v in obj):     # a row of an array's .tolist()
+            return "[" + ",".join(["%.17g" % v for v in obj]) + "]"
         return "[" + ",".join(_emit(v) for v in obj) + "]"
     if isinstance(obj, (bool, str)) or obj is None:
         return json.dumps(obj)

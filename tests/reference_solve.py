@@ -137,9 +137,9 @@ def reference_qr_solve(x, y, kernel_x, kernel_y, epsilon, variant, d=None):
     if d is None:
         return mu
     warnings = []
-    if mu[d - 1] - mu[d] < GAP_TOL:
+    if mu[d - 1] - mu[d] <= GAP_TOL * mu[0]:
         warnings.append(f"eigenvalue gap mu_{d} - mu_{d + 1} = "
-                        f"{mu[d - 1] - mu[d]:.3e} is below {GAP_TOL:.0e}; "
+                        f"{mu[d - 1] - mu[d]:.3e} is at most {GAP_TOL:.0e} of mu_1; "
                         f"the d-th predictor is not uniquely determined")
     k = min(d, int(np.count_nonzero(mu > DEFAULT_CLAMP * mu[0])))
     rx = np.asfortranarray(qr[:r])      # BLAS reads Rx from the upper triangle

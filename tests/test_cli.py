@@ -7,6 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import gsir
 from gsir.cli import main
@@ -738,6 +741,11 @@ def test_exit_code_follows_exception_type(tmp_path, capsys, monkeypatch):
     ("header_only", ["x_1,y"], "needs a header row and data rows"),
     ("no_x", ["z_1,y", "0.1,1", "0.3,2", "0.5,3"], "has no x or x_1.. columns"),
     ("no_y", ["x_1,x_2", "0.1,1", "0.3,2", "0.5,3"], "has no y or y_1.. columns"),
+    ("long_row", ["x_1,x_2,y", "0.1,0.2,1", "0.3,0.4,2,99", "0.5,0.6,3"],
+     "malformed rows: line 3 has 4 cells, the header has 3"),
+    # beyond the csv module's field size limit, which raises csv.Error
+    ("huge_cell", ["x_1,y", "0.1,1", "1" * 200000 + ",2", "0.5,3"],
+     "malformed rows: field larger than field limit"),
 ])
 def test_malformed_data_csv_is_config_error(tmp_path, capsys, name, lines,
                                             fragment):
@@ -797,3 +805,33 @@ def test_data_columns_are_read_in_index_order(tmp_path):
                         [[2.0, 0.5, 1.0], [4.0, 0.7, 3.0]])
     x, y = read_points_csv(data, need_response=True)
     assert x.tolist() == [[1.0, 2.0], [3.0, 4.0]] and y.tolist() == [[0.5], [0.7]]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.tuples(st.integers(1, 30), st.integers(1, 4)).flatmap(lambda shape: st.tuples(
+    *(arrays(float, cols, elements=st.floats(allow_nan=False, allow_infinity=False))
+      for cols in (shape, (shape[0], 1))))))
+def test_written_data_reads_back_bit_for_bit(tmp_path_factory, xy):
+    from gsir.cli import read_points_csv
+    x, y = xy
+    path = tmp_path_factory.mktemp("roundtrip") / "data.csv"
+    write_dataset_csv(path, x, y, -y)
+    for need_response in (True, False):
+        x_back, y_back = read_points_csv(path, need_response)
+        assert x_back.tobytes() == x.tobytes() and x_back.flags.c_contiguous
+        if need_response:
+            assert y_back.tobytes() == y.tobytes() and y_back.flags.c_contiguous
+
+
+def test_reading_data_peaks_near_the_parsed_array(tmp_path):
+    # one pass parses each cell into a float buffer, so the traced peak is
+    # the buffer's growth and the copies out of it, not one Python str per
+    # cell (which peaked at about 20 times the arrays' bytes)
+    from gsir.cli import read_points_csv
+    from test_estimator import traced_peak
+    path = tmp_path / "data.csv"
+    write_dataset_csv(path, *generate(SyntheticModel("m3_symmetric", 5, 0.2), 20000, 0))
+    for need_response in (False, True):
+        out = []
+        peak = traced_peak(lambda: out.extend(read_points_csv(path, need_response)))
+        assert peak <= 3 * sum(a.nbytes for a in out if a is not None), need_response

@@ -1,9 +1,8 @@
 """Each subcommand loads only its own stack, checked in fresh interpreters.
 
-`import gsir.cli` loads no SciPy; theory runs on numpy alone; sim-rate adds
-`scipy.special` but none of the fit stack's SciPy (`scipy.linalg`,
-`scipy.sparse`, `scipy.spatial`); and the package's lazy re-exports still
-resolve every name the README imports from `gsir`.
+`import gsir.cli` loads no SciPy; theory and sim-rate run on numpy alone;
+and the package's lazy re-exports still resolve every name the README
+imports from `gsir`.
 """
 
 import importlib.util
@@ -19,7 +18,6 @@ import pytest
 import gsir
 
 README = Path(__file__).parents[1] / "README.md"
-FIT_STACK_SCIPY = ("scipy.linalg", "scipy.sparse", "scipy.spatial")
 
 
 def fresh(code, cwd):
@@ -52,14 +50,12 @@ def test_theory_loads_no_scipy(tmp_path):
     assert (tmp_path / "theory.csv").exists()
 
 
-def test_sim_rate_loads_scipy_special_but_no_fit_stack(tmp_path):
+def test_sim_rate_loads_no_scipy(tmp_path):
     (tmp_path / "sim.json").write_text(json.dumps(
         {"schema_version": 1, "mode": "sim_rate", "base_seed": 1,
          "n_grid": [20, 40, 80], "replications": 1, "alpha": 2.0, "beta": 1.0,
          "model": {"j_dim": 20, "y_dim": 2}, "output_path": "sim.csv"}))
-    loaded = scipy_after(tmp_path, ["sim-rate", "--config", "sim.json"])
-    assert "scipy.special" in loaded
-    assert not [m for m in loaded if m.startswith(FIT_STACK_SCIPY)]
+    assert scipy_after(tmp_path, ["sim-rate", "--config", "sim.json"]) == []
     assert (tmp_path / "sim.csv").exists()
 
 

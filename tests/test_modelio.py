@@ -1,13 +1,17 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
+import gsir.modelio
 from gsir.estimator import evaluate_predictors, fit_gsir1, fit_gsir2
 from gsir.kernels import KernelSpec
-from gsir.modelio import fit_from_json, fit_to_json, load_fit, save_fit
+from gsir.modelio import _emit, csv_text, fit_from_json, fit_to_json, load_fit, save_fit
+from reference_modelio import reference_csv_text, reference_emit
 
 GAUSS = KernelSpec("gaussian", 0.7)
 
@@ -151,3 +155,49 @@ def test_save_load_predict_is_bitwise_identical(tmp_path, seed, n, p, d, epsilon
     x_new = rng.standard_normal((7, p))
     assert np.array_equal(evaluate_predictors(load_fit(path), x_new),
                           evaluate_predictors(fit, x_new))
+
+
+# +-0, the smallest subnormal, a subnormal with 16 digits, the largest
+# exponents and values whose 17-digit form is long
+SPECIAL = [0.0, -0.0, 5e-324, -1.2345678901234567e-310, 1e308, -1.7976931348623157e308,
+           1 / 3, -2.5, 1e-300, 123456789.0]
+
+
+def special_array(shape, seed):
+    rng = np.random.default_rng(seed)
+    return np.where(rng.random(shape) < 0.5, rng.choice(SPECIAL, shape),
+                    rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape))
+
+
+@settings(max_examples=50, deadline=None)
+@given(arrays(float, array_shapes(min_dims=2, max_dims=2, max_side=6)))
+def test_csv_text_and_emit_match_the_reference_writers(a):
+    # any float, NaN and the infinities included
+    header = [f"c_{j + 1}" for j in range(a.shape[1])]
+    assert csv_text(header, a) == reference_csv_text(header, a)
+    assert _emit(a.tolist()) == reference_emit(a.tolist())
+    assert _emit(a[:, 0].tolist()) == reference_emit(a[:, 0].tolist())
+
+
+def test_csv_text_matches_the_csv_writer_on_mixed_rows():
+    # the cells the experiment writers emit: ints, numpy scalars, variant and
+    # bound_ok strings, floats; given as a list and as a generator
+    rows = [[2000, 3, "gsir1", np.float64(-0.0), 5e-324, "na"],
+            [np.int64(7), 0, "gsir2", 1e308, np.float64(1 / 3), "1"],
+            [1, 2, "optimal", -2.5, 0.1, "0"]]
+    header = ["n", "rep", "variant", "subspace_dist", "max_cancor", "bound_ok_1"]
+    assert csv_text(header, rows) == reference_csv_text(header, rows)
+    assert csv_text(header, iter(rows)) == reference_csv_text(header, rows)
+    a = special_array((40, 3), 0)
+    assert csv_text(["x_1", "x_2", "y"], a) == reference_csv_text(["x_1", "x_2", "y"], a)
+
+
+def test_fit_to_json_matches_the_recursive_writer(monkeypatch):
+    fit = dataclasses.replace(make_fit(seed=6), train_points=special_array((20, 2), 1),
+                              coefficients=special_array((20, 2), 2),
+                              eigenvalues=special_array(2, 3))
+    text = fit_to_json(fit)
+    monkeypatch.setattr(gsir.modelio, "_emit", reference_emit)
+    assert text == fit_to_json(fit)
+    doc = [1, 2.5, True, None, "s", [0.5, -0.0, 3], [], {"k": [[1e308], [5e-324]]}]
+    assert _emit(doc) == reference_emit(doc)

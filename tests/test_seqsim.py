@@ -8,7 +8,7 @@ from gsir.linalg import inv_sqrt_shift, operator_norm, spectral_apply
 from gsir.rates import fit_loglog_slope
 from gsir.seqsim import (RegressionOps, SpectralModel, SpectralSample,
                          build_model, empirical_operators, error_report,
-                         estimate_regression_ops, lemma_alpha_sum,
+                         estimate_regression_ops, hurwitz_zeta, lemma_alpha_sum,
                          power_spectrum, simulate_sample, span_projection_error,
                          truncation_tail_fraction)
 from reference_oracle import (reference_error_report, reference_regression_ops,
@@ -380,3 +380,11 @@ def test_truncation_tail_fraction_matches_zeta():
     expected = (zeta(2.0, 1) - np.sum(power_spectrum(2.0, 200))) / zeta(2.0, 1)
     assert abs(truncation_tail_fraction(2.0, 200) - expected) < 1e-12
     assert truncation_tail_fraction(2.0, 200) <= 0.01
+
+
+@pytest.mark.parametrize("s", [1.01, 1.1, 1.5, 2.0, 3.0, 7.5, 20.0, 100.0])
+def test_hurwitz_zeta_matches_scipy(s):
+    # within 5 ulp of SciPy's (cephes) Euler-Maclaurin sum, which it replaces
+    for a in (1, 2, 3, 11, 51, 201, 10001):
+        want = zeta(s, a)
+        assert abs(hurwitz_zeta(s, a) - want) <= 1e-15 * want, (s, a)

@@ -464,3 +464,15 @@ def test_linear_kernel_y_fit_does_not_depend_on_the_scale_of_y(variant):
     pred, pred_s = evaluate_predictors(fit, x), evaluate_predictors(fit_s, x)
     scale = np.max(np.abs(pred), axis=0)
     assert np.all(np.max(np.abs(pred_s - pred), axis=0) <= 1e-9 * scale)
+
+
+@pytest.mark.parametrize("variant", ["gsir1", "gsir2"])
+def test_gap_warning_is_relative_to_mu_1(variant):
+    # a linear kernel_y on y * 1e-6 scales every mu by 1e-12, and the gap
+    # rule scales with them: each d warns on y * 1e-6 exactly when it warns
+    # on y.  Gy has rank 3, so d = 4 meets the exact tie mu_4 = mu_5 = 0.
+    x, y = make_data(200, 3)
+    kx, ky = KernelSpec("gaussian", 0.5), KernelSpec("linear")
+    for d in (2, 3, 4):
+        fits = [FIT[variant](x, s * y, kx, ky, EPS, d) for s in (1.0, 1e-6)]
+        assert [any("gap" in w for w in fit.warnings) for fit in fits] == [d == 4] * 2
