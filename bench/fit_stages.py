@@ -21,6 +21,9 @@ gaussian kernels, eps=1e-3, d=1 (the benchmark's fit_predict settings):
 - fit_gsir1, fit_gsir2: one fit each;
 - fit_gsir1_laplace_y: gsir1 with a laplace kernel on y, whose centered Gram
   has full numerical rank, so the thin factor of Gy is as wide as it gets;
+- recovery_pair:   gsir1 then gsir2 on one draw, as `kernel-recovery` fits
+  them: on one `estimator.factorize` result passed as `shared=` to both, or
+  as two plain fits on a checkout that lacks `factorize`;
 - predict_20000:   `evaluate_predictors` of a saved gsir1 model on 20 000
   held-out rows (the model is fitted by an earlier, untimed process).
 
@@ -41,7 +44,8 @@ CLI suite (`--suite cli`; `--n` does not apply): the five README commands of
 `bench/digests.py` (theory, sim-rate, kernel-recovery, fit, then predict of
 the fitted model), each as a fresh interpreter that imports `gsir.cli` and
 calls `main`, so import cost counts as users pay it.  Each repeat runs every
-label once, labels alternating, and a row holds the medians over repeats of:
+label once, in the given order on even repeats and in reverse on odd ones,
+so neither label always runs first; a row holds the medians over repeats of:
 import_cpu_s (`import gsir.cli`), run_cpu_s (`main`), cpu_s (their sum, with
 its quartiles), process_cpu_s (the whole interpreter, start-up included) and
 peak_rss_mb.
@@ -61,7 +65,8 @@ from pathlib import Path
 from digests import COMMANDS, POINTS
 
 SUITES = {"fit": ("median_bandwidth", "centered_gram", "reflected_gram",
-                  "fit_gsir1", "fit_gsir2", "fit_gsir1_laplace_y", "predict_20000"),
+                  "fit_gsir1", "fit_gsir2", "fit_gsir1_laplace_y", "recovery_pair",
+                  "predict_20000"),
           "oracle": ("simulate_sample", "empirical_operators",
                      "estimate_regression_ops", "error_report", "replication"),
           "cli": tuple(command for command, _, _ in COMMANDS)}
@@ -97,6 +102,13 @@ def _oracle_call(stage, n):
         "replication": lambda: error_report(model, estimate_regression_ops(
             simulate_sample(model, n, SEED), eps)),
     }[stage]
+
+
+def _recovery_pair(estimator, x, y, kx, ky):
+    shared = ({"shared": estimator.factorize(x, y, kx, ky, 1e-3, 1)}
+              if hasattr(estimator, "factorize") else {})
+    estimator.fit_gsir1(x, y, kx, ky, 1e-3, 1, **shared)
+    estimator.fit_gsir2(x, y, kx, ky, 1e-3, 1, **shared)
 
 
 def _measure(call, repeats):
@@ -135,6 +147,8 @@ def run_cell(stage, n, repeats, model_path):
     elif stage == "fit_gsir1_laplace_y":
         ly = KernelSpec("laplace", median_bandwidth(y))
         call = lambda: fit_gsir1(x, y, kx, ly, 1e-3, 1)
+    elif stage == "recovery_pair":
+        call = lambda: _recovery_pair(estimator, x, y, kx, ky)
     elif stage == "save_model":
         save_fit(fit_gsir1(x, y, kx, ky, 1e-3, 1), model_path)
         return {}
@@ -205,7 +219,7 @@ def cli_rows(labels, repeats):
     runs = {}
     with tempfile.TemporaryDirectory() as tmp:
         for rep in range(repeats):
-            for pair in labels:
+            for pair in labels if rep % 2 == 0 else labels[::-1]:
                 name, src = pair.split("=", 1)
                 work = Path(tmp, name)
                 if rep == 0:

@@ -35,6 +35,12 @@ with P the projection onto the range of Fx.  Dividing by |p| gives
 c' Gx c = 1 (variant 1) or c' Gx T c = 1 (variant 2).  The triangular solve
 keeps its accuracy for any eps; the Woodbury form (G q / sqrt(mu) - Lx h) /
 (eps n) of the same c cancels digits as eps / |Gx / n| approaches rounding.
+
+The solve splits where the variants diverge.  Everything up to B2 = L^-1 E
+(both Grams and factors, the QR, G, L) is variant-free and is built once per
+sample by `factorize`; `fit_gsir1` and `fit_gsir2` take it as `shared=` or
+build it themselves.  The variant step (`_solve`) applies the extra L^-T for
+variant 1, then runs the eigenproblem and the coefficient extraction.
 """
 
 import numpy as np
@@ -128,22 +134,47 @@ def _factor(g, top, epsilon=0.0):
     return c[:, :r], piv - 1
 
 
-def _solve(x, y, kernel_x, kernel_y, epsilon, variant, d=None):
-    """The eigenproblem on the range of Fx, of rank r.  With d None: the n
-    eigenvalues mu, descending, 0 beyond r.  Else (coefficients, mu[:d],
-    warnings) of the top d predictors; a d above r is refused before the QR.
-    Gy is factored first, so only its factor is alive beside Gx."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+@dataclass(frozen=True, eq=False)
+class _Factorization:
+    """The variant-free part of one sample's solve (see `factorize`): the
+    inputs it was built from, Lx, L, the QR's V and T, B2 = L^-1 E and the
+    QR's row order; the arrays are None when Gx = 0 (r = 0)."""
+
+    inputs: tuple
+    lx: np.ndarray
+    l: np.ndarray
+    v: np.ndarray
+    t: np.ndarray
+    b2: np.ndarray
+    rows: np.ndarray
+
+    def check(self, x, y, kernel_x, kernel_y, epsilon):
+        """ValueError unless built from these (checked) inputs."""
+        bx, by, bkx, bky, beps = self.inputs
+        if not (np.array_equal(bx, x) and np.array_equal(by, y) and bkx == kernel_x
+                and bky == kernel_y and beps == epsilon):
+            raise ValueError("the shared factorization was built from a different "
+                             "x, y, kernel or epsilon")
+
+
+def _check_rank(d, r):
+    if d is not None and d > r:
+        raise NumericalError(f"d={d} exceeds the numerical rank {r} of the "
+                             f"centered Gram matrix; the achievable d is {r}")
+
+
+def _factorize(x, y, kernel_x, kernel_y, epsilon, d=None):
+    """Everything both variants share, down to B2 = L^-1 E; a d above the rank
+    r of Fx is refused before the QR.  Gy is factored first, so only its
+    factor is alive beside Gx."""
+    inputs = (x.copy(), y.copy(), kernel_x, kernel_y, epsilon)  # callers may edit x, y later
     f, piv_y = _factor(*reflected_gram(kernel_y, y))
     f = f.copy(order="F")      # frees Gy's n x n
     fx, piv = _factor(*reflected_gram(kernel_x, x), epsilon)
     n, r = fx.shape
-    if d is not None and d > r:
-        raise NumericalError(f"d={d} exceeds the numerical rank {r} of the "
-                             f"centered Gram matrix; the achievable d is {r}")
+    _check_rank(d, r)
     if r == 0:     # Gx = 0: nothing to fit, every mu is 0
-        return np.zeros(n)
+        return _Factorization(inputs, *[None] * 6)
     # Rows r-1..0, then r..n-1 of x's pivot order, with the columns reversed:
     # the triangle on top is upper, and Q eliminates the n - r >= 1 rows below
     rows = np.concatenate([piv[r - 1::-1], piv[r:]])
@@ -162,10 +193,23 @@ def _solve(x, y, kernel_x, kernel_y, epsilon, variant, d=None):
     l, info = dpotrf(s, lower=1, overwrite_a=1)
     if info:
         raise NumericalError(f"Cholesky factorization of S failed (info={info})")
-    b = dtrsm(1.0, l, dtrmm(1.0 / n, lx, g, lower=1, trans_a=1), lower=1, overwrite_b=1)
-    del g
+    b2 = dtrsm(1.0, l, dtrmm(1.0 / n, lx, g, lower=1, trans_a=1), lower=1, overwrite_b=1)
+    return _Factorization(inputs, lx, l, v, t, b2, rows)
+
+
+def _solve(fz, variant, d=None, own=False):
+    """The eigenproblem of one variant on the range of Fx, of rank r.  With d
+    None: the n eigenvalues mu, descending, 0 beyond r.  Else (coefficients,
+    mu[:d], warnings) of the top d predictors.  With own, fz is this call's
+    alone and gsir1 may overwrite its B2."""
+    n = len(fz.inputs[0])
+    r = 0 if fz.lx is None else len(fz.lx)
+    _check_rank(d, r)
+    if r == 0:
+        return np.zeros(n)
+    lx, l, v, t, rows, b = fz.lx, fz.l, fz.v, fz.t, fz.rows, fz.b2
     if variant == "gsir1":     # S^-1 E = L^-T L^-1 E
-        b = dtrsm(1.0, l, b, lower=1, trans_a=1, overwrite_b=1)
+        b = dtrsm(1.0, l, b, lower=1, trans_a=1, overwrite_b=int(own))
     # The nonzero mu are the eigenvalues of the smaller of B B^T and B^T B
     wide = b.shape[1] > r
     mu, q, info = dsyevd(dsyrk(1.0, b, trans=int(not wide), lower=1), lower=1,
@@ -210,30 +254,49 @@ def _solve(x, y, kernel_x, kernel_y, epsilon, variant, d=None):
     return out[:, :d] * np.where(top < 0.0, -1.0, 1.0), mu[:d].copy(), tuple(warnings)
 
 
-def _fit(x, y, kernel_x, kernel_y, epsilon, d, variant):
+def _fit(x, y, kernel_x, kernel_y, epsilon, d, variant, shared):
     x, y = _check_inputs(x, y, epsilon, d)
+    if shared is None:
+        fz = _factorize(x, y, kernel_x, kernel_y, epsilon, d)
+    else:
+        shared.check(x, y, kernel_x, kernel_y, epsilon)
+        fz = shared
     return GsirFit(variant, x.copy(), kernel_x, kernel_y, float(epsilon), d,
-                   *_solve(x, y, kernel_x, kernel_y, epsilon, variant, d))
+                   *_solve(fz, variant, d, own=shared is None))
 
 
-def fit_gsir1(x, y, kernel_x, kernel_y, epsilon, d):
+def factorize(x, y, kernel_x, kernel_y, epsilon, d=1):
+    """The variant-free step of a fit, for `fit_gsir1` and `fit_gsir2` on the
+    same sample: both Grams, their factors, the QR and B2 (module docstring).
+
+    Pass the result as `shared=` to both fits to build it once.  d is the
+    largest number of predictors that will be asked for; a d above the rank
+    of the centered Gram matrix of x is refused here, before the QR.
+    """
+    x, y = _check_inputs(x, y, epsilon, d)
+    return _factorize(x, y, kernel_x, kernel_y, epsilon, d)
+
+
+def fit_gsir1(x, y, kernel_x, kernel_y, epsilon, d, *, shared=None):
     """Fit d predictors with the fully inverted regression operator.
 
     x (n, p) and y (n, q) are the training predictors and responses (1-d
     inputs are columns), kernel_x and kernel_y their KernelSpecs; epsilon is
     the ridge shift added to the covariance operator before inversion; d is
-    at most the rank of the centered Gram matrix of x.
+    at most the rank of the centered Gram matrix of x.  shared, from
+    `factorize` on the same inputs, skips the variant-free step (ValueError
+    if it was built from other ones).
     """
-    return _fit(x, y, kernel_x, kernel_y, epsilon, d, "gsir1")
+    return _fit(x, y, kernel_x, kernel_y, epsilon, d, "gsir1", shared)
 
 
-def fit_gsir2(x, y, kernel_x, kernel_y, epsilon, d):
+def fit_gsir2(x, y, kernel_x, kernel_y, epsilon, d, *, shared=None):
     """Fit d predictors with the half-inverted regression operator.
 
     Same contract as `fit_gsir1`; the stored coefficients already include the
     extra (Sxx + eps I)^(-1/2) factor, so evaluation works identically.
     """
-    return _fit(x, y, kernel_x, kernel_y, epsilon, d, "gsir2")
+    return _fit(x, y, kernel_x, kernel_y, epsilon, d, "gsir2", shared)
 
 
 def gsir_spectrum(x, y, kernel_x, kernel_y, epsilon, variant="gsir1"):
@@ -245,8 +308,10 @@ def gsir_spectrum(x, y, kernel_x, kernel_y, epsilon, variant="gsir1"):
     rank (see `_factor`), which is at most n - 1, so at least the last value
     is 0: centering leaves no rounding-level remainder.
     """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     x, y = _check_inputs(x, y, epsilon, d=1)
-    return _solve(x, y, kernel_x, kernel_y, epsilon, variant)
+    return _solve(_factorize(x, y, kernel_x, kernel_y, epsilon), variant, own=True)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -342,10 +342,11 @@ def _run_tasks(fn, tasks, threads):
     return [fn(t) for t in tasks]
 
 
-# n x n float64 arrays per dense fit: peak RSS grows by 2.0 (gaussian kernel_y)
-# and 5.0 (laplace) n^2 from n=2000 to 4000, BENCH_8.json; traced peaks are
-# about 3 and 6 n^2 at n=600-2000.
-DENSE_FIT_ARRAYS = 5
+# n x n float64 arrays per dense fit, sized by the worst traced peak: where r
+# and r_y both stay near n (m3, n=600, laplace kernel_y, eps = 1e-12) one fit
+# peaks at 6.06 n^2 and a kernel-recovery replication, whose two fits share
+# one factorization (gsir1's B beside the shared B2), at 7.06 n^2.
+DENSE_FIT_ARRAYS = 8
 
 
 def _physical_memory():
@@ -463,10 +464,12 @@ def run_kernel_recovery(config, threads=1):
     """Fit both variants on synthetic draws and score recovery of the truth.
 
     Each replication spawns two child seeds (train, test) from its
-    SeedSequence; fitted predictors are evaluated at the held-out test design
-    and compared to the true predictor values there.
+    SeedSequence.  The variant-free part of the solve is built once per draw
+    (`estimator.factorize`) and shared by both fits.  Fitted predictors are
+    evaluated at the held-out test design and compared to the true predictor
+    values there.
     """
-    from .estimator import evaluate_predictors, fit_gsir1, fit_gsir2
+    from .estimator import evaluate_predictors, factorize, fit_gsir1, fit_gsir2
     tasks = _tasks(config)
     check_dense_memory(max(config.n_grid), _workers(threads, tasks))
 
@@ -477,9 +480,10 @@ def run_kernel_recovery(config, threads=1):
         x_test, _, f_test = generate(config.dataset, config.n_test, test_seed)
         kx = resolve_kernel(config.kernel_x, x, "kernel_x")
         ky = resolve_kernel(config.kernel_y, y, "kernel_y")
+        shared = factorize(x, y, kx, ky, config.epsilon, config.d)
         out = []
         for variant, fit_fn in (("gsir1", fit_gsir1), ("gsir2", fit_gsir2)):
-            fit = fit_fn(x, y, kx, ky, config.epsilon, config.d)
+            fit = fit_fn(x, y, kx, ky, config.epsilon, config.d, shared=shared)
             pred = evaluate_predictors(fit, x_test)
             out.append(RecoveryRow(
                 n=n, rep=rep, variant=variant,

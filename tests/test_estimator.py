@@ -11,6 +11,7 @@ import gsir.estimator
 from gsir.datasets import SyntheticModel, generate
 from gsir.estimator import (_BLOCK, evaluate_predictors, fit_gsir1, fit_gsir2,
                             gsir_spectrum)
+from gsir.experiments import DENSE_FIT_ARRAYS, parse_config, run_kernel_recovery
 from gsir.kernels import (FAMILIES, KernelSpec, centered_gram, gram_matrix,
                           median_bandwidth)
 from gsir.linalg import inv_shift, inv_sqrt_shift, spectral_apply, sqrt
@@ -323,3 +324,17 @@ def test_dense_fit_peak_memory():
     # Gx is factored: 2.36 n^2 (4.69 n^2 when B^T B was solved)
     ly = KernelSpec("laplace", median_bandwidth(y))
     assert traced_peak(lambda: fit_gsir1(x3, y, kx3, ly, 1e-3, 1)) <= 2.5 * n2
+
+
+def test_recovery_replication_peak_is_within_the_memory_check():
+    # r and r_y both near n (laplace kernel_y, eps = 1e-12) is the worst
+    # case: one replication's two fits on a shared factorization peak at
+    # 7.2 n^2 here, 7.06 n^2 at n = 600
+    n = 200
+    config = parse_config({
+        "schema_version": 1, "mode": "kernel_recovery", "base_seed": 5, "n_grid": [n],
+        "replications": 1, "dataset": {"model": "m3_symmetric", "p": 5, "sigma_noise": 0.2},
+        "kernel_y": {"family": "laplace", "gamma": "median"}, "epsilon": 1e-12,
+        "d": 1, "n_test": 50}, "kernel-recovery")
+    run_kernel_recovery(config)      # loads what the first run imports
+    assert traced_peak(lambda: run_kernel_recovery(config)) <= DENSE_FIT_ARRAYS * 8 * n * n

@@ -92,3 +92,29 @@ def test_every_traced_function_resolves():
     assert len(tracing.TRACED) == 24 and set(tracing.COMPUTED) <= set(tracing.TRACED)
     for module, name in tracing.TRACED:
         assert callable(getattr(importlib.import_module(module), name)), (module, name)
+
+
+def test_kernel_recovery_calls_both_traced_fits_once_per_replication(monkeypatch):
+    # the tracer times kernel-recovery's fits through these two names; each
+    # replication shares one factorization between its two calls
+    import gsir.estimator
+    from gsir.experiments import parse_config, run_kernel_recovery
+
+    calls = []
+    for name in ("fit_gsir1", "fit_gsir2"):
+        fit_fn = getattr(gsir.estimator, name)
+
+        def spy(*args, name=name, fit_fn=fit_fn, **kwargs):
+            calls.append((name, kwargs["shared"]))
+            return fit_fn(*args, **kwargs)
+
+        monkeypatch.setattr(gsir.estimator, name, spy)
+    config = parse_config({
+        "schema_version": 1, "mode": "kernel_recovery", "base_seed": 5,
+        "n_grid": [40, 60], "replications": 2, "epsilon": 1e-3, "d": 1, "n_test": 50,
+        "dataset": {"model": "m3_symmetric", "p": 2, "sigma_noise": 0.1}},
+        "kernel-recovery")
+    run_kernel_recovery(config)
+    assert [name for name, _ in calls] == ["fit_gsir1", "fit_gsir2"] * 4
+    shared = [s for _, s in calls]
+    assert shared[0::2] == shared[1::2] and len({id(s) for s in shared}) == 4

@@ -9,8 +9,8 @@ from scipy.linalg.lapack import dpstrf, dtpqrt
 
 import gsir.estimator
 from gsir.datasets import SyntheticModel, generate
-from gsir.estimator import (_STOP_TAU, _ULP, _factor, evaluate_predictors, fit_gsir1,
-                            fit_gsir2, gsir_spectrum)
+from gsir.estimator import (_STOP_TAU, _ULP, _factor, evaluate_predictors, factorize,
+                            fit_gsir1, fit_gsir2, gsir_spectrum)
 from gsir.kernels import KernelSpec, centered_gram, median_bandwidth, reflected_gram
 from gsir.linalg import NumericalError
 from reference_solve import (align_sign, dense_centered_gram, reference_fit,
@@ -476,3 +476,81 @@ def test_gap_warning_is_relative_to_mu_1(variant):
     for d in (2, 3, 4):
         fits = [FIT[variant](x, s * y, kx, ky, EPS, d) for s in (1.0, 1e-6)]
         assert [any("gap" in w for w in fit.warnings) for fit in fits] == [d == 4] * 2
+
+
+def assert_bitwise_equal(fit, plain):
+    assert (fit.variant, fit.d, fit.warnings) == (plain.variant, plain.d, plain.warnings)
+    for name in ("coefficients", "eigenvalues"):
+        a, b = getattr(fit, name), getattr(plain, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("q", [1, 3])
+@pytest.mark.parametrize("family", ["gaussian", "laplace", "linear"])
+def test_shared_factorization_is_bitwise_two_independent_fits(family, q):
+    # gsir1, gsir2, then gsir1 again on one factorization: gsir1 must leave
+    # the shared B2 as it found it
+    x, y = make_data(200, q)
+    kernel = KernelSpec(family, 0.5)
+    shared = factorize(x, y, kernel, kernel, EPS, q)
+    for variant in ("gsir1", "gsir2", "gsir1"):
+        assert_bitwise_equal(FIT[variant](x, y, kernel, kernel, EPS, q, shared=shared),
+                             FIT[variant](x, y, kernel, kernel, EPS, q))
+
+
+@pytest.mark.parametrize("variant", ["gsir1", "gsir2"])
+def test_shared_factorization_completes_beyond_the_positive_spectrum(variant):
+    # Gy of a linear kernel on a 1-d response has rank 1: d = 3 takes the
+    # orthonormal completion and warns on the gap, the same with or without
+    x, y = make_data(200, 1)
+    kx, ky = KernelSpec("gaussian", 0.5), KernelSpec("linear")
+    fit = FIT[variant](x, y, kx, ky, EPS, 3, shared=factorize(x, y, kx, ky, EPS, 3))
+    assert np.all(fit.eigenvalues[1:] == 0.0) and any("gap" in w for w in fit.warnings)
+    assert_bitwise_equal(fit, FIT[variant](x, y, kx, ky, EPS, 3))
+
+
+def test_shared_factorization_refuses_d_beyond_the_rank(monkeypatch):
+    # Gx of a linear kernel on two columns has rank 2: the factorization
+    # refuses d = 3 before the QR, and a fit refuses d = 3 on one built for 2
+    heights = []
+
+    def spy(l, nb, a, b, **kwargs):
+        heights.append(b.shape[0])
+        return dtpqrt(l, nb, a, b, **kwargs)
+
+    monkeypatch.setattr(gsir.estimator, "dtpqrt", spy)
+    x, y = make_data(60, 1)
+    linear, gauss = KernelSpec("linear"), KernelSpec("gaussian", 0.5)
+    refusal = "^d=3 exceeds the numerical rank 2 of the centered Gram matrix"
+    with pytest.raises(NumericalError, match=refusal):
+        factorize(x[:, :2], y, linear, gauss, EPS, 3)
+    assert heights == []
+    shared = factorize(x[:, :2], y, linear, gauss, EPS, 2)
+    for fit_fn in FIT.values():
+        with pytest.raises(NumericalError, match=refusal):
+            fit_fn(x[:, :2], y, linear, gauss, EPS, 3, shared=shared)
+        assert fit_fn(x[:, :2], y, linear, gauss, EPS, 2, shared=shared).d == 2
+    assert len(heights) == 1
+
+
+@pytest.mark.parametrize("other", ["x", "y", "kernel_x", "kernel_y", "epsilon"])
+def test_shared_factorization_of_other_inputs_is_refused(other):
+    x, y = make_data(50, 1)
+    args = {"x": x, "y": y, "kernel_x": KernelSpec("gaussian", 0.5),
+            "kernel_y": KernelSpec("gaussian", 0.5), "epsilon": EPS}
+    shared = factorize(**args, d=1)
+    args[other] = {"x": x + 1e-9, "y": y[::-1], "kernel_x": KernelSpec("laplace", 0.5),
+                   "kernel_y": KernelSpec("gaussian", 0.25), "epsilon": 2 * EPS}[other]
+    for fit_fn in FIT.values():
+        with pytest.raises(ValueError, match="^the shared factorization was built "
+                           "from a different x, y, kernel or epsilon$"):
+            fit_fn(**args, d=1, shared=shared)
+
+
+def test_shared_factorization_of_points_changed_in_place_is_refused():
+    x, y = make_data(50, 1)
+    kernel = KernelSpec("gaussian", 0.5)
+    shared = factorize(x, y, kernel, kernel, EPS, 1)
+    x[0, 0] += 1.0
+    with pytest.raises(ValueError, match="built from a different x"):
+        fit_gsir1(x, y, kernel, kernel, EPS, 1, shared=shared)
