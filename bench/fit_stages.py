@@ -10,6 +10,9 @@ checkout's `src` as "current").  Every (label, stage, n) cell runs in its own
 fresh interpreter with OPENBLAS_NUM_THREADS=1, so the peak resident memory
 (`ru_maxrss`) belongs to that stage alone; times are the best of
 `--repeats` calls in process CPU seconds (user + system) and wall seconds.
+The labels of one (stage, n) run back to back, in the given order on even
+stages and in reverse on odd ones, so machine drift between cells falls on
+both labels alike and neither label always runs first.
 
 Stages, on the m3_symmetric design (p=5, sigma 0.2) with median-bandwidth
 gaussian kernels, eps=1e-3, d=1 (the benchmark's fit_predict settings):
@@ -248,13 +251,14 @@ def stage_rows(labels, ns, repeats, suite):
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
         for n in ns:
-            for pair in labels:
-                name, src = pair.split("=", 1)
-                model_path = Path(tmp) / f"{name}_{n}.json"
-                if suite == "fit":
-                    _cell(src, "save_model", n, 1, model_path)
-                for stage in SUITES[suite]:
-                    rec = _cell(src, stage, n, repeats, model_path)
+            if suite == "fit":
+                for pair in labels:
+                    name, src = pair.split("=", 1)
+                    _cell(src, "save_model", n, 1, Path(tmp) / f"{name}_{n}.json")
+            for i, stage in enumerate(SUITES[suite]):
+                for pair in labels if i % 2 == 0 else labels[::-1]:
+                    name, src = pair.split("=", 1)
+                    rec = _cell(src, stage, n, repeats, Path(tmp) / f"{name}_{n}.json")
                     if rec:
                         rows.append({"commit": name, "stage": stage, "n": n, **rec})
                         print(json.dumps(rows[-1]), flush=True)

@@ -230,40 +230,11 @@ class PredictConfig:
 
 
 @dataclass(frozen=True)
-class SimRateRow:
-    n: int
-    rep: int
-    delta: float
-    epsilon: float
-    record: object         # seqsim.ErrorRecord
-
-
-@dataclass(frozen=True)
-class RecoveryRow:
-    n: int
-    rep: int
-    variant: str
-    subspace_dist: float
-    max_cancor: float
-    eigenvalues: tuple
-
-
-@dataclass(frozen=True)
-class TheoryRow:
-    alpha: float
-    beta: float
-    branch: str
-    delta_opt: float
-    exponent_opt: float
-    rn_sum: float
-    rnprime_sum: float
-
-
-@dataclass(frozen=True)
 class RateReport:
-    mode: str
+    """A run's CSV, as its header and rows of cells, and its summary."""
+    header: tuple
     rows: tuple
-    summary: dict = field(default_factory=dict)
+    summary: dict
 
 
 # The config schema of each subcommand; a run mode's schema has a `mode`.
@@ -315,9 +286,12 @@ def derive_seed(base_seed, n, rep):
     return np.random.SeedSequence((base_seed, n, rep))
 
 
-# Most (n, rep) tasks one run takes.  A sim-rate report row holds just under
-# 1 KB (tracemalloc: 870 B at y_dim=2), so a run at the cap holds about 1 GB
-# of rows per delta; the README configs run 80 tasks, the benchmark's 160.
+# Most (n, rep) tasks one run takes.  Sim-rate memory grows with its report
+# rows.  tracemalloc over a serial run of 600 rows at j_dim=12, y_dim=2, less
+# what was traced before the run: the peak, while each row's error record and
+# median inputs live beside its cells, is 1.27 KB per row; the report, once
+# the records are freed, holds 0.28 KB per row.  So a run at the cap peaks
+# near 1.3 GB per delta; the README configs run 80 tasks, the benchmark's 160.
 MAX_TASKS = 10 ** 6
 
 
@@ -365,12 +339,12 @@ def check_dense_memory(n, fits=1):
 # runners
 # --------------------------------------------------------------------------
 
-def _report(config, rows, summary, to_csv):
+def _report(config, header, rows, summary):
     """The run's RateReport; its CSV goes to config.output_path when set."""
-    report = RateReport(mode=config.mode, rows=tuple(rows), summary=summary)
+    report = RateReport(header, tuple(rows), summary)
     if config.output_path:
         with open(config.output_path, "w", newline="") as fh:
-            fh.write(to_csv(report))
+            fh.write(csv_text(report.header, report.rows))
     return report
 
 
@@ -402,12 +376,11 @@ def run_sim_rate(config, threads=1):
         out = []
         for delta in deltas:
             eps = config.epsilon_constant * float(n) ** -delta
-            rec = error_report(model, estimate_regression_ops(sample, eps))
-            out.append(SimRateRow(n=n, rep=rep, delta=delta, epsilon=eps,
-                                  record=rec))
+            out.append((delta, n, rep, eps,
+                        error_report(model, estimate_regression_ops(sample, eps))))
         return out
 
-    rows = [row for chunk in _run_tasks(one, _tasks(config), threads) for row in chunk]
+    results = [res for chunk in _run_tasks(one, _tasks(config), threads) for res in chunk]
 
     summary = {
         "alpha": config.alpha,
@@ -420,8 +393,8 @@ def run_sim_rate(config, threads=1):
         "by_delta": [],
     }
     names = ("err_r1", "err_r2", "err_m", "eta_span_err")
-    medians = _group_medians(rows, lambda r: (r.delta, r.n),
-                             lambda r: [getattr(r.record, name) for name in names])
+    medians = _group_medians(results, lambda res: res[:2],
+                             lambda res: [getattr(res[-1], name) for name in names])
     for delta in deltas:
         med = {"delta": delta}
         for i, name in enumerate(names):
@@ -441,7 +414,15 @@ def run_sim_rate(config, threads=1):
             n: min(summary["by_delta"], key=lambda m: m["median_err_r1"][n])["delta"]
             for n in config.n_grid
         }
-    return _report(config, rows, summary, sim_rate_csv)
+    d = results[0][-1].d
+    header = (("n", "rep", "epsilon", "err_r1", "err_r2", "err_m")
+              + tuple(f"proj_err_{j + 1}" for j in range(d))
+              + tuple(f"bound_ok_{j + 1}" for j in range(d)))
+    rows = [(n, rep, eps, rec.err_r1, rec.err_r2, rec.err_m, *rec.proj_err,
+             *(("1" if ok else "0") if app else "na"
+               for ok, app in zip(rec.bound_ok, rec.bound_applicable)))
+            for _, n, rep, eps, rec in results]
+    return _report(config, header, rows, summary)
 
 
 def resolve_kernel(spec, points, name):
@@ -472,6 +453,8 @@ def run_kernel_recovery(config, threads=1):
     from .estimator import evaluate_predictors, factorize, fit_gsir1, fit_gsir2
     tasks = _tasks(config)
     check_dense_memory(max(config.n_grid), _workers(threads, tasks))
+    header = (("n", "rep", "variant", "subspace_dist", "max_cancor")
+              + tuple(f"eig_{j + 1}" for j in range(config.d)))
 
     def one(task):
         n, rep = task
@@ -485,18 +468,17 @@ def run_kernel_recovery(config, threads=1):
         for variant, fit_fn in (("gsir1", fit_gsir1), ("gsir2", fit_gsir2)):
             fit = fit_fn(x, y, kx, ky, config.epsilon, config.d, shared=shared)
             pred = evaluate_predictors(fit, x_test)
-            out.append(RecoveryRow(
-                n=n, rep=rep, variant=variant,
-                subspace_dist=subspace_distance(pred, f_test),
-                max_cancor=max_canonical_correlation(pred, f_test),
-                eigenvalues=tuple(float(v) for v in fit.eigenvalues)))
+            out.append((n, rep, variant, subspace_distance(pred, f_test),
+                        max_canonical_correlation(pred, f_test),
+                        *map(float, fit.eigenvalues)))
         return out
 
     rows = [row for chunk in _run_tasks(one, tasks, threads) for row in chunk]
 
     summary = {"by_variant": {}}
-    medians = _group_medians(rows, lambda r: (r.variant, r.n),
-                             lambda r: (r.max_cancor, r.subspace_dist))
+    # (variant, n) -> medians of (max_cancor, subspace_dist)
+    medians = _group_medians(rows, lambda row: (row[2], row[0]),
+                             lambda row: (row[4], row[3]))
     for variant in VARIANTS:
         med_cancor = {n: medians[variant, n][0] for n in config.n_grid}
         med_dist = {n: medians[variant, n][1] for n in config.n_grid}
@@ -507,11 +489,13 @@ def run_kernel_recovery(config, threads=1):
             "cancor_monotone_nondecreasing": bool(
                 all(b >= a for a, b in zip(cvals, cvals[1:]))),
         }
-    return _report(config, rows, summary, kernel_recovery_csv)
+    return _report(config, header, rows, summary)
 
 
 def run_theory_table(config):
     """Tabulate optimal exponents and bound sums over an (alpha, beta) grid."""
+    header = ("alpha", "beta", "branch", "delta_opt", "exponent_opt", "rn_sum",
+              "rnprime_sum")
     rows = []
     for alpha, beta in config.grid:
         th = optimal_rate_theory(alpha, beta)
@@ -523,13 +507,9 @@ def run_theory_table(config):
                 f"alpha={alpha}, beta={beta}")
         _, rn = rate_bound_terms(config.n_ref, eps, alpha, beta, "gsir1")
         _, rnp = rate_bound_terms(config.n_ref, eps, alpha, beta, "gsir2")
-        rows.append(TheoryRow(alpha=alpha, beta=beta, branch=th.branch,
-                              delta_opt=th.delta_opt,
-                              exponent_opt=th.exponent_opt,
-                              rn_sum=rn, rnprime_sum=rnp))
-    return _report(config, rows, {"n_ref": config.n_ref,
-                                  "epsilon_constant": config.epsilon_constant},
-                   theory_table_csv)
+        rows.append((alpha, beta, th.branch, th.delta_opt, th.exponent_opt, rn, rnp))
+    return _report(config, header, rows, {"n_ref": config.n_ref,
+                                          "epsilon_constant": config.epsilon_constant})
 
 
 def run_experiment(config, threads=1):
@@ -540,40 +520,3 @@ def run_experiment(config, threads=1):
         return run_kernel_recovery(config, threads=threads)
     return run_theory_table(config)
 
-
-# --------------------------------------------------------------------------
-# CSV emission
-# --------------------------------------------------------------------------
-
-def sim_rate_csv(report):
-    """CSV text: n,rep,epsilon,err_r1,err_r2,err_m,proj_err_1..d,bound_ok_1..d."""
-    d = report.rows[0].record.d
-    header = (["n", "rep", "epsilon", "err_r1", "err_r2", "err_m"]
-              + [f"proj_err_{j + 1}" for j in range(d)]
-              + [f"bound_ok_{j + 1}" for j in range(d)])
-    rows = []
-    for row in report.rows:
-        rec = row.record
-        rows.append([row.n, row.rep, row.epsilon, rec.err_r1, rec.err_r2, rec.err_m]
-                    + list(rec.proj_err)
-                    + [("1" if ok else "0") if app else "na"
-                       for ok, app in zip(rec.bound_ok, rec.bound_applicable)])
-    return csv_text(header, rows)
-
-
-def kernel_recovery_csv(report):
-    """CSV text: n,rep,variant,subspace_dist,max_cancor,eig_1..d."""
-    d = len(report.rows[0].eigenvalues)
-    return csv_text(["n", "rep", "variant", "subspace_dist", "max_cancor"]
-                    + [f"eig_{j + 1}" for j in range(d)],
-                    ([row.n, row.rep, row.variant, row.subspace_dist, row.max_cancor]
-                     + list(row.eigenvalues) for row in report.rows))
-
-
-def theory_table_csv(report):
-    """CSV text: alpha,beta,branch,delta_opt,exponent_opt,rn_sum,rnprime_sum."""
-    return csv_text(["alpha", "beta", "branch", "delta_opt", "exponent_opt",
-                     "rn_sum", "rnprime_sum"],
-                    ([row.alpha, row.beta, row.branch, row.delta_opt,
-                      row.exponent_opt, row.rn_sum, row.rnprime_sum]
-                     for row in report.rows))

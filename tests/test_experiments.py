@@ -11,10 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gsir.experiments import (R2_MIN, SLOPE_TOL, ConfigError, RateReport,
-                              derive_seed, kernel_recovery_csv, load_config,
-                              parse_config, run_experiment, run_kernel_recovery,
-                              run_sim_rate, run_theory_table, sim_rate_csv,
-                              theory_table_csv)
+                              derive_seed, load_config, parse_config, run_experiment,
+                              run_kernel_recovery, run_sim_rate, run_theory_table)
+from gsir.modelio import csv_text
 from gsir.rates import fit_loglog_slope
 from gsir.seqsim import (build_model, error_report, estimate_regression_ops,
                          simulate_sample)
@@ -54,6 +53,11 @@ def sim_doc(**overrides):
     doc = copy.deepcopy(SIM_DOC)
     doc.update(overrides)
     return doc
+
+
+def report_csv(report):
+    """The CSV text a run writes to its output_path."""
+    return csv_text(report.header, report.rows)
 
 
 def test_parse_sim_rate_defaults():
@@ -198,7 +202,7 @@ def test_sim_rate_row_count_and_order():
     report = run_sim_rate(parse_config(sim_doc(), "sim-rate"))
     assert isinstance(report, RateReport)
     assert len(report.rows) == 2 * 2
-    keys = [(r.n, r.rep) for r in report.rows]
+    keys = [(n, rep) for n, rep, *_ in report.rows]
     assert keys == sorted(keys)
     assert report.summary["delta_opt"] == pytest.approx(2.0 / 7.0)
     assert report.summary["branch"] == "smooth"
@@ -208,8 +212,16 @@ def test_sim_rate_slopes_fit_the_per_n_medians():
     config = parse_config(sim_doc(n_grid=[40, 80, 160]), "sim-rate")
     report = run_sim_rate(config)
     (med,) = report.summary["by_delta"]
+    # eta_span_err is no CSV column: recompute each row's record
+    model = build_model(12, 2, 2.0, 1.0, seed=11)
+    records = {}
+    for n, rep, eps, *_ in report.rows:
+        sample = simulate_sample(model, n, derive_seed(11, n, rep))
+        records.setdefault(n, []).append(
+            error_report(model, estimate_regression_ops(sample, eps)))
+    assert sorted(records) == list(config.n_grid)
     for name in ("err_r1", "err_r2", "err_m", "eta_span_err"):
-        medians = [np.median([getattr(r.record, name) for r in report.rows if r.n == n])
+        medians = [np.median([getattr(rec, name) for rec in records[n]])
                    for n in config.n_grid]
         assert [med[f"median_{name}"][n] for n in config.n_grid] == medians
         line = fit_loglog_slope(config.n_grid, medians)
@@ -230,12 +242,12 @@ def test_sim_rate_threads_match_serial():
     config = parse_config(sim_doc(), "sim-rate")
     a = run_sim_rate(config, threads=1)
     b = run_sim_rate(config, threads=4)
-    assert sim_rate_csv(a) == sim_rate_csv(b)
+    assert report_csv(a) == report_csv(b)
 
 
 def test_sim_rate_csv_schema():
     report = run_sim_rate(parse_config(sim_doc(), "sim-rate"))
-    text = sim_rate_csv(report)
+    text = report_csv(report)
     lines = text.splitlines()
     assert lines[0] == ("n,rep,epsilon,err_r1,err_r2,err_m,"
                         "proj_err_1,proj_err_2,bound_ok_1,bound_ok_2")
@@ -251,12 +263,14 @@ def test_sim_rate_rows_recomputable():
     report = run_sim_rate(config)
     model = build_model(12, 2, 2.0, 1.0, seed=11)
     rng = np.random.default_rng(0)
+    col = report.header.index
     for idx in rng.choice(len(report.rows), size=3, replace=False):
         row = report.rows[int(idx)]
-        sample = simulate_sample(model, row.n, derive_seed(11, row.n, row.rep))
-        rec = error_report(model, estimate_regression_ops(sample, row.epsilon))
-        assert rec.err_r1 == row.record.err_r1
-        assert rec.err_m == row.record.err_m
+        n, rep = row[col("n")], row[col("rep")]
+        sample = simulate_sample(model, n, derive_seed(11, n, rep))
+        rec = error_report(model, estimate_regression_ops(sample, row[col("epsilon")]))
+        assert rec.err_r1 == row[col("err_r1")]
+        assert rec.err_m == row[col("err_m")]
 
 
 def test_sim_rate_csv_deterministic(tmp_path):
@@ -274,9 +288,9 @@ def test_recovery_row_count_and_schema():
         parse_config(copy.deepcopy(RECOVERY_DOC), "kernel-recovery"))
     # two variants per (n, rep)
     assert len(report.rows) == 2 * 2 * 2
-    variants = {r.variant for r in report.rows}
+    variants = {row[report.header.index("variant")] for row in report.rows}
     assert variants == {"gsir1", "gsir2"}
-    text = kernel_recovery_csv(report)
+    text = report_csv(report)
     lines = text.splitlines()
     assert lines[0] == "n,rep,variant,subspace_dist,max_cancor,eig_1"
     assert len(lines) == 1 + len(report.rows)
@@ -302,19 +316,20 @@ def test_recovery_deterministic_bytes(tmp_path):
 
 def test_theory_table_examples():
     report = run_theory_table(parse_config(copy.deepcopy(THEORY_DOC), "theory"))
-    rows = {(r.alpha, r.beta): r for r in report.rows}
-    assert rows[(3.0, 1.0)].delta_opt == pytest.approx(0.3, abs=1e-15)
-    assert rows[(3.0, 1.0)].exponent_opt == pytest.approx(0.3, abs=1e-15)
-    assert rows[(2.0, 0.2)].branch == "rough"
-    assert rows[(2.0, 0.2)].delta_opt == 0.5
-    assert rows[(2.0, 0.2)].exponent_opt == pytest.approx(0.1, abs=1e-15)
-    assert rows[(50.0, 1.0)].exponent_opt == pytest.approx(50.0 / 151.0, abs=1e-15)
-    assert all(r.rn_sum > 0 and r.rnprime_sum > 0 for r in report.rows)
+    rows = {(r["alpha"], r["beta"]): r
+            for r in (dict(zip(report.header, row)) for row in report.rows)}
+    assert rows[(3.0, 1.0)]["delta_opt"] == pytest.approx(0.3, abs=1e-15)
+    assert rows[(3.0, 1.0)]["exponent_opt"] == pytest.approx(0.3, abs=1e-15)
+    assert rows[(2.0, 0.2)]["branch"] == "rough"
+    assert rows[(2.0, 0.2)]["delta_opt"] == 0.5
+    assert rows[(2.0, 0.2)]["exponent_opt"] == pytest.approx(0.1, abs=1e-15)
+    assert rows[(50.0, 1.0)]["exponent_opt"] == pytest.approx(50.0 / 151.0, abs=1e-15)
+    assert all(r["rn_sum"] > 0 and r["rnprime_sum"] > 0 for r in rows.values())
 
 
 def test_theory_table_csv_schema():
     report = run_theory_table(parse_config(copy.deepcopy(THEORY_DOC), "theory"))
-    lines = theory_table_csv(report).splitlines()
+    lines = report_csv(report).splitlines()
     assert lines[0] == "alpha,beta,branch,delta_opt,exponent_opt,rn_sum,rnprime_sum"
     assert len(lines) == 4
 
@@ -327,10 +342,26 @@ def test_theory_table_epsilon_constant_guard():
 
 
 def test_run_experiment_dispatch():
-    report = run_experiment(parse_config(copy.deepcopy(THEORY_DOC), "theory"))
-    assert report.mode == "theory_table"
-    report = run_experiment(parse_config(sim_doc(), "sim-rate"))
-    assert report.mode == "sim_rate"
+    for doc, command, header in (
+            (THEORY_DOC, "theory", ("alpha", "beta", "branch", "delta_opt",
+                                    "exponent_opt", "rn_sum", "rnprime_sum")),
+            (SIM_DOC, "sim-rate", ("n", "rep", "epsilon", "err_r1", "err_r2", "err_m",
+                                   "proj_err_1", "proj_err_2", "bound_ok_1",
+                                   "bound_ok_2")),
+            (RECOVERY_DOC, "kernel-recovery", ("n", "rep", "variant", "subspace_dist",
+                                               "max_cancor", "eig_1"))):
+        report = run_experiment(parse_config(copy.deepcopy(doc), command))
+        assert report.header == header
+
+
+@pytest.mark.parametrize("doc,command", [(THEORY_DOC, "theory"), (SIM_DOC, "sim-rate"),
+                                         (RECOVERY_DOC, "kernel-recovery")])
+def test_report_rows_match_their_header(tmp_path, doc, command):
+    path = tmp_path / "report.csv"
+    report = run_experiment(parse_config({**doc, "output_path": str(path)}, command))
+    assert report.rows
+    assert all(len(row) == len(report.header) for row in report.rows)
+    assert path.read_bytes() == report_csv(report).encode()
 
 
 def test_readme_configs_are_the_digest_inputs():
@@ -374,9 +405,9 @@ def record_pools(monkeypatch, cpus):
 @pytest.mark.parametrize("cpus,workers", [(3, [3]), (8, [4]), (1, []), (None, [])])
 def test_sim_rate_threads_are_capped_by_tasks_and_cpus(monkeypatch, cpus, workers):
     config = parse_config(sim_doc(), "sim-rate")      # 2 n x 2 replications
-    serial = sim_rate_csv(run_sim_rate(config, threads=1))
+    serial = report_csv(run_sim_rate(config, threads=1))
     sizes = record_pools(monkeypatch, cpus)
-    assert sim_rate_csv(run_sim_rate(config, threads=10 ** 6)) == serial
+    assert report_csv(run_sim_rate(config, threads=10 ** 6)) == serial
     assert sizes == workers
 
 
