@@ -17,8 +17,8 @@ import sys
 import numpy as np
 
 from .datasets import generate
-from .experiments import (_seed, check_dense_memory, load_config, resolve_kernel,
-                          run_experiment)
+from .experiments import (DENSE_FIT_ARRAYS, _seed, check_memory, load_config,
+                          resolve_kernel, run_experiment)
 from .linalg import NumericalError
 from .modelio import ConfigError, csv_text, load_fit, save_fit
 
@@ -75,9 +75,10 @@ def _run_fit(config):
     from .estimator import fit_gsir1, fit_gsir2
     if config.dataset is None:
         x, y = read_points_csv(config.data_csv, need_response=True)
-    else:
+    n = config.dataset[1] if config.dataset else len(x)   # sized before the draw
+    check_memory(DENSE_FIT_ARRAYS * 8 * n * n, f"n={n}, one dense fit")
+    if config.dataset is not None:
         x, y, _ = generate(*config.dataset, config.base_seed)
-    check_dense_memory(len(x))
     kx = resolve_kernel(config.kernel_x, x, "kernel_x")
     ky = resolve_kernel(config.kernel_y, y, "kernel_y")
     fit_fn = fit_gsir1 if config.variant == "gsir1" else fit_gsir2

@@ -52,7 +52,6 @@ from scipy.linalg.lapack import (dlauum, dpotrf, dpstrf, dsyevd, dtpmqrt,
 from .kernels import (KernelSpec, centering_reflector, gram_matrix,
                       reflected_gram, _as_points)
 from .linalg import DEFAULT_CLAMP, NumericalError
-from .rates import VARIANTS
 
 # Eigenvalue gap, relative to mu_1, at or below which the d-th predictor is not
 # well separated from the next and the fit warns (always when every mu is 0).
@@ -138,7 +137,7 @@ def _factor(g, top, epsilon=0.0):
 class _Factorization:
     """The variant-free part of one sample's solve (see `factorize`): the
     inputs it was built from, Lx, L, the QR's V and T, B2 = L^-1 E and the
-    QR's row order; the arrays are None when Gx = 0 (r = 0)."""
+    QR's row order."""
 
     inputs: tuple
     lx: np.ndarray
@@ -158,12 +157,12 @@ class _Factorization:
 
 
 def _check_rank(d, r):
-    if d is not None and d > r:
+    if d > r:
         raise NumericalError(f"d={d} exceeds the numerical rank {r} of the "
                              f"centered Gram matrix; the achievable d is {r}")
 
 
-def _factorize(x, y, kernel_x, kernel_y, epsilon, d=None):
+def _factorize(x, y, kernel_x, kernel_y, epsilon, d):
     """Everything both variants share, down to B2 = L^-1 E; a d above the rank
     r of Fx is refused before the QR.  Gy is factored first, so only its
     factor is alive beside Gx."""
@@ -173,8 +172,6 @@ def _factorize(x, y, kernel_x, kernel_y, epsilon, d=None):
     fx, piv = _factor(*reflected_gram(kernel_x, x), epsilon)
     n, r = fx.shape
     _check_rank(d, r)
-    if r == 0:     # Gx = 0: nothing to fit, every mu is 0
-        return _Factorization(inputs, *[None] * 6)
     # Rows r-1..0, then r..n-1 of x's pivot order, with the columns reversed:
     # the triangle on top is upper, and Q eliminates the n - r >= 1 rows below
     rows = np.concatenate([piv[r - 1::-1], piv[r:]])
@@ -197,16 +194,12 @@ def _factorize(x, y, kernel_x, kernel_y, epsilon, d=None):
     return _Factorization(inputs, lx, l, v, t, b2, rows)
 
 
-def _solve(fz, variant, d=None, own=False):
-    """The eigenproblem of one variant on the range of Fx, of rank r.  With d
-    None: the n eigenvalues mu, descending, 0 beyond r.  Else (coefficients,
-    mu[:d], warnings) of the top d predictors.  With own, fz is this call's
-    alone and gsir1 may overwrite its B2."""
-    n = len(fz.inputs[0])
-    r = 0 if fz.lx is None else len(fz.lx)
+def _solve(fz, variant, d, own=False):
+    """(coefficients, mu[:d], warnings) of the top d predictors of one
+    variant, from the eigenproblem on the range of Fx, of rank r.  With own,
+    fz is this call's alone and gsir1 may overwrite its B2."""
+    n, r = len(fz.inputs[0]), len(fz.lx)
     _check_rank(d, r)
-    if r == 0:
-        return np.zeros(n)
     lx, l, v, t, rows, b = fz.lx, fz.l, fz.v, fz.t, fz.rows, fz.b2
     if variant == "gsir1":     # S^-1 E = L^-T L^-1 E
         b = dtrsm(1.0, l, b, lower=1, trans_a=1, overwrite_b=int(own))
@@ -218,8 +211,6 @@ def _solve(fz, variant, d=None, own=False):
         raise NumericalError(f"eigendecomposition of the objective failed (info={info})")
     mu = np.maximum(mu[::-1], 0.0)       # B has rank at most min(r, r_y)
     mu, q = np.concatenate([mu, np.zeros(n - len(mu))]), q[:, ::-1]
-    if d is None:
-        return mu
     warnings = []
     if mu[d - 1] - mu[d] <= GAP_TOL * mu[0]:
         warnings.append(f"eigenvalue gap mu_{d} - mu_{d + 1} = "
@@ -297,21 +288,6 @@ def fit_gsir2(x, y, kernel_x, kernel_y, epsilon, d, *, shared=None):
     extra (Sxx + eps I)^(-1/2) factor, so evaluation works identically.
     """
     return _fit(x, y, kernel_x, kernel_y, epsilon, d, "gsir2", shared)
-
-
-def gsir_spectrum(x, y, kernel_x, kernel_y, epsilon, variant="gsir1"):
-    """Full eigenvalue sequence of the objective operator, descending.
-
-    Has length n; every value beyond the rank of the pivoted-Cholesky factor
-    of Gx (or of Gy) is exactly 0, because the solve works on its range.
-    Gx's factor stops at the rank that the ridge can see, the _STOP_TAU * eps
-    rank (see `_factor`), which is at most n - 1, so at least the last value
-    is 0: centering leaves no rounding-level remainder.
-    """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    x, y = _check_inputs(x, y, epsilon, d=1)
-    return _solve(_factorize(x, y, kernel_x, kernel_y, epsilon), variant, own=True)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -286,12 +286,8 @@ def derive_seed(base_seed, n, rep):
     return np.random.SeedSequence((base_seed, n, rep))
 
 
-# Most (n, rep) tasks one run takes.  Sim-rate memory grows with its report
-# rows.  tracemalloc over a serial run of 600 rows at j_dim=12, y_dim=2, less
-# what was traced before the run: the peak, while each row's error record and
-# median inputs live beside its cells, is 1.27 KB per row; the report, once
-# the records are freed, holds 0.28 KB per row.  So a run at the cap peaks
-# near 1.3 GB per delta; the README configs run 80 tasks, the benchmark's 160.
+# Most (n, rep) tasks one run takes; the README configs run 80, the
+# benchmark's 160.
 MAX_TASKS = 10 ** 6
 
 
@@ -327,12 +323,12 @@ def _physical_memory():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def check_dense_memory(n, fits=1):
-    """ConfigError unless `fits` dense fits on n points at once fit in memory."""
-    gib = DENSE_FIT_ARRAYS * 8 * n * n * fits / 2 ** 30
-    if gib > _physical_memory() / 2 ** 30:
-        raise ConfigError(f"n={n}: {fits} dense fit(s) need {gib:.1f} GiB, more than "
-                          f"physical memory; see the low-rank solver on the ROADMAP")
+def check_memory(nbytes, what):
+    """ConfigError unless the nbytes that `what` holds at its peak fit in
+    physical memory: a run too large fails before it draws a sample."""
+    if nbytes > _physical_memory():
+        raise ConfigError(f"{what}: {nbytes / 2 ** 30:.3g} GiB needed, more than the "
+                          f"{_physical_memory() / 2 ** 30:.3g} GiB of physical memory")
 
 
 # --------------------------------------------------------------------------
@@ -364,6 +360,21 @@ def run_sim_rate(config, threads=1):
     """
     theory = optimal_rate_theory(config.alpha, config.beta)
     deltas = config.deltas if config.deltas else (theory.delta_opt,)
+    tasks = _tasks(config)
+    # Each worker holds one replication, and the report a row per (task,
+    # delta).  tracemalloc of one replication after a warm-up one, at (n, J)
+    # = (2000, 200), (4000, 200), (1000, 400), (500, 800), (20000, 20) with
+    # y_dim 2 and (20000, 40) with y_dim 30: 4.24, 7.50, 7.09, 18.6, 5.44 and
+    # 35.5 MB, within 4% of n (J + 6 y_dim + 2) + 3 J^2 doubles.  numpy's
+    # eigh of Sxx mallocs about 3 J^2 more where tracemalloc cannot see it
+    # (its copy of Sxx and dsyevd's work): peak RSS grew 130 MB at (200, 1600)
+    # and 279 MB at (200, 2400).  So 6 J^2, at 10 bytes a double, a 1.25
+    # margin.  A row peaks at 1.24 KB with y_dim 2 and 2.94 KB with y_dim 30
+    # (tracemalloc over a serial run of 600 rows): 1280 + 64 y_dim bytes.
+    n, j, y = max(config.n_grid), config.model.j_dim, config.model.y_dim
+    check_memory(_workers(threads, tasks) * 10 * (n * (j + 6 * y + 2) + 6 * j * j)
+                 + len(tasks) * len(deltas) * (1280 + 64 * y),
+                 f"sim-rate at n={n}, j_dim={j}, {len(tasks) * len(deltas)} rows")
     model = build_model(config.model.j_dim, config.model.y_dim, config.alpha,
                         config.beta, seed=config.base_seed,
                         s_kind=config.model.s_kind,
@@ -380,7 +391,7 @@ def run_sim_rate(config, threads=1):
                         error_report(model, estimate_regression_ops(sample, eps))))
         return out
 
-    results = [res for chunk in _run_tasks(one, _tasks(config), threads) for res in chunk]
+    results = [res for chunk in _run_tasks(one, tasks, threads) for res in chunk]
 
     summary = {
         "alpha": config.alpha,
@@ -452,7 +463,8 @@ def run_kernel_recovery(config, threads=1):
     """
     from .estimator import evaluate_predictors, factorize, fit_gsir1, fit_gsir2
     tasks = _tasks(config)
-    check_dense_memory(max(config.n_grid), _workers(threads, tasks))
+    n, fits = max(config.n_grid), _workers(threads, tasks)
+    check_memory(DENSE_FIT_ARRAYS * 8 * n * n * fits, f"n={n}, {fits} dense fit(s)")
     header = (("n", "rep", "variant", "subspace_dist", "max_cancor")
               + tuple(f"eig_{j + 1}" for j in range(config.d)))
 

@@ -20,6 +20,10 @@ numerics reference for the structured QR of `gsir.estimator`.  It factors
 the same reflected Grams H Gx H and H Gy H (`gsir.kernels.reflected_gram`)
 and maps its coefficients back with H, so it checks the QR stage alone.
 
+`fitted_spectrum` is the estimator's own mu_1..mu_r: the eigenvalues of a
+fit at d = r, the rank of Gx's factor and the largest d a fit allows, for
+the tests that compare whole spectra.
+
 `whole_array_centered_gram` is the O(n^2) centering as whole-array
 expressions, which `gsir.kernels.centered_gram` computes in place and must
 match bit for bit.  `eval_kernel` evaluates one kernel value from its
@@ -32,7 +36,7 @@ from scipy.linalg.blas import dsyrk, dtrmm, dtrsm
 from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dormqr, dpotrf, dsyevd
 from scipy.spatial.distance import cdist
 
-from gsir.estimator import GAP_TOL, _factor
+from gsir.estimator import GAP_TOL, _factor, factorize, fit_gsir1, fit_gsir2
 from gsir.kernels import centering_reflector, gram_matrix, reflected_gram
 from gsir.linalg import DEFAULT_CLAMP, NumericalError, symmetric_eigh
 
@@ -91,6 +95,14 @@ def reference_fit(x, y, kernel_x, kernel_y, epsilon, d, variant, exact=False):
     if variant == "gsir2":
         coef = coef / np.sqrt(t)[:, None]
     return mu, v @ coef
+
+
+def fitted_spectrum(x, y, kernel_x, kernel_y, epsilon, variant):
+    """mu_1..mu_r, descending, of a fit at d = r; every mu beyond r is 0."""
+    shared = factorize(x, y, kernel_x, kernel_y, epsilon)
+    fit_fn = fit_gsir1 if variant == "gsir1" else fit_gsir2
+    return fit_fn(x, y, kernel_x, kernel_y, epsilon, len(shared.lx),
+                  shared=shared).eigenvalues
 
 
 def _apply_q(qr, tau, c, trans):

@@ -442,16 +442,19 @@ def test_overflowing_cross_gram_is_numerical_failure(tmp_path):
 def test_dense_path_beyond_physical_memory_is_config_error(tmp_path, capsys,
                                                           monkeypatch, command,
                                                           doc):
+    # fit's synthetic dataset is sized from its config's n, before the draw
     import gsir.experiments
     import gsir.kernels
 
-    def no_gram(*args):
-        raise AssertionError("an n x n array was built before the memory check")
+    def too_early(*args):
+        raise AssertionError("a sample or an n x n array before the memory check")
 
     monkeypatch.setattr(gsir.experiments, "_physical_memory", lambda: 10 ** 4)
-    monkeypatch.setattr(gsir.kernels, "gram_matrix", no_gram)
-    monkeypatch.setattr(gsir.kernels, "median_bandwidth", no_gram)
-    monkeypatch.setattr("gsir.cli.resolve_kernel", no_gram)
+    monkeypatch.setattr(gsir.kernels, "gram_matrix", too_early)
+    monkeypatch.setattr(gsir.kernels, "median_bandwidth", too_early)
+    monkeypatch.setattr("gsir.cli.resolve_kernel", too_early)
+    monkeypatch.setattr("gsir.cli.generate", too_early)
+    monkeypatch.setattr("gsir.experiments.generate", too_early)
     doc = doc or fit_config_doc(tmp_path)
     config = write_json(tmp_path / "exp.json", doc)
     out = tmp_path / "out.csv"
@@ -459,15 +462,52 @@ def test_dense_path_beyond_physical_memory_is_config_error(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_memory_check_counts_concurrent_fits(monkeypatch):
+def test_memory_check_counts_concurrent_fits(tmp_path, capsys, monkeypatch):
+    # three replications at n=40 on three threads fit three at once
     import gsir.experiments
-    from gsir.experiments import DENSE_FIT_ARRAYS, ConfigError, check_dense_memory
+    from gsir.experiments import DENSE_FIT_ARRAYS
 
-    one_fit = DENSE_FIT_ARRAYS * 8 * 1000 ** 2
+    one_fit = DENSE_FIT_ARRAYS * 8 * 40 ** 2
     monkeypatch.setattr(gsir.experiments, "_physical_memory", lambda: 1.5 * one_fit)
-    check_dense_memory(1000)
-    with pytest.raises(ConfigError, match="n=1000: 2 dense .* low-rank solver"):
-        check_dense_memory(1000, fits=2)
+    monkeypatch.setattr(gsir.experiments.os, "cpu_count", lambda: 3)
+    config = write_json(tmp_path / "rec.json", with_fields(RECOVERY_DOC, replications=3))
+    err = assert_config_error(capsys, ["kernel-recovery", "--config", config,
+                                       "--threads", "3"])
+    assert "n=40, 3 dense fit(s): 0.000286 GiB needed" in err
+    assert main(["kernel-recovery", "--config", config, "--threads", "1"]) == 0
+
+
+class Drawn(Exception):
+    """Raised where a run builds its model or draws: it got past its checks."""
+
+
+@pytest.mark.parametrize("fields,threads", [
+    ({"n_grid": [20, 10 ** 7]}, 1),                   # one draw at the largest n
+    ({"model__j_dim": 10 ** 5}, 1),                   # its J x J operators
+    ({"n_grid": [20], "replications": 2 * 10 ** 4,
+      "delta": [0.1, 0.2, 0.3, 0.4]}, 1),             # the report's rows
+    ({"n_grid": [20, 2 * 10 ** 5]}, 4),               # four workers' draws
+], ids=["n", "j_dim", "rows", "workers"])
+def test_sim_rate_beyond_physical_memory_is_config_error(tmp_path, capsys, monkeypatch,
+                                                        fields, threads):
+    # refused before the model is built or any sample drawn; the workers case
+    # fits in memory with one thread
+    import gsir.experiments
+
+    def drawn(*args, **kwargs):
+        raise Drawn
+
+    monkeypatch.setattr(gsir.experiments, "_physical_memory", lambda: 2 ** 26)
+    monkeypatch.setattr(gsir.experiments.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(gsir.experiments, "build_model", drawn)
+    monkeypatch.setattr(gsir.experiments, "simulate_sample", drawn)
+    config = write_json(tmp_path / "sim.json", with_fields(SIM_DOC, **fields))
+    argv = ["sim-rate", "--config", config, "--threads", str(threads)]
+    err = assert_config_error(capsys, argv)
+    assert "GiB needed, more than the 0.0625 GiB of physical memory" in err
+    if threads > 1:
+        with pytest.raises(Drawn):
+            main(argv[:-1] + ["1"])
 
 
 @pytest.mark.parametrize("source", ["dataset", "data_csv"])

@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gsir.experiments import (R2_MIN, SLOPE_TOL, ConfigError, RateReport,
-                              derive_seed, load_config, parse_config, run_experiment,
-                              run_kernel_recovery, run_sim_rate, run_theory_table)
+from gsir.experiments import (DENSE_FIT_ARRAYS, R2_MIN, SLOPE_TOL, ConfigError,
+                              RateReport, derive_seed, load_config, parse_config,
+                              run_experiment, run_kernel_recovery, run_sim_rate,
+                              run_theory_table)
 from gsir.modelio import csv_text
 from gsir.rates import fit_loglog_slope
 from gsir.seqsim import (build_model, error_report, estimate_regression_ops,
@@ -413,11 +414,12 @@ def test_sim_rate_threads_are_capped_by_tasks_and_cpus(monkeypatch, cpus, worker
 
 def test_kernel_recovery_sizes_its_memory_check_by_the_workers(monkeypatch):
     checked = []
-    monkeypatch.setattr("gsir.experiments.check_dense_memory",
-                        lambda n, fits=1: checked.append((n, fits)))
+    monkeypatch.setattr("gsir.experiments.check_memory",
+                        lambda nbytes, what: checked.append((nbytes, what)))
     sizes = record_pools(monkeypatch, 3)
     run_kernel_recovery(parse_config(RECOVERY_DOC, "kernel-recovery"), threads=10 ** 6)
-    assert sizes == [3] and checked == [(60, 3)]
+    assert sizes == [3]
+    assert checked == [(DENSE_FIT_ARRAYS * 8 * 60 ** 2 * 3, "n=60, 3 dense fit(s)")]
 
 
 @pytest.mark.parametrize("field,value", [("delta", [0.3, 0.3]), ("delta", [0.4, 0.2]),

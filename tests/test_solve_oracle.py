@@ -10,11 +10,11 @@ from scipy.linalg.lapack import dpstrf, dtpqrt
 import gsir.estimator
 from gsir.datasets import SyntheticModel, generate
 from gsir.estimator import (_STOP_TAU, _ULP, _factor, evaluate_predictors, factorize,
-                            fit_gsir1, fit_gsir2, gsir_spectrum)
+                            fit_gsir1, fit_gsir2)
 from gsir.kernels import KernelSpec, centered_gram, median_bandwidth, reflected_gram
 from gsir.linalg import NumericalError
-from reference_solve import (align_sign, dense_centered_gram, reference_fit,
-                             reference_qr_solve)
+from reference_solve import (align_sign, dense_centered_gram, fitted_spectrum,
+                             reference_fit, reference_qr_solve)
 
 FIT = {"gsir1": fit_gsir1, "gsir2": fit_gsir2}
 EPS = 0.01
@@ -31,10 +31,12 @@ def make_data(n, q):
 def assert_matches_reference(fit, x, y, d, mu_tol=1e-10, pred_tol=1e-8):
     mu_ref, coef_ref = reference_fit(x, y, fit.kernel_x, fit.kernel_y,
                                      fit.epsilon, d, fit.variant)
-    mu = gsir_spectrum(x, y, fit.kernel_x, fit.kernel_y, fit.epsilon, fit.variant)
-    # Eigenvalue errors of a symmetric matrix scale with its largest one.
-    assert mu.shape == mu_ref.shape
-    assert np.max(np.abs(mu - mu_ref)) <= mu_tol * mu_ref[0]
+    mu = fitted_spectrum(x, y, fit.kernel_x, fit.kernel_y, fit.epsilon, fit.variant)
+    # Eigenvalue errors of a symmetric matrix scale with its largest one;
+    # every mu beyond the fit's rank r is 0
+    r = len(mu)
+    assert np.max(np.abs(mu - mu_ref[:r])) <= mu_tol * mu_ref[0]
+    assert np.max(mu_ref[r:]) <= mu_tol * mu_ref[0]
     assert np.array_equal(fit.eigenvalues, mu[:d])
     pred = evaluate_predictors(fit, x)
     pred_ref = evaluate_predictors(dataclasses.replace(fit, coefficients=coef_ref), x)
@@ -72,11 +74,13 @@ def test_linear_kernel_null_space_does_not_leak(n, q, variant):
 @pytest.mark.parametrize("variant", ["gsir1", "gsir2"])
 def test_spectrum_is_zero_beyond_the_rank_of_gx(variant):
     # linear Gx has rank 3 and laplace Gy full rank, so B is 3 x r_y and of
-    # rank 3: no rounding-level eigenvalue beyond it may reach the spectrum
+    # rank 3: d = 3 fits with three positive mu, and no rounding-level
+    # eigenvalue beyond them lets d = 4 fit
     x, y = make_data(200, 1)
-    mu = gsir_spectrum(x, y, KernelSpec("linear"), KernelSpec("laplace", 0.5),
-                       EPS, variant)
-    assert mu.shape == (200,) and np.all(mu[:3] > 0) and np.all(mu[3:] == 0.0)
+    kx, ky = KernelSpec("linear"), KernelSpec("laplace", 0.5)
+    assert np.all(FIT[variant](x, y, kx, ky, EPS, 3).eigenvalues > 0)
+    with pytest.raises(NumericalError, match="the achievable d is 3$"):
+        FIT[variant](x, y, kx, ky, EPS, 4)
 
 
 @pytest.mark.parametrize("variant", ["gsir1", "gsir2"])
@@ -86,7 +90,7 @@ def test_constant_response_matches_reference(n, variant):
     y = np.full((n, 1), 2.0)
     kernel = KernelSpec("gaussian", 0.5)
     fit = FIT[variant](x, y, kernel, kernel, EPS, 2)
-    mu = gsir_spectrum(x, y, kernel, kernel, EPS, variant)
+    mu = fitted_spectrum(x, y, kernel, kernel, EPS, variant)
     mu_ref, _ = reference_fit(x, y, kernel, kernel, EPS, 2, variant)
     assert np.all(mu == 0.0) and np.max(mu_ref) < 1e-12
     assert any("gap" in w for w in fit.warnings)
@@ -230,11 +234,9 @@ def test_constant_x_leaves_no_direction():
     # a constant x with an explicit gamma gives Gx = 0, a factor of rank 0
     x, y = np.ones((20, 2)), make_data(20, 1)[1]
     kernel = KernelSpec("gaussian", 0.5)
-    for variant, fit_fn in FIT.items():
+    for fit_fn in FIT.values():
         with pytest.raises(NumericalError, match="the achievable d is 0$"):
             fit_fn(x, y, kernel, kernel, EPS, 1)
-        assert np.array_equal(gsir_spectrum(x, y, kernel, kernel, EPS, variant),
-                              np.zeros(20))
 
 
 @pytest.mark.parametrize("variant", ["gsir1", "gsir2"])
@@ -265,9 +267,9 @@ def assert_matches_qr_reference(x, y, x_new, kx, ky, d, variant):
     fit = FIT[variant](x, y, kx, ky, EPS, d)
     coef_ref, mu_ref, warnings_ref = reference_qr_solve(x, y, kx, ky, EPS, variant, d)
     assert len(fit.warnings) == len(warnings_ref)
-    mu = gsir_spectrum(x, y, kx, ky, EPS, variant)
+    mu = fitted_spectrum(x, y, kx, ky, EPS, variant)
     mu_all = reference_qr_solve(x, y, kx, ky, EPS, variant)
-    assert np.max(np.abs(mu - mu_all)) <= 1e-12 * mu_all[0]
+    assert np.max(np.abs(mu - mu_all[:len(mu)])) <= 1e-12 * mu_all[0]
     assert np.max(np.abs(fit.eigenvalues - mu_ref)) <= 1e-12 * mu_ref[0]
     pred = evaluate_predictors(fit, x_new)
     pred_ref = evaluate_predictors(dataclasses.replace(fit, coefficients=coef_ref), x_new)
@@ -330,9 +332,9 @@ def test_factor_rank_is_below_n_where_the_centered_gram_keeps_n(cell):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_spectrum_has_no_rounding_level_tail(seed):
     # both laplace Grams keep all n columns when centered, and a solve on
-    # those factors ended its spectrum in one value near 1e-17 mu_1; on the
-    # reflected factors the last value is exactly 0 and the others are not
-    # rounding
+    # those factors ended its spectrum in one value near 1e-17 mu_1; the
+    # reflected factors have rank n - 1, the largest d a fit allows, and no
+    # mu of a fit at that d is rounding
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((30, 3))
     y = np.column_stack([np.sin(x[:, 0]), x[:, 1]]) + 0.1 * rng.standard_normal((30, 2))
@@ -340,8 +342,8 @@ def test_spectrum_has_no_rounding_level_tail(seed):
     for points in (x, y):
         assert dpstrf(centered_gram(kernel, points), lower=1, tol=-1)[2] == 30
     for variant in FIT:
-        mu = gsir_spectrum(x, y, kernel, kernel, EPS, variant)
-        assert mu[-1] == 0.0 and np.all(mu[:-1] > 1e-6 * mu[0])
+        mu = fitted_spectrum(x, y, kernel, kernel, EPS, variant)
+        assert len(mu) == 29 and np.all(mu > 1e-6 * mu[0])
 
 
 def test_every_fit_runs_the_qr_on_at_least_one_row(monkeypatch):
@@ -420,9 +422,10 @@ def test_stop_moves_mu_and_predictions_within_the_tau_bound(variant):
     assert (_factor(*reflected_gram(kx, x), eps)[0].shape[1] <
             _factor(*reflected_gram(kx, x))[0].shape[1])
     fit = FIT[variant](x, y, kx, ky, eps, d)
-    mu = gsir_spectrum(x, y, kx, ky, eps, variant)
+    mu = fitted_spectrum(x, y, kx, ky, eps, variant)
     mu_ref, coef_ref, beta, bound = tau_bound(x, y, kx, ky, eps, d, variant)
-    assert np.max(np.abs(mu - mu_ref)) <= beta
+    r = len(mu)      # every mu beyond the rank r of the fit is 0
+    assert np.max(np.abs(mu - mu_ref[:r])) <= beta and np.max(mu_ref[r:]) <= beta
     pred = evaluate_predictors(fit, x_new)
     pred_ref = evaluate_predictors(dataclasses.replace(fit, coefficients=coef_ref), x_new)
     for j in range(d):
