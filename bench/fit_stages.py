@@ -27,14 +27,12 @@ gaussian kernels, eps=1e-3, d=1 (the benchmark's fit_predict settings):
 
 - median_bandwidth: `median_bandwidth` of x;
 - centered_gram:   `centered_gram` of x;
-- reflected_gram:  `reflected_gram` of x, the centering a fit runs (no row
-  for a checkout that lacks it);
+- reflected_gram:  `reflected_gram` of x, the centering a fit runs;
 - fit_gsir1, fit_gsir2: one fit each;
 - fit_gsir1_laplace_y: gsir1 with a laplace kernel on y, whose centered Gram
   has full numerical rank, so the thin factor of Gy is as wide as it gets;
 - recovery_pair:   gsir1 then gsir2 on one draw, as `kernel-recovery` fits
-  them: on one `estimator.factorize` result passed as `shared=` to both, or
-  as two plain fits on a checkout that lacks `factorize`;
+  them: on one `estimator.factorize` result passed as `shared=` to both;
 - predict_20000:   `evaluate_predictors` of a saved gsir1 model on 20 000
   held-out rows (the model is fitted by an earlier, untimed process).
 
@@ -132,10 +130,9 @@ def _oracle_call(stage, n):
 
 
 def _recovery_pair(estimator, x, y, kx, ky):
-    shared = ({"shared": estimator.factorize(x, y, kx, ky, 1e-3, 1)}
-              if hasattr(estimator, "factorize") else {})
-    estimator.fit_gsir1(x, y, kx, ky, 1e-3, 1, **shared)
-    estimator.fit_gsir2(x, y, kx, ky, 1e-3, 1, **shared)
+    shared = estimator.factorize(x, y, kx, ky, 1e-3, 1)
+    estimator.fit_gsir1(x, y, kx, ky, 1e-3, 1, shared=shared)
+    estimator.fit_gsir2(x, y, kx, ky, 1e-3, 1, shared=shared)
 
 
 def _measure(call, repeats):
@@ -149,10 +146,10 @@ def run_cell(stage, n, repeats, model_path):
     """Time one stage in this process and return its record."""
     if stage in SUITES["oracle"]:
         return _measure(_oracle_call(stage, n), repeats)
-    from gsir import estimator, kernels
+    from gsir import estimator
     from gsir.datasets import SyntheticModel, generate
     from gsir.estimator import evaluate_predictors, fit_gsir1, fit_gsir2
-    from gsir.kernels import KernelSpec, centered_gram, median_bandwidth
+    from gsir.kernels import KernelSpec, centered_gram, median_bandwidth, reflected_gram
     from gsir.modelio import load_fit, save_fit
 
     design = SyntheticModel("m3_symmetric", 5, 0.2)
@@ -164,9 +161,7 @@ def run_cell(stage, n, repeats, model_path):
     elif stage == "centered_gram":
         call = lambda: centered_gram(kx, x)
     elif stage == "reflected_gram":
-        if not hasattr(kernels, "reflected_gram"):
-            return {}
-        call = lambda: kernels.reflected_gram(kx, x)
+        call = lambda: reflected_gram(kx, x)
     elif stage == "fit_gsir1":
         call = lambda: fit_gsir1(x, y, kx, ky, 1e-3, 1)
     elif stage == "fit_gsir2":

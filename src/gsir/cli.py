@@ -134,10 +134,6 @@ def main(argv=None):
     if args.threads < 1:
         parser.error("--threads must be at least 1")
     try:
-        if args.command in ("kernel-recovery", "fit", "predict"):
-            # Only these load the fit stack: as one unit, kernels first, before
-            # any work (later, or estimator first, recovery peaked 7 MB higher).
-            from . import kernels, estimator  # noqa: F401
         config = load_config(args.config, args.command)
         if args.seed is not None and not hasattr(config, "base_seed"):
             raise ConfigError(f"{args.command} takes no seed")

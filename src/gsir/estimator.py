@@ -162,47 +162,14 @@ def _check_rank(d, r):
                              f"centered Gram matrix; the achievable d is {r}")
 
 
-def _factorize(x, y, kernel_x, kernel_y, epsilon, d):
-    """Everything both variants share, down to B2 = L^-1 E; a d above the rank
-    r of Fx is refused before the QR.  Gy is factored first, so only its
-    factor is alive beside Gx."""
-    inputs = (x.copy(), y.copy(), kernel_x, kernel_y, epsilon)  # callers may edit x, y later
-    f, piv_y = _factor(*reflected_gram(kernel_y, y))
-    f = f.copy(order="F")      # frees Gy's n x n
-    fx, piv = _factor(*reflected_gram(kernel_x, x), epsilon)
-    n, r = fx.shape
-    _check_rank(d, r)
-    # Rows r-1..0, then r..n-1 of x's pivot order, with the columns reversed:
-    # the triangle on top is upper, and Q eliminates the n - r >= 1 rows below
-    rows = np.concatenate([piv[r - 1::-1], piv[r:]])
-    below = fx[r:, ::-1].copy(order="F")
-    lx = fx[r - 1::-1, ::-1].copy(order="F")
-    del fx                               # frees Gx's n x n
-    lx, v, t, _ = dtpqrt(0, min(r, _QR_BLOCK), lx, below, overwrite_a=1, overwrite_b=1)
-    lx = lx[::-1, ::-1].copy(order="F")  # Lx, 0 above the diagonal
-    # F with rows in that order (one zero column if Gy = 0), then G = Qx^T F
-    f = f.T[:, np.argsort(piv_y)[rows]].T if f.shape[1] else np.zeros((n, 1))
-    g = dtpmqrt(0, v, t, f[:r], f[r:], trans="T")[0][::-1]
-    del f
-    s, _ = dlauum(lx, lower=1)
-    s *= 1.0 / n
-    s[np.diag_indices(r)] += epsilon
-    l, info = dpotrf(s, lower=1, overwrite_a=1)
-    if info:
-        raise NumericalError(f"Cholesky factorization of S failed (info={info})")
-    b2 = dtrsm(1.0, l, dtrmm(1.0 / n, lx, g, lower=1, trans_a=1), lower=1, overwrite_b=1)
-    return _Factorization(inputs, lx, l, v, t, b2, rows)
-
-
-def _solve(fz, variant, d, own=False):
+def _solve(fz, variant, d):
     """(coefficients, mu[:d], warnings) of the top d predictors of one
-    variant, from the eigenproblem on the range of Fx, of rank r.  With own,
-    fz is this call's alone and gsir1 may overwrite its B2."""
+    variant, from the eigenproblem on the range of Fx, of rank r."""
     n, r = len(fz.inputs[0]), len(fz.lx)
     _check_rank(d, r)
     lx, l, v, t, rows, b = fz.lx, fz.l, fz.v, fz.t, fz.rows, fz.b2
     if variant == "gsir1":     # S^-1 E = L^-T L^-1 E
-        b = dtrsm(1.0, l, b, lower=1, trans_a=1, overwrite_b=int(own))
+        b = dtrsm(1.0, l, b, lower=1, trans_a=1)
     # The nonzero mu are the eigenvalues of the smaller of B B^T and B^T B
     wide = b.shape[1] > r
     mu, q, info = dsyevd(dsyrk(1.0, b, trans=int(not wide), lower=1), lower=1,
@@ -248,12 +215,10 @@ def _solve(fz, variant, d, own=False):
 def _fit(x, y, kernel_x, kernel_y, epsilon, d, variant, shared):
     x, y = _check_inputs(x, y, epsilon, d)
     if shared is None:
-        fz = _factorize(x, y, kernel_x, kernel_y, epsilon, d)
-    else:
-        shared.check(x, y, kernel_x, kernel_y, epsilon)
-        fz = shared
+        shared = factorize(x, y, kernel_x, kernel_y, epsilon, d)
+    shared.check(x, y, kernel_x, kernel_y, epsilon)
     return GsirFit(variant, x.copy(), kernel_x, kernel_y, float(epsilon), d,
-                   *_solve(fz, variant, d, own=shared is None))
+                   *_solve(shared, variant, d))
 
 
 def factorize(x, y, kernel_x, kernel_y, epsilon, d=1):
@@ -265,7 +230,33 @@ def factorize(x, y, kernel_x, kernel_y, epsilon, d=1):
     of the centered Gram matrix of x is refused here, before the QR.
     """
     x, y = _check_inputs(x, y, epsilon, d)
-    return _factorize(x, y, kernel_x, kernel_y, epsilon, d)
+    inputs = (x.copy(), y.copy(), kernel_x, kernel_y, epsilon)  # callers may edit x, y later
+    # Gy first, so only its factor is alive beside Gx
+    f, piv_y = _factor(*reflected_gram(kernel_y, y))
+    f = f.copy(order="F")      # frees Gy's n x n
+    fx, piv = _factor(*reflected_gram(kernel_x, x), epsilon)
+    n, r = fx.shape
+    _check_rank(d, r)
+    # Rows r-1..0, then r..n-1 of x's pivot order, with the columns reversed:
+    # the triangle on top is upper, and Q eliminates the n - r >= 1 rows below
+    rows = np.concatenate([piv[r - 1::-1], piv[r:]])
+    below = fx[r:, ::-1].copy(order="F")
+    lx = fx[r - 1::-1, ::-1].copy(order="F")
+    del fx                               # frees Gx's n x n
+    lx, v, t, _ = dtpqrt(0, min(r, _QR_BLOCK), lx, below, overwrite_a=1, overwrite_b=1)
+    lx = lx[::-1, ::-1].copy(order="F")  # Lx, 0 above the diagonal
+    # F with rows in that order (one zero column if Gy = 0), then G = Qx^T F
+    f = f.T[:, np.argsort(piv_y)[rows]].T if f.shape[1] else np.zeros((n, 1))
+    g = dtpmqrt(0, v, t, f[:r], f[r:], trans="T")[0][::-1]
+    del f
+    s, _ = dlauum(lx, lower=1)
+    s *= 1.0 / n
+    s[np.diag_indices(r)] += epsilon
+    l, info = dpotrf(s, lower=1, overwrite_a=1)
+    if info:
+        raise NumericalError(f"Cholesky factorization of S failed (info={info})")
+    b2 = dtrsm(1.0, l, dtrmm(1.0 / n, lx, g, lower=1, trans_a=1), lower=1, overwrite_b=1)
+    return _Factorization(inputs, lx, l, v, t, b2, rows)
 
 
 def fit_gsir1(x, y, kernel_x, kernel_y, epsilon, d, *, shared=None):

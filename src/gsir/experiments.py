@@ -313,9 +313,9 @@ def _run_tasks(fn, tasks, threads):
 
 
 # n x n float64 arrays per dense fit, sized by the worst traced peak: where r
-# and r_y both stay near n (m3, n=600, laplace kernel_y, eps = 1e-12) one fit
-# peaks at 6.06 n^2 and a kernel-recovery replication, whose two fits share
-# one factorization (gsir1's B beside the shared B2), at 7.06 n^2.
+# and r_y both stay near n (m3, n=600, laplace kernel_y, eps = 1e-12) a gsir1
+# fit, whose B sits beside its factorization's B2, peaks at 7.07 n^2, alone or
+# as a kernel-recovery replication's second fit (gsir2 alone: 6.07 n^2).
 DENSE_FIT_ARRAYS = 8
 
 
@@ -327,8 +327,9 @@ def check_memory(nbytes, what):
     """ConfigError unless the nbytes that `what` holds at its peak fit in
     physical memory: a run too large fails before it draws a sample."""
     if nbytes > _physical_memory():
-        raise ConfigError(f"{what}: {nbytes / 2 ** 30:.3g} GiB needed, more than the "
-                          f"{_physical_memory() / 2 ** 30:.3g} GiB of physical memory")
+        from decimal import Decimal      # nbytes may be beyond float range
+        raise ConfigError(f"{what}: {Decimal(nbytes) / 2 ** 30:.3g} GiB needed, more than "
+                          f"the {_physical_memory() / 2 ** 30:.3g} GiB of physical memory")
 
 
 # --------------------------------------------------------------------------
@@ -463,8 +464,15 @@ def run_kernel_recovery(config, threads=1):
     """
     from .estimator import evaluate_predictors, factorize, fit_gsir1, fit_gsir2
     tasks = _tasks(config)
-    n, fits = max(config.n_grid), _workers(threads, tasks)
-    check_memory(DENSE_FIT_ARRAYS * 8 * n * n * fits, f"n={n}, {fits} dense fit(s)")
+    # Each worker also holds the held-out design.  Its traced peak (generate, both
+    # predictions and scores) was 15, 7, 16, 60, 29 and 27 doubles a test row at
+    # (p, d, d_true) = (5,1,1), (1,1,1), (5,2,2), (20,2,1), (2,8,2), (1,8,1); the
+    # scores' SVDs copy what tracemalloc cannot see (peak RSS: 51 and 47 in the
+    # last two).  So 3 p + 6 d + d_true + 1, at 10 bytes a double.
+    n, fits, p = max(config.n_grid), _workers(threads, tasks), config.dataset.p
+    test_bytes = 10 * config.n_test * (3 * p + 6 * config.d + config.dataset.d_true + 1)
+    check_memory((DENSE_FIT_ARRAYS * 8 * n * n + test_bytes) * fits,
+                 f"n={n}, n_test={config.n_test}, {fits} dense fit(s)")
     header = (("n", "rep", "variant", "subspace_dist", "max_cancor")
               + tuple(f"eig_{j + 1}" for j in range(config.d)))
 
@@ -512,13 +520,12 @@ def run_theory_table(config):
     for alpha, beta in config.grid:
         th = optimal_rate_theory(alpha, beta)
         eps = config.epsilon_constant * float(config.n_ref) ** -th.delta_opt
-        if not 0 < eps < 1:
-            raise ConfigError(
-                f"epsilon_constant {config.epsilon_constant} with n_ref "
-                f"{config.n_ref} gives epsilon {eps:.3g} outside (0, 1) at "
-                f"alpha={alpha}, beta={beta}")
-        _, rn = rate_bound_terms(config.n_ref, eps, alpha, beta, "gsir1")
-        _, rnp = rate_bound_terms(config.n_ref, eps, alpha, beta, "gsir2")
+        try:
+            _, rn = rate_bound_terms(config.n_ref, eps, alpha, beta, "gsir1")
+            _, rnp = rate_bound_terms(config.n_ref, eps, alpha, beta, "gsir2")
+        except ValueError as exc:   # epsilon outside (0, 1), or a term overflows
+            raise ConfigError(f"epsilon_constant {config.epsilon_constant} with n_ref "
+                              f"{config.n_ref} at alpha={alpha}, beta={beta}: {exc}") from exc
         rows.append((alpha, beta, th.branch, th.delta_opt, th.exponent_opt, rn, rnp))
     return _report(config, header, rows, {"n_ref": config.n_ref,
                                           "epsilon_constant": config.epsilon_constant})

@@ -88,8 +88,11 @@ def rate_bound_terms(n, epsilon, alpha, beta, variant="gsir1"):
         b = min(beta + 0.5, 1.0)
         e3 = -1.0 - 1.0 / (2.0 * alpha)
         e4 = -1.0 / (2.0 * alpha)
-    terms = np.array([epsilon ** (b - 1.0) / np.sqrt(n), epsilon ** b,
-                      epsilon ** e3 / n, epsilon ** e4 / np.sqrt(n)])
+    try:
+        terms = np.array([epsilon ** (b - 1.0) / np.sqrt(n), epsilon ** b,
+                          epsilon ** e3 / n, epsilon ** e4 / np.sqrt(n)])
+    except OverflowError:
+        raise ValueError(f"a bound term overflows at epsilon={epsilon:.3g}") from None
     return terms, float(terms.sum())
 
 

@@ -60,6 +60,14 @@ def test_seed_rejected_for_theory(tmp_path):
     assert main(["theory", "--config", config, "--seed", "3"]) == 2
 
 
+def test_theory_bound_term_overflow_is_config_error(tmp_path, capsys):
+    # epsilon = 7.2e-302, whose n^-1 eps^-7/4 term is beyond float range
+    config = theory_config(tmp_path, grid=[[2, 1]], epsilon_constant=1e-300)
+    err = assert_config_error(capsys, ["theory", "--config", config])
+    assert "epsilon_constant 1e-300 with n_ref 10000" in err and "overflows" in err
+    assert not (tmp_path / "theory.csv").exists()
+
+
 def test_sim_rate_subcommand_deterministic(tmp_path):
     doc = {"schema_version": 1, "mode": "sim_rate", "base_seed": 3,
            "n_grid": [30, 60], "replications": 2, "alpha": 2.0, "beta": 1.0,
@@ -438,6 +446,12 @@ def test_overflowing_cross_gram_is_numerical_failure(tmp_path):
                          "dataset": {"model": "m3_symmetric", "p": 2,
                                      "sigma_noise": 0.1},
                          "epsilon": 1e-3, "d": 1, "n_test": 100}),
+    # an n whose bytes, in GiB, are beyond float range
+    ("kernel-recovery", {"schema_version": 1, "mode": "kernel_recovery",
+                         "base_seed": 2, "n_grid": [10 ** 200], "replications": 1,
+                         "dataset": {"model": "m3_symmetric", "p": 2,
+                                     "sigma_noise": 0.1},
+                         "epsilon": 1e-3, "d": 1, "n_test": 100}),
 ])
 def test_dense_path_beyond_physical_memory_is_config_error(tmp_path, capsys,
                                                           monkeypatch, command,
@@ -473,12 +487,30 @@ def test_memory_check_counts_concurrent_fits(tmp_path, capsys, monkeypatch):
     config = write_json(tmp_path / "rec.json", with_fields(RECOVERY_DOC, replications=3))
     err = assert_config_error(capsys, ["kernel-recovery", "--config", config,
                                        "--threads", "3"])
-    assert "n=40, 3 dense fit(s): 0.000286 GiB needed" in err
+    assert "n=40, n_test=100, 3 dense fit(s): 0.000325 GiB needed" in err
     assert main(["kernel-recovery", "--config", config, "--threads", "1"]) == 0
 
 
 class Drawn(Exception):
     """Raised where a run builds its model or draws: it got past its checks."""
+
+
+def test_kernel_recovery_counts_its_held_out_design(tmp_path, capsys, monkeypatch):
+    # n=40's dense fit fits in 64 MiB, a 10^8-row held-out design at p=5 does not
+    import gsir.experiments
+
+    def drawn(*args):
+        raise Drawn
+
+    monkeypatch.setattr(gsir.experiments, "_physical_memory", lambda: 2 ** 26)
+    monkeypatch.setattr(gsir.experiments, "generate", drawn)
+    doc = with_fields(RECOVERY_DOC, n_test=10 ** 8, dataset__p=5)
+    err = assert_config_error(capsys, ["kernel-recovery", "--config",
+                                       write_json(tmp_path / "big.json", doc)])
+    assert "n=40, n_test=100000000, 1 dense fit(s): 21.4 GiB needed" in err
+    doc["n_test"] = 10 ** 5
+    with pytest.raises(Drawn):
+        main(["kernel-recovery", "--config", write_json(tmp_path / "small.json", doc)])
 
 
 @pytest.mark.parametrize("fields,threads", [

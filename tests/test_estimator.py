@@ -325,8 +325,8 @@ def test_dense_fit_peak_memory():
 
 def test_recovery_replication_peak_is_within_the_memory_check():
     # r and r_y both near n (laplace kernel_y, eps = 1e-12) is the worst
-    # case: one replication's two fits on a shared factorization peak at
-    # 7.2 n^2 here, 7.06 n^2 at n = 600
+    # case: one replication's two fits on a shared factorization, or one
+    # plain gsir1 fit, peak at 7.2 n^2 here, 7.07 n^2 at n = 600
     n = 200
     config = parse_config({
         "schema_version": 1, "mode": "kernel_recovery", "base_seed": 5, "n_grid": [n],
@@ -335,3 +335,7 @@ def test_recovery_replication_peak_is_within_the_memory_check():
         "d": 1, "n_test": 50}, "kernel-recovery")
     run_kernel_recovery(config)      # loads what the first run imports
     assert traced_peak(lambda: run_kernel_recovery(config)) <= DENSE_FIT_ARRAYS * 8 * n * n
+    x, y, _ = generate(config.dataset, n, 0)
+    kx = KernelSpec("gaussian", median_bandwidth(x))
+    ly = KernelSpec("laplace", median_bandwidth(y))
+    assert traced_peak(lambda: fit_gsir1(x, y, kx, ly, 1e-12, 1)) <= DENSE_FIT_ARRAYS * 8 * n * n

@@ -419,7 +419,9 @@ def test_kernel_recovery_sizes_its_memory_check_by_the_workers(monkeypatch):
     sizes = record_pools(monkeypatch, 3)
     run_kernel_recovery(parse_config(RECOVERY_DOC, "kernel-recovery"), threads=10 ** 6)
     assert sizes == [3]
-    assert checked == [(DENSE_FIT_ARRAYS * 8 * 60 ** 2 * 3, "n=60, 3 dense fit(s)")]
+    # the dense fit and the held-out design (p=2, d=1, d_true=1) per worker
+    per_worker = DENSE_FIT_ARRAYS * 8 * 60 ** 2 + 10 * 200 * (3 * 2 + 6 + 1 + 1)
+    assert checked == [(per_worker * 3, "n=60, n_test=200, 3 dense fit(s)")]
 
 
 @pytest.mark.parametrize("field,value", [("delta", [0.3, 0.3]), ("delta", [0.4, 0.2]),

@@ -109,6 +109,13 @@ def test_rate_bound_rejects_epsilon_outside_unit(eps):
         rate_bound_terms(100, eps, 2.0, 1.0)
 
 
+@pytest.mark.parametrize("variant", ["gsir1", "gsir2"])
+def test_rate_bound_term_overflow_is_a_value_error(variant):
+    # the third term, n^-1 eps^-1.75 (gsir1) or eps^-1.25 (gsir2), overflows
+    with pytest.raises(ValueError, match="overflows at epsilon=1e-300"):
+        rate_bound_terms(10 ** 4, 1e-300, 2.0, 1.0, variant)
+
+
 def test_rate_bound_rejects_unknown_variant():
     with pytest.raises(ValueError, match="variant"):
         rate_bound_terms(100, 0.1, 2.0, 1.0, "gsir3")
