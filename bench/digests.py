@@ -8,8 +8,9 @@ OPENBLAS_NUM_THREADS=1, and prints the sha256 of each output file and of each
 command's stdout.  With --check it compares them with DIGESTS and exits 1 on
 a mismatch.  A change that means to keep the numerics must pass --check.
 
-Inputs: the README's sim-rate, kernel-recovery and fit configs; the theory
-grid below; and `predict` of the fitted model on 300 m1_ratio rows from
+Inputs: the theory grid below; the README's three ```json blocks, which are
+the sim-rate, kernel-recovery and fit configs; and `predict` of the fitted
+model on 300 m1_ratio rows from
 `generate(SyntheticModel("m1_ratio", 2, 0.1), 300, 123)`.
 
 The digests depend on the BLAS build (they were recorded with one OpenBLAS
@@ -20,41 +21,26 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
-COMMANDS = (
-    ("theory", "theory.csv",
-     {"schema_version": 1, "mode": "theory_table",
-      "grid": [[3, 1], [2, 0.2], [2, 1], [1.5, 0.5]],
-      "output_path": "theory.csv"}),
-    ("sim-rate", "sim.csv",
-     {"schema_version": 1, "mode": "sim_rate", "base_seed": 11,
-      "n_grid": [250, 500, 1000, 2000], "replications": 20,
-      "alpha": 2.0, "beta": 1.0, "delta": "optimal",
-      "model": {"j_dim": 200, "y_dim": 2},
-      "output_path": "sim.csv"}),
-    ("kernel-recovery", "recovery.csv",
-     {"schema_version": 1, "mode": "kernel_recovery", "base_seed": 5,
-      "n_grid": [200, 500, 1000], "replications": 20,
-      "dataset": {"model": "m3_symmetric", "p": 5, "sigma_noise": 0.2},
-      "epsilon": 1e-3, "d": 1, "n_test": 500,
-      "output_path": "recovery.csv"}),
-    ("fit", "model.json",
-     {"schema_version": 1, "variant": "gsir1",
-      "dataset": {"model": "m1_ratio", "p": 2, "sigma_noise": 0.1, "n": 400},
-      "kernel_x": {"family": "gaussian", "gamma": "median"},
-      "kernel_y": {"family": "gaussian", "gamma": "median"},
-      "epsilon": 1e-3, "d": 1, "base_seed": 0,
-      "output_path": "model.json"}),
-    ("predict", "pred.csv",
+# The sim-rate, kernel-recovery and fit configs: the README's ```json blocks.
+README_CONFIGS = [json.loads(block) for block in re.findall(
+    r"```json\n(.*?)```", (ROOT / "README.md").read_text(), re.S)]
+# (command, output file, config), in run order: fit writes predict's model.
+COMMANDS = tuple((command, config["output_path"], config) for command, config in zip(
+    ("theory", "sim-rate", "kernel-recovery", "fit", "predict"),
+    [{"schema_version": 1, "mode": "theory_table",
+      "grid": [[3, 1], [2, 0.2], [2, 1], [1.5, 0.5]], "output_path": "theory.csv"},
+     *README_CONFIGS,
      {"schema_version": 1, "model_path": "model.json",
-      "data_csv": "points.csv", "output_path": "pred.csv"}),
-)
+      "data_csv": "points.csv", "output_path": "pred.csv"}]))
 
 # Writes the predict command's input rows into the working directory.
 POINTS = ("from gsir.datasets import SyntheticModel, generate, write_dataset_csv;"

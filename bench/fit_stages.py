@@ -37,7 +37,8 @@ gaussian kernels, eps=1e-3, d=1 (the benchmark's fit_predict settings):
   held-out rows (the model is fitted by an earlier, untimed process).
 
 Each fit row also records r and r_y, the ranks of the pivoted-Cholesky
-factors of Gx and Gy, read from `estimator._factor`'s output.
+factors of Gx and Gy, read from an untimed `estimator.factorize` on the
+stage's inputs: `len(lx)` and the width of B2.
 
 Oracle stages (`--suite oracle`), on the README sim model (J=200, y_dim=2,
 alpha=2, beta=1, identity S) at eps = n^(-2/7), the optimal schedule.  Each
@@ -79,6 +80,8 @@ SUITES = {"fit": ("median_bandwidth", "centered_gram", "reflected_gram",
           "oracle": ("simulate_sample", "empirical_operators",
                      "estimate_regression_ops", "error_report", "replication"),
           "cli": tuple(command for command, _, _ in COMMANDS)}
+# the fit stages whose rows record r and r_y
+FACTORING = ("fit_gsir1", "fit_gsir2", "fit_gsir1_laplace_y", "recovery_pair")
 ORACLE_J, ORACLE_Y = 200, 2
 PREDICT_ROWS = 20000
 SEED = 0
@@ -148,7 +151,7 @@ def run_cell(stage, n, repeats, model_path):
         return _measure(_oracle_call(stage, n), repeats)
     from gsir import estimator
     from gsir.datasets import SyntheticModel, generate
-    from gsir.estimator import evaluate_predictors, fit_gsir1, fit_gsir2
+    from gsir.estimator import evaluate_predictors, factorize, fit_gsir1, fit_gsir2
     from gsir.kernels import KernelSpec, centered_gram, median_bandwidth, reflected_gram
     from gsir.modelio import load_fit, save_fit
 
@@ -167,8 +170,8 @@ def run_cell(stage, n, repeats, model_path):
     elif stage == "fit_gsir2":
         call = lambda: fit_gsir2(x, y, kx, ky, 1e-3, 1)
     elif stage == "fit_gsir1_laplace_y":
-        ly = KernelSpec("laplace", median_bandwidth(y))
-        call = lambda: fit_gsir1(x, y, kx, ly, 1e-3, 1)
+        ky = KernelSpec("laplace", median_bandwidth(y))
+        call = lambda: fit_gsir1(x, y, kx, ky, 1e-3, 1)
     elif stage == "recovery_pair":
         call = lambda: _recovery_pair(estimator, x, y, kx, ky)
     elif stage == "save_model":
@@ -178,16 +181,11 @@ def run_cell(stage, n, repeats, model_path):
         fit = load_fit(model_path)
         x_new, _, _ = generate(design, PREDICT_ROWS, SEED + 1)
         call = lambda: evaluate_predictors(fit, x_new)
-    ranks, factor = [], estimator._factor
-
-    def spy(*args):      # Gy is factored first, then Gx
-        c, piv = factor(*args)
-        ranks.append(c.shape[1])
-        return c, piv
-
-    estimator._factor = spy
     rec = _measure(call, repeats)
-    return {**rec, "r": ranks[1], "r_y": ranks[0]} if ranks else rec
+    if stage not in FACTORING:
+        return rec
+    fz = factorize(x, y, kx, ky, 1e-3, 1)
+    return {**rec, "r": len(fz.lx), "r_y": fz.b2.shape[1]}
 
 
 def _env(src):

@@ -4,9 +4,10 @@
 Y depends on X only through f(X) = X1^2 - 1, whose inverse-regression
 curve E[X | Y] vanishes identically, so classical sliced inverse
 regression returns noise here. The kernelized variants recover the
-square through the RKHS geometry. The script fits both variants on
-growing samples, scores them against the true predictor values on a
-held-out design, and round-trips one fitted model through JSON.
+square through the RKHS geometry. The script runs the `gsir
+kernel-recovery` protocol: it fits both variants on growing samples and
+scores them against the true predictor values on a held-out design.
+Then it round-trips one fitted model through JSON.
 """
 
 import os
@@ -15,9 +16,9 @@ import tempfile
 import numpy as np
 
 from gsir.datasets import SyntheticModel, generate
-from gsir.estimator import evaluate_predictors, fit_gsir1, fit_gsir2
+from gsir.estimator import evaluate_predictors, fit_gsir2
+from gsir.experiments import RecoveryConfig, run_kernel_recovery
 from gsir.kernels import KernelSpec, median_bandwidth
-from gsir.metrics import max_canonical_correlation, subspace_distance
 from gsir.modelio import load_fit, save_fit
 
 SIGMA = 0.2
@@ -27,43 +28,28 @@ N_TEST = 500
 SEED = 29
 
 
-def fit_and_score(dataset, n, rep, n_test):
-    train_seed, test_seed = np.random.SeedSequence((SEED, n, rep)).spawn(2)
-    x, y, _ = generate(dataset, n, train_seed)
-    x_test, _, f_test = generate(dataset, n_test, test_seed)
-    kx = KernelSpec("gaussian", median_bandwidth(x))
-    ky = KernelSpec("gaussian", median_bandwidth(y))
-    out = {}
-    for name, fit_fn in (("gsir1", fit_gsir1), ("gsir2", fit_gsir2)):
-        fit = fit_fn(x, y, kx, ky, EPSILON, 1)
-        pred = evaluate_predictors(fit, x_test)
-        out[name] = (max_canonical_correlation(pred, f_test),
-                     subspace_distance(pred, f_test), fit)
-    return out
-
-
 def main():
     dataset = SyntheticModel("m3_symmetric", p=P, sigma_noise=SIGMA)
+    config = RecoveryConfig(base_seed=SEED, n_grid=(200, 500, 1000), replications=1,
+                            dataset=dataset, epsilon=EPSILON, d=1, n_test=N_TEST)
+    rows = run_kernel_recovery(config).rows
     print("=" * 64)
     print("Recovery of f(x) = x1^2 - 1 (p=%d, sigma=%.1f, eps=%g)" % (P, SIGMA, EPSILON))
     print("=" * 64)
     print(f"{'n':>6} {'variant':>8} {'max cancor':>12} {'subspace dist':>14}")
     print("-" * 44)
-    last_fit = None
-    for n in (200, 500, 1000):
-        scores = fit_and_score(dataset, n, rep=0, n_test=N_TEST)
-        for name in ("gsir1", "gsir2"):
-            cancor, dist, fit = scores[name]
-            print(f"{n:>6} {name:>8} {cancor:>12.4f} {dist:>14.4f}")
-            last_fit = fit
+    for n, _, variant, dist, cancor, *_ in rows:
+        print(f"{n:>6} {variant:>8} {cancor:>12.4f} {dist:>14.4f}")
 
     # serialization round trip: predictions must survive bit-for-bit
+    x, y, _ = generate(dataset, 1000, SEED)
+    fit = fit_gsir2(x, y, KernelSpec("gaussian", median_bandwidth(x)),
+                    KernelSpec("gaussian", median_bandwidth(y)), EPSILON, 1)
     x_new, _, _ = generate(dataset, 50, np.random.SeedSequence((SEED, 999)))
     path = os.path.join(tempfile.mkdtemp(), "m3.json")
-    save_fit(last_fit, path)
-    reloaded = load_fit(path)
-    same = np.array_equal(evaluate_predictors(last_fit, x_new),
-                          evaluate_predictors(reloaded, x_new))
+    save_fit(fit, path)
+    same = np.array_equal(evaluate_predictors(fit, x_new),
+                          evaluate_predictors(load_fit(path), x_new))
     print("\nsaved model to JSON and reloaded: predictions identical =", same)
 
 

@@ -3,64 +3,51 @@
 Convergence of the regularized regression-operator estimates on the
 sequence-space model.
 
-Sweeps n at the theoretically optimal epsilon = n^(-delta_opt), prints the
-median operator-norm errors for both variants, and compares the fitted
-log-log slope against the predicted exponent.
+Runs the `gsir sim-rate` protocol: sweeps n at the theoretically optimal
+epsilon = n^(-delta_opt), prints the median operator-norm errors for both
+variants, and compares the fitted log-log slope against the predicted
+exponent.
 """
 
-import numpy as np
-
-from gsir.experiments import derive_seed
-from gsir.rates import fit_loglog_slope, optimal_rate_theory, rate_bound_terms
-from gsir.seqsim import (build_model, error_report, estimate_regression_ops,
-                         simulate_sample)
+from gsir.experiments import SimRateConfig, run_sim_rate
+from gsir.rates import rate_bound_terms
 
 ALPHA = 2.0
 BETA = 1.0
-J_DIM = 200
-Y_DIM = 2
-N_GRID = [250, 500, 1000, 2000, 4000, 8000]
+N_GRID = (250, 500, 1000, 2000, 4000, 8000)
 REPS = 20
 BASE_SEED = 5
 
 
 def main():
-    theory = optimal_rate_theory(ALPHA, BETA)
+    config = SimRateConfig(base_seed=BASE_SEED, n_grid=N_GRID, replications=REPS,
+                           alpha=ALPHA, beta=BETA)
+    summary = run_sim_rate(config).summary
+    (med,) = summary["by_delta"]
     print("=" * 72)
     print("Sequence-space rate check")
     print("=" * 72)
-    print(f"alpha={ALPHA}, beta={BETA}, J={J_DIM}, reps={REPS}, seed={BASE_SEED}")
-    print(f"theory: branch={theory.branch}, delta_opt={theory.delta_opt:.4f}, "
-          f"rate exponent={theory.exponent_opt:.4f}\n")
-
-    model = build_model(J_DIM, Y_DIM, alpha=ALPHA, beta=BETA, s_kind="identity")
+    print(f"alpha={ALPHA}, beta={BETA}, J={config.model.j_dim}, reps={REPS}, "
+          f"seed={BASE_SEED}")
+    print(f"theory: branch={summary['branch']}, delta_opt={summary['delta_opt']:.4f}, "
+          f"rate exponent={summary['exponent_opt']:.4f}\n")
 
     print(f"{'n':>6} {'epsilon':>10} {'med |R1-R|':>12} {'med |R2-R_h|':>13} "
           f"{'med eta span':>13}")
     print("-" * 60)
-    med_r1, med_eta = [], []
     for n in N_GRID:
-        eps = float(n) ** (-theory.delta_opt)
-        recs = []
-        for rep in range(REPS):
-            sample = simulate_sample(model, n, derive_seed(BASE_SEED, n, rep))
-            recs.append(error_report(model, estimate_regression_ops(sample, eps)))
-        m1 = float(np.median([r.err_r1 for r in recs]))
-        m_eta = float(np.median([r.eta_span_err for r in recs]))
-        m2 = float(np.median([r.err_r2 for r in recs]))
-        med_r1.append(m1)
-        med_eta.append(m_eta)
-        print(f"{n:>6} {eps:>10.5f} {m1:>12.5f} {m2:>13.5f} {m_eta:>13.5f}")
+        print(f"{n:>6} {float(n) ** -med['delta']:>10.5f} "
+              f"{med['median_err_r1'][n]:>12.5f} {med['median_err_r2'][n]:>13.5f} "
+              f"{med['median_eta_span_err'][n]:>13.5f}")
 
-    s1 = fit_loglog_slope(N_GRID, med_r1)
-    s_eta = fit_loglog_slope(N_GRID, med_eta)
     print("\nfitted slopes (log error vs log n):")
-    print(f"  GSIR-I operator error : {s1.slope:+.4f}  (r2={s1.r_squared:.4f}, "
-          f"theory {-theory.exponent_opt:+.4f})")
-    print(f"  GSIR-II predictor span: {s_eta.slope:+.4f}  (r2={s_eta.r_squared:.4f})")
+    print(f"  GSIR-I operator error : {med['slope_err_r1']:+.4f}  "
+          f"(r2={med['r2_err_r1']:.4f}, theory {-summary['exponent_opt']:+.4f})")
+    print(f"  GSIR-II predictor span: {med['slope_eta_span_err']:+.4f}  "
+          f"(r2={med['r2_eta_span_err']:.4f})")
 
     # the non-asymptotic bound terms at one corner of the sweep
-    n, eps = N_GRID[-1], float(N_GRID[-1]) ** (-theory.delta_opt)
+    n, eps = N_GRID[-1], float(N_GRID[-1]) ** -med["delta"]
     terms, total = rate_bound_terms(n, eps, ALPHA, BETA, variant="gsir1")
     print(f"\nbound terms at n={n}, eps={eps:.5f}: "
           + " + ".join(f"{t:.4f}" for t in terms) + f" = {total:.4f}")

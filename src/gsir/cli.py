@@ -75,8 +75,14 @@ def _run_fit(config):
     from .estimator import fit_gsir1, fit_gsir2
     if config.dataset is None:
         x, y = read_points_csv(config.data_csv, need_response=True)
-    n = config.dataset[1] if config.dataset else len(x)   # sized before the draw
-    check_memory(DENSE_FIT_ARRAYS * 8 * n * n, f"n={n}, one dense fit")
+    n, p = (config.dataset[1], config.dataset[0].p) if config.dataset else x.shape
+    # Sized before the draw: the dense fit and the n x p training design.
+    # save_fit's text of train_points (tolist's floats, each row's strings,
+    # the joined text) dominates the design's part: this function traced
+    # 11.70, 11.04, 11.04, 11.07 n p doubles at (n, p) = (3, 4e5),
+    # (10, 2e5), (200, 1e4), (1000, 1e3).  So 12 n p, at 10 bytes a double.
+    check_memory(DENSE_FIT_ARRAYS * 8 * n * n + 10 * 12 * n * p,
+                 f"n={n}, p={p}, one dense fit")
     if config.dataset is not None:
         x, y, _ = generate(*config.dataset, config.base_seed)
     kx = resolve_kernel(config.kernel_x, x, "kernel_x")

@@ -468,11 +468,16 @@ def run_kernel_recovery(config, threads=1):
     # predictions and scores) was 15, 7, 16, 60, 29 and 27 doubles a test row at
     # (p, d, d_true) = (5,1,1), (1,1,1), (5,2,2), (20,2,1), (2,8,2), (1,8,1); the
     # scores' SVDs copy what tracemalloc cannot see (peak RSS: 51 and 47 in the
-    # last two).  So 3 p + 6 d + d_true + 1, at 10 bytes a double.
+    # last two).  So 3 p + 6 d + d_true + 1, at 10 bytes a double.  And the
+    # training design: generate peaks at 3 n p doubles, and the fits hold x,
+    # the factorization's copy and each fit's train_points.  Beyond the test
+    # term, one replication traced 3.45, 3.90, 3.96, 4.01 n p doubles at
+    # (n, p) = (10, 2e5), (50, 4e4), (100, 2e4), (200, 1e4), n_test 2 or 3.
+    # So 4 n p, at 10 bytes a double.
     n, fits, p = max(config.n_grid), _workers(threads, tasks), config.dataset.p
     test_bytes = 10 * config.n_test * (3 * p + 6 * config.d + config.dataset.d_true + 1)
-    check_memory((DENSE_FIT_ARRAYS * 8 * n * n + test_bytes) * fits,
-                 f"n={n}, n_test={config.n_test}, {fits} dense fit(s)")
+    check_memory((DENSE_FIT_ARRAYS * 8 * n * n + 10 * 4 * n * p + test_bytes) * fits,
+                 f"p={p}, n={n}, n_test={config.n_test}, {fits} dense fit(s)")
     header = (("n", "rep", "variant", "subspace_dist", "max_cancor")
               + tuple(f"eig_{j + 1}" for j in range(config.d)))
 

@@ -457,6 +457,7 @@ def test_dense_path_beyond_physical_memory_is_config_error(tmp_path, capsys,
                                                           monkeypatch, command,
                                                           doc):
     # fit's synthetic dataset is sized from its config's n, before the draw
+    import gsir.estimator    # imported here, it would keep the patched gram_matrix
     import gsir.experiments
     import gsir.kernels
 
@@ -487,7 +488,7 @@ def test_memory_check_counts_concurrent_fits(tmp_path, capsys, monkeypatch):
     config = write_json(tmp_path / "rec.json", with_fields(RECOVERY_DOC, replications=3))
     err = assert_config_error(capsys, ["kernel-recovery", "--config", config,
                                        "--threads", "3"])
-    assert "n=40, n_test=100, 3 dense fit(s): 0.000325 GiB needed" in err
+    assert "n=40, n_test=100, 3 dense fit(s): 0.000334 GiB needed" in err
     assert main(["kernel-recovery", "--config", config, "--threads", "1"]) == 0
 
 
@@ -511,6 +512,32 @@ def test_kernel_recovery_counts_its_held_out_design(tmp_path, capsys, monkeypatc
     doc["n_test"] = 10 ** 5
     with pytest.raises(Drawn):
         main(["kernel-recovery", "--config", write_json(tmp_path / "small.json", doc)])
+
+
+@pytest.mark.parametrize("command", ["kernel-recovery", "fit"])
+def test_memory_check_counts_the_training_design(tmp_path, capsys, monkeypatch, command):
+    # kernel-recovery's 10 x 10^6 training draw alone peaks above 64 MiB, and
+    # so does save_fit's text of a 3 x 10^7 fit design; at p = 10^5 both pass
+    # the check and reach the draw
+    import gsir.experiments
+
+    def drawn(*args):
+        raise Drawn
+
+    monkeypatch.setattr(gsir.experiments, "_physical_memory", lambda: 2 ** 26)
+    monkeypatch.setattr("gsir.cli.generate", drawn)
+    monkeypatch.setattr("gsir.experiments.generate", drawn)
+    if command == "fit":
+        doc = fit_config_doc(tmp_path, dataset={"model": "m1_ratio", "p": 10 ** 7,
+                                                "sigma_noise": 0.1, "n": 3})
+    else:
+        doc = with_fields(RECOVERY_DOC, n_grid=[10], n_test=2, dataset__p=10 ** 6)
+    err = assert_config_error(capsys, [command, "--config",
+                                       write_json(tmp_path / "big.json", doc)])
+    assert f"p={doc['dataset']['p']}, " in err
+    doc["dataset"]["p"] = 10 ** 5
+    with pytest.raises(Drawn):
+        main([command, "--config", write_json(tmp_path / "small.json", doc)])
 
 
 @pytest.mark.parametrize("fields,threads", [
@@ -829,6 +856,23 @@ def test_malformed_data_csv_is_config_error(tmp_path, capsys, name, lines,
     config = write_json(tmp_path / "fit.json", doc)
     assert fragment in assert_config_error(capsys, ["fit", "--config", config])
     assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "predict"])
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unreadable_data_csv_is_config_error(tmp_path, capsys, command, target):
+    data = tmp_path / "data"
+    if target == "directory":
+        data.mkdir()
+    if command == "fit":
+        doc = fit_config_doc(tmp_path)
+        del doc["dataset"]
+        config = write_json(tmp_path / "fit.json", {**doc, "data_csv": str(data)})
+    else:
+        fit_model_file(tmp_path)
+        config = predict_config(tmp_path, str(data))
+    err = assert_config_error(capsys, [command, "--config", config])
+    assert f"cannot read data file {data}" in err
 
 
 @pytest.mark.parametrize("delta", [[0.3, 0.3], [0.4, 0.2]])

@@ -92,6 +92,9 @@ def test_parse_sim_rate_defaults():
     # 3^-700 and (2^-2)^600 are 0 in float64
     (sim_doc(alpha=700.0), "'alpha' needs .* < 745.1"),
     (sim_doc(beta=600.0), "'beta' needs .* < 745.1"),
+    ({k: v for k, v in SIM_DOC.items() if k != "alpha"},
+     "missing required field 'alpha' in sim-rate config"),
+    ([1, 2], "config must be a JSON object"),
 ])
 def test_config_errors_name_the_field(doc, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -230,6 +233,18 @@ def test_sim_rate_slopes_fit_the_per_n_medians():
     assert med["slope_within_tolerance"] == (
         abs(med["slope_err_r1"] + report.summary["exponent_opt"]) <= SLOPE_TOL
         and med["r2_err_r1"] >= R2_MIN)
+
+
+def test_slope_within_tolerance_needs_both_clauses(monkeypatch):
+    # slope -0.291 against the theory's -0.286, r^2 0.997: both clauses hold,
+    # until no r^2 below 1 is trusted
+    config = parse_config(sim_doc(n_grid=[100, 200, 400, 800], replications=8,
+                                  model={"j_dim": 50, "y_dim": 2}), "sim-rate")
+    (med,) = run_sim_rate(config).summary["by_delta"]
+    assert med["slope_within_tolerance"] is True
+    monkeypatch.setattr("gsir.experiments.R2_MIN", 1.0)
+    (med,) = run_sim_rate(config).summary["by_delta"]
+    assert med["slope_within_tolerance"] is False
 
 
 def test_sim_rate_delta_sweep_rows():
@@ -419,9 +434,11 @@ def test_kernel_recovery_sizes_its_memory_check_by_the_workers(monkeypatch):
     sizes = record_pools(monkeypatch, 3)
     run_kernel_recovery(parse_config(RECOVERY_DOC, "kernel-recovery"), threads=10 ** 6)
     assert sizes == [3]
-    # the dense fit and the held-out design (p=2, d=1, d_true=1) per worker
-    per_worker = DENSE_FIT_ARRAYS * 8 * 60 ** 2 + 10 * 200 * (3 * 2 + 6 + 1 + 1)
-    assert checked == [(per_worker * 3, "n=60, n_test=200, 3 dense fit(s)")]
+    # the dense fit, the training design and the held-out one (p=2, d=1,
+    # d_true=1) per worker
+    per_worker = (DENSE_FIT_ARRAYS * 8 * 60 ** 2 + 10 * 4 * 60 * 2
+                  + 10 * 200 * (3 * 2 + 6 + 1 + 1))
+    assert checked == [(per_worker * 3, "p=2, n=60, n_test=200, 3 dense fit(s)")]
 
 
 @pytest.mark.parametrize("field,value", [("delta", [0.3, 0.3]), ("delta", [0.4, 0.2]),
