@@ -20,7 +20,7 @@ from .datasets import generate
 from .experiments import (DENSE_FIT_ARRAYS, _seed, check_memory, load_config,
                           resolve_kernel, run_experiment)
 from .linalg import NumericalError
-from .modelio import ConfigError, csv_text, load_fit, save_fit
+from .modelio import ConfigError, load_fit, save_fit, write_csv
 
 
 def _columns(header, prefix, path):
@@ -77,11 +77,11 @@ def _run_fit(config):
         x, y = read_points_csv(config.data_csv, need_response=True)
     n, p = (config.dataset[1], config.dataset[0].p) if config.dataset else x.shape
     # Sized before the draw: the dense fit and the n x p training design.
-    # save_fit's text of train_points (tolist's floats, each row's strings,
-    # the joined text) dominates the design's part: this function traced
-    # 11.70, 11.04, 11.04, 11.07 n p doubles at (n, p) = (3, 4e5),
-    # (10, 2e5), (200, 1e4), (1000, 1e3).  So 12 n p, at 10 bytes a double.
-    check_memory(DENSE_FIT_ARRAYS * 8 * n * n + 10 * 12 * n * p,
+    # This function traced 6.52, 3.35, 3.00, 3.05, 5.11 n p doubles at
+    # (n, p) = (3, 4e5), (10, 2e5), (50, 4e4), (200, 1e4), (1000, 1e3); at
+    # n = 3 most of it is the text of one training row, which save_fit
+    # writes a row at a time.  So 7 n p, at 10 bytes a double.
+    check_memory(DENSE_FIT_ARRAYS * 8 * n * n + 10 * 7 * n * p,
                  f"n={n}, p={p}, one dense fit")
     if config.dataset is not None:
         x, y, _ = generate(*config.dataset, config.base_seed)
@@ -105,9 +105,9 @@ def _run_predict(config):
         raise ConfigError(f"cannot load model {config.model_path}: {exc}") from exc
     x, _ = read_points_csv(config.data_csv, need_response=False)
     pred = evaluate_predictors(fit, x)
-    with open(config.output_path, "w", newline="") as fh:
-        fh.write(csv_text([f"pred_{j + 1}" for j in range(pred.shape[1])], pred))
-    print(f"predict: {pred.shape[0]} points x {pred.shape[1]} predictors -> {fh.name}")
+    write_csv(config.output_path, [f"pred_{j + 1}" for j in range(pred.shape[1])], pred)
+    print(f"predict: {pred.shape[0]} points x {pred.shape[1]} predictors -> "
+          f"{config.output_path}")
 
 
 def _run_mode(config, threads):

@@ -20,7 +20,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from .datasets import SyntheticModel, generate
 from .metrics import max_canonical_correlation, subspace_distance
 from .modelio import (ConfigError, _as_int, _as_kernel, _as_real, _as_text,
-                      _one_of, _reject_unknown, _require, csv_text)
+                      _one_of, _reject_unknown, _require, write_csv)
 from .rates import VARIANTS, fit_loglog_slope, optimal_rate_theory, rate_bound_terms
 from .seqsim import (build_model, error_report, estimate_regression_ops,
                      simulate_sample, truncation_tail_fraction,
@@ -340,8 +340,7 @@ def _report(config, header, rows, summary):
     """The run's RateReport; its CSV goes to config.output_path when set."""
     report = RateReport(header, tuple(rows), summary)
     if config.output_path:
-        with open(config.output_path, "w", newline="") as fh:
-            fh.write(csv_text(report.header, report.rows))
+        write_csv(config.output_path, report.header, report.rows)
     return report
 
 

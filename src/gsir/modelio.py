@@ -1,13 +1,15 @@
-"""The file formats: strict JSON values, saved models, and CSV text.
+"""The file formats: strict JSON values, saved models, and CSV files.
 
 Config and model documents are strict JSON: each value is read by a
 converter that maps (JSON value, field name) to a typed value or raises a
-ConfigError naming the field.  Floats are written with 17 significant
-digits, which round-trips IEEE doubles exactly, so save -> load -> predict
-reproduces predictions bit-for-bit; every CSV row ends in a bare newline.
+ConfigError naming the field.  There is one writer per format: `write_csv`
+writes every CSV file a line per row, ending each in a bare newline, and
+`save_fit` writes a model a piece per array row (`fit_to_json` joins the
+same pieces).  Floats are written with 17 significant digits, which
+round-trips IEEE doubles exactly, so save -> load -> predict reproduces
+predictions bit-for-bit.
 """
 
-import io
 import json
 import sys
 
@@ -94,53 +96,48 @@ def _cell(value):
     return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
-def csv_text(header, rows):
-    """CSV text of a header and rows of cells (or a 2-d array), one newline-ended
-    line each; no cell the program writes needs quoting, so none is quoted."""
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows.tolist() if isinstance(rows, np.ndarray) else rows:
-        buf.write(",".join(map(_cell, row)) + "\n")
-    return buf.getvalue()
-
-
-def _emit(obj):
-    if isinstance(obj, dict):
-        return "{" + ",".join(f"{json.dumps(k)}:{_emit(v)}" for k, v in obj.items()) + "}"
-    if isinstance(obj, (list, tuple)):
-        if all(type(v) is float for v in obj):     # a row of an array's .tolist()
-            return "[" + ",".join(["%.17g" % v for v in obj]) + "]"
-        return "[" + ",".join(_emit(v) for v in obj) + "]"
-    if isinstance(obj, (bool, str)) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, (float, int)):
-        return _cell(obj)
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+def write_csv(path, header, rows):
+    """Write a header and rows of cells (or a 2-d array) to path as CSV, one
+    newline-ended line each; no cell the program writes needs quoting, so
+    none is quoted."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in map(np.ndarray.tolist, rows) if isinstance(rows, np.ndarray) else rows:
+            fh.write(",".join(map(_cell, row)) + "\n")
 
 
 # --------------------------------------------------------------------------
 # fitted models
 # --------------------------------------------------------------------------
 
+def _model_text(fit):
+    """A model's JSON text in pieces: the scalar fields, then one piece per
+    row of train_points and coefficients, then the eigenvalues."""
+    def floats(row):
+        return "[" + ",".join(["%.17g" % v for v in row.tolist()]) + "]"
+
+    def kernel(spec):
+        return f'{{"family":{json.dumps(spec.family)},"gamma":{_cell(float(spec.gamma))}}}'
+    yield (f'{{"version":{FORMAT_VERSION},"variant":{json.dumps(fit.variant)},'
+           f'"kernel_x":{kernel(fit.kernel_x)},"kernel_y":{kernel(fit.kernel_y)},'
+           f'"epsilon":{_cell(float(fit.epsilon))},"d":{int(fit.d)}')
+    for key in ("train_points", "coefficients"):
+        yield f',"{key}":['
+        for i, row in enumerate(np.asarray(getattr(fit, key), dtype=float)):
+            yield "," * (i > 0) + floats(row)
+        yield "]"
+    yield f',"eigenvalues":{floats(np.asarray(fit.eigenvalues, dtype=float))}}}'
+
+
 def fit_to_json(fit):
     """Serialize a fitted model to a JSON string."""
-    doc = {
-        "version": FORMAT_VERSION,
-        "variant": fit.variant,
-        "kernel_x": {"family": fit.kernel_x.family, "gamma": float(fit.kernel_x.gamma)},
-        "kernel_y": {"family": fit.kernel_y.family, "gamma": float(fit.kernel_y.gamma)},
-        "epsilon": float(fit.epsilon),
-        "d": int(fit.d),
-        "train_points": np.asarray(fit.train_points, dtype=float).tolist(),
-        "coefficients": np.asarray(fit.coefficients, dtype=float).tolist(),
-        "eigenvalues": np.asarray(fit.eigenvalues, dtype=float).tolist(),
-    }
-    return _emit(doc)
+    return "".join(_model_text(fit))
 
 
 def save_fit(fit, path):
+    """Write a model's JSON text to path a piece at a time, and a newline."""
     with open(path, "w") as fh:
-        fh.write(fit_to_json(fit))
+        fh.writelines(_model_text(fit))
         fh.write("\n")
 
 

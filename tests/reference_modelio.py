@@ -2,13 +2,17 @@
 
 `reference_csv_text` writes CSV through `csv.writer`, one `_cell` per value,
 and `reference_emit` serializes a JSON document by one recursive call per
-value.  They are the writers `gsir.modelio.csv_text` and `_emit` replace,
-which write a row at a time, and the tests hold those to the same bytes.
+value; `reference_fit_to_json` emits a model's document with it, fields in
+the order of `gsir.modelio.FORMAT_VERSION` 1.  They are the whole-text
+writers that `gsir.modelio.write_csv` (a line per row) and `save_fit` (a
+piece per array row) replace, and the tests hold those to the same bytes.
 """
 
 import csv
 import io
 import json
+
+import numpy as np
 
 from gsir.modelio import _cell
 
@@ -32,3 +36,17 @@ def reference_emit(obj):
     if isinstance(obj, (float, int)):
         return _cell(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def reference_fit_to_json(fit):
+    return reference_emit({
+        "version": 1,
+        "variant": fit.variant,
+        "kernel_x": {"family": fit.kernel_x.family, "gamma": float(fit.kernel_x.gamma)},
+        "kernel_y": {"family": fit.kernel_y.family, "gamma": float(fit.kernel_y.gamma)},
+        "epsilon": float(fit.epsilon),
+        "d": int(fit.d),
+        "train_points": np.asarray(fit.train_points, dtype=float).tolist(),
+        "coefficients": np.asarray(fit.coefficients, dtype=float).tolist(),
+        "eigenvalues": np.asarray(fit.eigenvalues, dtype=float).tolist(),
+    })

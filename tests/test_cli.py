@@ -420,15 +420,21 @@ def test_overflowing_gram_stderr_is_one_line(tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
-def test_overflowing_cross_gram_is_numerical_failure(tmp_path):
+def test_overflowing_cross_gram_is_numerical_failure(tmp_path, capsys):
     # A linear-kernel model on rows near the float maximum: the cross-Gram
     # overflows, and predict writes no NaN rows, exits 3, and prints one
-    # line (a fresh interpreter, so numpy's RuntimeWarnings would show).
+    # line, through main() and in a fresh interpreter, where numpy's
+    # RuntimeWarnings would show.
     config = write_json(tmp_path / "fit.json",
                         fit_config_doc(tmp_path, kernel_x={"family": "linear"}))
     assert main(["fit", "--config", config]) == 0
     data = write_points(tmp_path / "huge.csv", ["x_1", "x_2"],
                         [["1.7e308", "1.7e308"], ["0.5", "0.25"]])
+    capsys.readouterr()
+    assert main(["predict", "--config", predict_config(tmp_path, data)]) == 3
+    assert capsys.readouterr().err == ("numerical failure: predictions are not finite: "
+                                       "the cross-Gram overflows\n")
+    assert not (tmp_path / "pred.csv").exists()
     env = dict(os.environ, PYTHONPATH=str(Path(gsir.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "gsir.cli", "predict", "--config",
                            predict_config(tmp_path, data)],

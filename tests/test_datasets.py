@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from gsir.cli import read_points_csv
 from gsir.datasets import (MODEL_DIMS, SyntheticModel, generate,
                            true_predictors, write_dataset_csv)
 
@@ -115,3 +116,15 @@ def test_write_dataset_csv_roundtrip(tmp_path):
     assert np.array_equal(back[:, :3], x)
     assert np.array_equal(back[:, 3], y[:, 0])
     assert np.array_equal(back[:, 4:], f)
+
+
+@pytest.mark.parametrize("q,names", [(1, ["y"]), (2, ["y_1", "y_2"])])
+def test_write_dataset_csv_keeps_every_response_column(tmp_path, q, names):
+    x, y, f = generate(SyntheticModel("m1_ratio", p=2, sigma_noise=0.1), 6, seed=4)
+    y = np.column_stack([y] + [-y] * (q - 1))
+    path = tmp_path / "data.csv"
+    write_dataset_csv(path, x, y, f)
+    with open(path, newline="") as fh:
+        assert next(csv.reader(fh)) == ["x_1", "x_2"] + names + ["f_1"]
+    x_back, y_back = read_points_csv(path, need_response=True)
+    assert np.array_equal(x_back, x) and np.array_equal(y_back, y)

@@ -14,10 +14,10 @@ from gsir.experiments import (DENSE_FIT_ARRAYS, R2_MIN, SLOPE_TOL, ConfigError,
                               RateReport, derive_seed, load_config, parse_config,
                               run_experiment, run_kernel_recovery, run_sim_rate,
                               run_theory_table)
-from gsir.modelio import csv_text
 from gsir.rates import fit_loglog_slope
 from gsir.seqsim import (build_model, error_report, estimate_regression_ops,
                          simulate_sample)
+from reference_modelio import reference_csv_text
 
 SIM_DOC = {
     "schema_version": 1,
@@ -58,7 +58,7 @@ def sim_doc(**overrides):
 
 def report_csv(report):
     """The CSV text a run writes to its output_path."""
-    return csv_text(report.header, report.rows)
+    return reference_csv_text(report.header, report.rows)
 
 
 def test_parse_sim_rate_defaults():
@@ -381,7 +381,8 @@ def test_report_rows_match_their_header(tmp_path, doc, command):
 
 
 def test_readme_configs_are_the_digest_inputs():
-    # bench/digests.py runs its own copies of the README's three configs
+    # bench/digests.py reads its sim-rate, kernel-recovery and fit configs
+    # from the README's ```json blocks; they must be what the README shows
     root = Path(__file__).parents[1]
     spec = importlib.util.spec_from_file_location("digests", root / "bench" / "digests.py")
     digests = importlib.util.module_from_spec(spec)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 import gsir.modelio
 from gsir.estimator import evaluate_predictors, fit_gsir1, fit_gsir2
 from gsir.kernels import KernelSpec
-from gsir.modelio import _emit, csv_text, fit_from_json, fit_to_json, load_fit, save_fit
-from reference_modelio import reference_csv_text, reference_emit
+from gsir.modelio import fit_from_json, fit_to_json, load_fit, save_fit, write_csv
+from reference_modelio import reference_csv_text, reference_fit_to_json
 
 GAUSS = KernelSpec("gaussian", 0.7)
 
@@ -169,35 +170,62 @@ def special_array(shape, seed):
                     rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape))
 
 
-@settings(max_examples=50, deadline=None)
+def written_csv(path, header, rows):
+    write_csv(path, header, rows)
+    return path.read_bytes().decode()
+
+
+def with_arrays(fit, a):
+    return dataclasses.replace(fit, train_points=a, coefficients=a[:, ::-1],
+                               eigenvalues=a[:, 0])
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(arrays(float, array_shapes(min_dims=2, max_dims=2, max_side=6)))
-def test_csv_text_and_emit_match_the_reference_writers(a):
+def test_write_csv_and_fit_to_json_match_the_reference_writers(tmp_path, a):
     # any float, NaN and the infinities included
     header = [f"c_{j + 1}" for j in range(a.shape[1])]
-    assert csv_text(header, a) == reference_csv_text(header, a)
-    assert _emit(a.tolist()) == reference_emit(a.tolist())
-    assert _emit(a[:, 0].tolist()) == reference_emit(a[:, 0].tolist())
+    assert written_csv(tmp_path / "a.csv", header, a) == reference_csv_text(header, a)
+    fit = with_arrays(make_fit(seed=5), a)
+    assert fit_to_json(fit) == reference_fit_to_json(fit)
+    save_fit(fit, tmp_path / "model.json")
+    want = reference_fit_to_json(fit) + "\n"
+    assert (tmp_path / "model.json").read_bytes().decode() == want
 
 
-def test_csv_text_matches_the_csv_writer_on_mixed_rows():
+def test_write_csv_matches_the_csv_writer_on_mixed_rows(tmp_path):
     # the cells the experiment writers emit: ints, numpy scalars, variant and
     # bound_ok strings, floats; given as a list and as a generator
     rows = [[2000, 3, "gsir1", np.float64(-0.0), 5e-324, "na"],
             [np.int64(7), 0, "gsir2", 1e308, np.float64(1 / 3), "1"],
             [1, 2, "optimal", -2.5, 0.1, "0"]]
     header = ["n", "rep", "variant", "subspace_dist", "max_cancor", "bound_ok_1"]
-    assert csv_text(header, rows) == reference_csv_text(header, rows)
-    assert csv_text(header, iter(rows)) == reference_csv_text(header, rows)
+    path = tmp_path / "report.csv"
+    assert written_csv(path, header, rows) == reference_csv_text(header, rows)
+    assert written_csv(path, header, iter(rows)) == reference_csv_text(header, rows)
     a = special_array((40, 3), 0)
-    assert csv_text(["x_1", "x_2", "y"], a) == reference_csv_text(["x_1", "x_2", "y"], a)
+    header = ["x_1", "x_2", "y"]
+    assert written_csv(path, header, a) == reference_csv_text(header, a)
 
 
-def test_fit_to_json_matches_the_recursive_writer(monkeypatch):
+def test_fit_to_json_matches_the_recursive_writer(tmp_path):
     fit = dataclasses.replace(make_fit(seed=6), train_points=special_array((20, 2), 1),
                               coefficients=special_array((20, 2), 2),
                               eigenvalues=special_array(2, 3))
     text = fit_to_json(fit)
-    monkeypatch.setattr(gsir.modelio, "_emit", reference_emit)
-    assert text == fit_to_json(fit)
-    doc = [1, 2.5, True, None, "s", [0.5, -0.0, 3], [], {"k": [[1e308], [5e-324]]}]
-    assert _emit(doc) == reference_emit(doc)
+    assert text == reference_fit_to_json(fit)
+    save_fit(fit, tmp_path / "model.json")
+    assert (tmp_path / "model.json").read_bytes() == (text + "\n").encode()
+
+
+def test_save_fit_holds_one_row_of_text(tmp_path):
+    # two 400 x 300 arrays: 4.1 MB of text, 5 KB a row
+    fit = with_arrays(make_fit(seed=7), special_array((400, 300), 4))
+    tracemalloc.start()
+    try:
+        save_fit(fit, tmp_path / "model.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (tmp_path / "model.json").stat().st_size / 20
