@@ -32,7 +32,7 @@ gaussian kernels, eps=1e-3, d=1 (the benchmark's fit_predict settings):
 - fit_gsir1_laplace_y: gsir1 with a laplace kernel on y, whose centered Gram
   has full numerical rank, so the thin factor of Gy is as wide as it gets;
 - recovery_pair:   gsir1 then gsir2 on one draw, as `kernel-recovery` fits
-  them: on one `estimator.factorize` result passed as `shared=` to both;
+  them: `estimator.solve` of one `estimator.factorize` result for each;
 - predict_20000:   `evaluate_predictors` of a saved gsir1 model on 20 000
   held-out rows (the model is fitted by an earlier, untimed process).
 
@@ -134,8 +134,8 @@ def _oracle_call(stage, n):
 
 def _recovery_pair(estimator, x, y, kx, ky):
     shared = estimator.factorize(x, y, kx, ky, 1e-3, 1)
-    estimator.fit_gsir1(x, y, kx, ky, 1e-3, 1, shared=shared)
-    estimator.fit_gsir2(x, y, kx, ky, 1e-3, 1, shared=shared)
+    estimator.solve(shared, "gsir1", 1)
+    estimator.solve(shared, "gsir2", 1)
 
 
 def _measure(call, repeats):

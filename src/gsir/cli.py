@@ -77,7 +77,7 @@ def _run_fit(config):
         x, y = read_points_csv(config.data_csv, need_response=True)
     n, p = (config.dataset[1], config.dataset[0].p) if config.dataset else x.shape
     # Sized before the draw: the dense fit and the n x p training design.
-    # This function traced 6.52, 3.35, 3.00, 3.05, 5.11 n p doubles at
+    # This function traced 6.52, 3.35, 3.00, 3.00, 4.11 n p doubles at
     # (n, p) = (3, 4e5), (10, 2e5), (50, 4e4), (200, 1e4), (1000, 1e3); at
     # n = 3 most of it is the text of one training row, which save_fit
     # writes a row at a time.  So 7 n p, at 10 bytes a double.

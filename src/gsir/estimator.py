@@ -38,9 +38,10 @@ keeps its accuracy for any eps; the Woodbury form (G q / sqrt(mu) - Lx h) /
 
 The solve splits where the variants diverge.  Everything up to B2 = L^-1 E
 (both Grams and factors, the QR, G, L) is variant-free and is built once per
-sample by `factorize`; `fit_gsir1` and `fit_gsir2` take it as `shared=` or
-build it themselves.  The variant step (`_solve`) applies the extra L^-T for
-variant 1, then runs the eigenproblem and the coefficient extraction.
+sample by `factorize`, with a copy of x, the kernels and eps.  The variant
+step, `solve`, applies the extra L^-T for variant 1, runs the eigenproblem
+and the coefficient extraction, and returns the fit: `fit_gsir1` and
+`fit_gsir2` are `solve(factorize(...), variant, d)`.
 """
 
 import numpy as np
@@ -52,6 +53,7 @@ from scipy.linalg.lapack import (dlauum, dpotrf, dpstrf, dsyevd, dtpmqrt,
 from .kernels import (KernelSpec, centering_reflector, gram_matrix,
                       reflected_gram, _as_points)
 from .linalg import DEFAULT_CLAMP, NumericalError
+from .rates import VARIANTS
 
 # Eigenvalue gap, relative to mu_1, at or below which the d-th predictor is not
 # well separated from the next and the fit warns (always when every mu is 0).
@@ -103,9 +105,17 @@ def _check_inputs(x, y, epsilon, d):
         raise ValueError(f"need at least 3 samples, got {n}")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
+    _check_d(d, n, n)
+    return x, y
+
+
+def _check_d(d, n, r):
+    """ValueError unless 1 <= d <= n - 1; NumericalError if d exceeds the rank r."""
     if not 1 <= d <= n - 1:
         raise ValueError(f"d must satisfy 1 <= d <= n - 1 = {n - 1}, got {d}")
-    return x, y
+    if d > r:
+        raise NumericalError(f"d={d} exceeds the numerical rank {r} of the "
+                             f"centered Gram matrix; the achievable d is {r}")
 
 
 def _factor(g, top, epsilon=0.0):
@@ -135,11 +145,13 @@ def _factor(g, top, epsilon=0.0):
 
 @dataclass(frozen=True, eq=False)
 class _Factorization:
-    """The variant-free part of one sample's solve (see `factorize`): the
-    inputs it was built from, Lx, L, the QR's V and T, B2 = L^-1 E and the
-    QR's row order."""
+    """The variant-free part of one sample's solve (`factorize`): a copy of x,
+    the kernels, eps, Lx, L, the QR's V and T, B2 = L^-1 E and its row order."""
 
-    inputs: tuple
+    x: np.ndarray
+    kernel_x: KernelSpec
+    kernel_y: KernelSpec
+    epsilon: float
     lx: np.ndarray
     l: np.ndarray
     v: np.ndarray
@@ -147,26 +159,15 @@ class _Factorization:
     b2: np.ndarray
     rows: np.ndarray
 
-    def check(self, x, y, kernel_x, kernel_y, epsilon):
-        """ValueError unless built from these (checked) inputs."""
-        bx, by, bkx, bky, beps = self.inputs
-        if not (np.array_equal(bx, x) and np.array_equal(by, y) and bkx == kernel_x
-                and bky == kernel_y and beps == epsilon):
-            raise ValueError("the shared factorization was built from a different "
-                             "x, y, kernel or epsilon")
 
-
-def _check_rank(d, r):
-    if d > r:
-        raise NumericalError(f"d={d} exceeds the numerical rank {r} of the "
-                             f"centered Gram matrix; the achievable d is {r}")
-
-
-def _solve(fz, variant, d):
-    """(coefficients, mu[:d], warnings) of the top d predictors of one
-    variant, from the eigenproblem on the range of Fx, of rank r."""
-    n, r = len(fz.inputs[0]), len(fz.lx)
-    _check_rank(d, r)
+def solve(fz, variant, d):
+    """The GsirFit of the top d predictors of variant "gsir1" or "gsir2" on
+    fz's points, kernels and eps, from the eigenproblem on the range of Fx,
+    of rank r (a d above r is refused, as by `factorize`)."""
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    n, r = len(fz.x), len(fz.lx)
+    _check_d(d, n, r)
     lx, l, v, t, rows, b = fz.lx, fz.l, fz.v, fz.t, fz.rows, fz.b2
     if variant == "gsir1":     # S^-1 E = L^-T L^-1 E
         b = dtrsm(1.0, l, b, lower=1, trans_a=1)
@@ -209,34 +210,25 @@ def _solve(fz, variant, d):
         raise NumericalError("fitted coefficients are not finite")
     # Sign: each predictor's largest-magnitude value Gx c at the training points is > 0
     top = out[np.argmax(np.abs(out[:, d:]), axis=0), d + np.arange(d)]
-    return out[:, :d] * np.where(top < 0.0, -1.0, 1.0), mu[:d].copy(), tuple(warnings)
-
-
-def _fit(x, y, kernel_x, kernel_y, epsilon, d, variant, shared):
-    x, y = _check_inputs(x, y, epsilon, d)
-    if shared is None:
-        shared = factorize(x, y, kernel_x, kernel_y, epsilon, d)
-    shared.check(x, y, kernel_x, kernel_y, epsilon)
-    return GsirFit(variant, x.copy(), kernel_x, kernel_y, float(epsilon), d,
-                   *_solve(shared, variant, d))
+    return GsirFit(variant, fz.x, fz.kernel_x, fz.kernel_y, fz.epsilon, d,
+                   out[:, :d] * np.where(top < 0.0, -1.0, 1.0), mu[:d].copy(),
+                   tuple(warnings))
 
 
 def factorize(x, y, kernel_x, kernel_y, epsilon, d=1):
-    """The variant-free step of a fit, for `fit_gsir1` and `fit_gsir2` on the
-    same sample: both Grams, their factors, the QR and B2 (module docstring).
-
-    Pass the result as `shared=` to both fits to build it once.  d is the
-    largest number of predictors that will be asked for; a d above the rank
-    of the centered Gram matrix of x is refused here, before the QR.
+    """The variant-free step of a fit (module docstring), with a copy of x
+    (callers may edit theirs later), the kernels and eps: `solve` it once
+    per variant.  d is the largest number of predictors that will be asked
+    for; a d above the rank of the centered Gram matrix of x is refused
+    here, before the QR.
     """
     x, y = _check_inputs(x, y, epsilon, d)
-    inputs = (x.copy(), y.copy(), kernel_x, kernel_y, epsilon)  # callers may edit x, y later
     # Gy first, so only its factor is alive beside Gx
     f, piv_y = _factor(*reflected_gram(kernel_y, y))
     f = f.copy(order="F")      # frees Gy's n x n
     fx, piv = _factor(*reflected_gram(kernel_x, x), epsilon)
     n, r = fx.shape
-    _check_rank(d, r)
+    _check_d(d, n, r)
     # Rows r-1..0, then r..n-1 of x's pivot order, with the columns reversed:
     # the triangle on top is upper, and Q eliminates the n - r >= 1 rows below
     rows = np.concatenate([piv[r - 1::-1], piv[r:]])
@@ -256,29 +248,27 @@ def factorize(x, y, kernel_x, kernel_y, epsilon, d=1):
     if info:
         raise NumericalError(f"Cholesky factorization of S failed (info={info})")
     b2 = dtrsm(1.0, l, dtrmm(1.0 / n, lx, g, lower=1, trans_a=1), lower=1, overwrite_b=1)
-    return _Factorization(inputs, lx, l, v, t, b2, rows)
+    return _Factorization(x.copy(), kernel_x, kernel_y, float(epsilon), lx, l, v, t, b2, rows)
 
 
-def fit_gsir1(x, y, kernel_x, kernel_y, epsilon, d, *, shared=None):
+def fit_gsir1(x, y, kernel_x, kernel_y, epsilon, d):
     """Fit d predictors with the fully inverted regression operator.
 
     x (n, p) and y (n, q) are the training predictors and responses (1-d
     inputs are columns), kernel_x and kernel_y their KernelSpecs; epsilon is
     the ridge shift added to the covariance operator before inversion; d is
-    at most the rank of the centered Gram matrix of x.  shared, from
-    `factorize` on the same inputs, skips the variant-free step (ValueError
-    if it was built from other ones).
+    at most the rank of the centered Gram matrix of x.
     """
-    return _fit(x, y, kernel_x, kernel_y, epsilon, d, "gsir1", shared)
+    return solve(factorize(x, y, kernel_x, kernel_y, epsilon, d), "gsir1", d)
 
 
-def fit_gsir2(x, y, kernel_x, kernel_y, epsilon, d, *, shared=None):
+def fit_gsir2(x, y, kernel_x, kernel_y, epsilon, d):
     """Fit d predictors with the half-inverted regression operator.
 
     Same contract as `fit_gsir1`; the stored coefficients already include the
     extra (Sxx + eps I)^(-1/2) factor, so evaluation works identically.
     """
-    return _fit(x, y, kernel_x, kernel_y, epsilon, d, "gsir2", shared)
+    return solve(factorize(x, y, kernel_x, kernel_y, epsilon, d), "gsir2", d)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -457,20 +457,20 @@ def run_kernel_recovery(config, threads=1):
 
     Each replication spawns two child seeds (train, test) from its
     SeedSequence.  The variant-free part of the solve is built once per draw
-    (`estimator.factorize`) and shared by both fits.  Fitted predictors are
+    (`estimator.factorize`) and solved for each variant.  Fitted predictors are
     evaluated at the held-out test design and compared to the true predictor
     values there.
     """
-    from .estimator import evaluate_predictors, factorize, fit_gsir1, fit_gsir2
+    from .estimator import evaluate_predictors, factorize, solve
     tasks = _tasks(config)
     # Each worker also holds the held-out design.  Its traced peak (generate, both
     # predictions and scores) was 15, 7, 16, 60, 29 and 27 doubles a test row at
     # (p, d, d_true) = (5,1,1), (1,1,1), (5,2,2), (20,2,1), (2,8,2), (1,8,1); the
     # scores' SVDs copy what tracemalloc cannot see (peak RSS: 51 and 47 in the
     # last two).  So 3 p + 6 d + d_true + 1, at 10 bytes a double.  And the
-    # training design: generate peaks at 3 n p doubles, and the fits hold x,
-    # the factorization's copy and each fit's train_points.  Beyond the test
-    # term, one replication traced 3.45, 3.90, 3.96, 4.01 n p doubles at
+    # training design: generate peaks at 3 n p doubles, and x and the
+    # factorization's copy (both fits' train_points) stay.  Beyond the test
+    # term, one replication traced 2.40, 2.82, 2.91, 2.96 n p doubles at
     # (n, p) = (10, 2e5), (50, 4e4), (100, 2e4), (200, 1e4), n_test 2 or 3.
     # So 4 n p, at 10 bytes a double.
     n, fits, p = max(config.n_grid), _workers(threads, tasks), config.dataset.p
@@ -489,8 +489,8 @@ def run_kernel_recovery(config, threads=1):
         ky = resolve_kernel(config.kernel_y, y, "kernel_y")
         shared = factorize(x, y, kx, ky, config.epsilon, config.d)
         out = []
-        for variant, fit_fn in (("gsir1", fit_gsir1), ("gsir2", fit_gsir2)):
-            fit = fit_fn(x, y, kx, ky, config.epsilon, config.d, shared=shared)
+        for variant in VARIANTS:
+            fit = solve(shared, variant, config.d)
             pred = evaluate_predictors(fit, x_test)
             out.append((n, rep, variant, subspace_distance(pred, f_test),
                         max_canonical_correlation(pred, f_test),

@@ -7,14 +7,17 @@ writes every CSV file a line per row, ending each in a bare newline, and
 `save_fit` writes a model a piece per array row (`fit_to_json` joins the
 same pieces).  Floats are written with 17 significant digits, which
 round-trips IEEE doubles exactly, so save -> load -> predict reproduces
-predictions bit-for-bit.
+predictions bit-for-bit; `write_csv` refuses a NaN or infinite cell.
 """
 
 import json
+import math
+import os
 import sys
 
 import numpy as np
 
+from .linalg import NumericalError
 from .rates import VARIANTS
 
 FORMAT_VERSION = 1
@@ -92,18 +95,24 @@ def _as_kernel(doc, name):
 # --------------------------------------------------------------------------
 
 def _cell(value):
-    """A float with 17 significant digits; anything else as str()."""
+    """A float with 17 significant digits (NumericalError unless finite), or str()."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise NumericalError(f"a cell to write is {value}; only finite values are written")
     return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 def write_csv(path, header, rows):
     """Write a header and rows of cells (or a 2-d array) to path as CSV, one
-    newline-ended line each; no cell the program writes needs quoting, so
-    none is quoted."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in map(np.ndarray.tolist, rows) if isinstance(rows, np.ndarray) else rows:
-            fh.write(",".join(map(_cell, row)) + "\n")
+    newline-ended line each, unquoted (no cell the program writes needs it);
+    a NaN or infinite cell raises NumericalError and leaves no file."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            for row in map(np.ndarray.tolist, rows) if isinstance(rows, np.ndarray) else rows:
+                fh.write(",".join(map(_cell, row)) + "\n")
+    except NumericalError:
+        os.remove(path)
+        raise
 
 
 # --------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Reference file writers for the tests.
 
-`reference_csv_text` writes CSV through `csv.writer`, one `_cell` per value,
-and `reference_emit` serializes a JSON document by one recursive call per
-value; `reference_fit_to_json` emits a model's document with it, fields in
+`reference_csv_text` writes CSV through `csv.writer`, one `_cell` per value
+(a float with 17 significant digits, NaN and the infinities included, or
+`str`), and `reference_emit` serializes a JSON document by one recursive
+call per value; `reference_fit_to_json` emits a model's document with it, fields in
 the order of `gsir.modelio.FORMAT_VERSION` 1.  They are the whole-text
 writers that `gsir.modelio.write_csv` (a line per row) and `save_fit` (a
 piece per array row) replace, and the tests hold those to the same bytes.
@@ -14,7 +15,9 @@ import json
 
 import numpy as np
 
-from gsir.modelio import _cell
+
+def _cell(value):
+    return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
 def reference_csv_text(header, rows):

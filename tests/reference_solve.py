@@ -36,7 +36,7 @@ from scipy.linalg.blas import dsyrk, dtrmm, dtrsm
 from scipy.linalg.lapack import dgeqrf, dgeqrf_lwork, dormqr, dpotrf, dsyevd
 from scipy.spatial.distance import cdist
 
-from gsir.estimator import GAP_TOL, _factor, factorize, fit_gsir1, fit_gsir2
+from gsir.estimator import GAP_TOL, _factor, factorize, solve
 from gsir.kernels import centering_reflector, gram_matrix, reflected_gram
 from gsir.linalg import DEFAULT_CLAMP, NumericalError, symmetric_eigh
 
@@ -99,10 +99,8 @@ def reference_fit(x, y, kernel_x, kernel_y, epsilon, d, variant, exact=False):
 
 def fitted_spectrum(x, y, kernel_x, kernel_y, epsilon, variant):
     """mu_1..mu_r, descending, of a fit at d = r; every mu beyond r is 0."""
-    shared = factorize(x, y, kernel_x, kernel_y, epsilon)
-    fit_fn = fit_gsir1 if variant == "gsir1" else fit_gsir2
-    return fit_fn(x, y, kernel_x, kernel_y, epsilon, len(shared.lx),
-                  shared=shared).eigenvalues
+    fz = factorize(x, y, kernel_x, kernel_y, epsilon)
+    return solve(fz, variant, len(fz.lx)).eigenvalues
 
 
 def _apply_q(qr, tau, c, trans):
@@ -113,8 +111,8 @@ def _apply_q(qr, tau, c, trans):
 
 def reference_qr_solve(x, y, kernel_x, kernel_y, epsilon, variant, d=None):
     """The thin solve with a Householder QR of the whole factor Fx: the mu
-    (d None) or (coefficients, mu[:d], warnings), as `gsir.estimator._solve`
-    returns them."""
+    (d None) or (coefficients, mu[:d], warnings), the fields of the fit that
+    `gsir.estimator.solve` returns."""
     f, piv_y = _factor(*reflected_gram(kernel_y, y))
     f = f.copy(order="F")      # frees Gy's n x n
     fx, piv = _factor(*reflected_gram(kernel_x, x), epsilon)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gsir.datasets import SyntheticModel, true_predictors
-from gsir.estimator import evaluate_predictors, factorize, fit_gsir1
+from gsir.estimator import evaluate_predictors, factorize, fit_gsir1, solve
 from gsir.experiments import ConfigError, parse_config
 from gsir.kernels import KernelSpec, gram_matrix, reflected_gram
 from gsir.linalg import NumericalError, operator_norm
@@ -22,6 +22,8 @@ X = RNG.standard_normal((12, 2))
 Y = np.sin(X[:, :1])
 WITH_NAN = np.where(np.arange(12)[:, None] == 3, np.nan, X)
 FIT = fit_gsir1(X, Y, GAUSS, GAUSS, 1e-2, 1)
+FZ = factorize(X, Y, GAUSS, GAUSS, 1e-2)
+LINEAR_FZ = factorize(X, Y, KernelSpec("linear"), GAUSS, 1e-2)     # rank 2
 BLOCK = RNG.standard_normal((10, 2))
 MODEL = build_model(6, 2, 2.0, 1.0)
 ONE_ROW = dataclasses.replace(simulate_sample(MODEL, 4, 0), n=1)
@@ -75,6 +77,11 @@ LISTED_MODEL = {"schema_version": 1, "mode": "sim_rate", "base_seed": 0,
      "field 'dataset' must be an object"),
     (parse_config, (LISTED_MODEL, "sim-rate"), ConfigError,
      "field 'model' must be an object"),
+    (solve, (FZ, "gsir3", 1), ValueError,
+     "variant must be one of ('gsir1', 'gsir2'), got 'gsir3'"),
+    (solve, (FZ, "gsir1", 0), ValueError, "d must satisfy 1 <= d <= n - 1 = 11, got 0"),
+    (solve, (LINEAR_FZ, "gsir2", 3), NumericalError,
+     "d=3 exceeds the numerical rank 2 of the centered Gram matrix; the achievable d is 2"),
 ], ids=lambda v: v.__name__ if callable(v) else None)
 def test_bad_arguments_raise(fn, args, exc, fragment):
     with pytest.raises(exc) as info:

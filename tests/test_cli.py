@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg.lapack import dpotrf, dsyevd
 
 import gsir
 from gsir.cli import main
@@ -445,6 +446,59 @@ def test_overflowing_cross_gram_is_numerical_failure(tmp_path, capsys):
     assert not (tmp_path / "pred.csv").exists()
 
 
+def assert_numerical_failure(capsys, argv, output):
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and err.count("\n") == 1
+    assert "Traceback" not in err and not output.exists()
+    return err
+
+
+@pytest.mark.parametrize("name,fault,message", [
+    ("dsyevd", lambda *a, **k: (*dsyevd(*a, **k)[:2], 1),
+     "eigendecomposition of the objective failed (info=1)"),
+    ("centering_reflector", lambda n: np.full(n, np.nan),
+     "fitted coefficients are not finite"),
+    ("dpotrf", lambda *a, **k: (dpotrf(*a, **k)[0], 1),
+     "Cholesky factorization of S failed (info=1)"),
+], ids=["dsyevd_info", "nan_coefficients", "dpotrf_info"])
+def test_fit_numerical_failure_exits_3_and_writes_no_model(tmp_path, capsys, monkeypatch,
+                                                         name, fault, message):
+    # a LAPACK call of the solve reports info > 0, or a NaN reaches the
+    # coefficients (through the reflector that maps them back)
+    import gsir.estimator
+    monkeypatch.setattr(gsir.estimator, name, fault)
+    config = write_json(tmp_path / "fit.json", fit_config_doc(tmp_path))
+    err = assert_numerical_failure(capsys, ["fit", "--config", config],
+                                   tmp_path / "model.json")
+    assert err == f"numerical failure: {message}\n"
+
+
+def test_sim_rate_eigh_failure_exits_3_and_writes_no_csv(tmp_path, capsys, monkeypatch):
+    def fail(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    doc = {"schema_version": 1, "mode": "sim_rate", "base_seed": 3, "n_grid": [30, 60],
+           "replications": 1, "alpha": 2.0, "beta": 1.0, "delta": "optimal",
+           "model": {"j_dim": 10, "y_dim": 2}, "output_path": str(tmp_path / "sim.csv")}
+    err = assert_numerical_failure(
+        capsys, ["sim-rate", "--config", write_json(tmp_path / "sim.json", doc)],
+        tmp_path / "sim.csv")
+    assert err == ("numerical failure: symmetric eigendecomposition failed: "
+                   "Eigenvalues did not converge\n")
+
+
+def test_non_finite_report_cell_exits_3_and_writes_no_csv(tmp_path, capsys, monkeypatch):
+    # the CSV writer refuses the NaN that a runner let through
+    monkeypatch.setattr("gsir.experiments.rate_bound_terms",
+                        lambda *args: ((), float("nan")))
+    err = assert_numerical_failure(capsys, ["theory", "--config", theory_config(tmp_path)],
+                                   tmp_path / "theory.csv")
+    assert err == "numerical failure: a cell to write is nan; only finite values are written\n"
+
+
 @pytest.mark.parametrize("command,doc", [
     ("fit", None),
     ("kernel-recovery", {"schema_version": 1, "mode": "kernel_recovery",
@@ -523,8 +577,8 @@ def test_kernel_recovery_counts_its_held_out_design(tmp_path, capsys, monkeypatc
 @pytest.mark.parametrize("command", ["kernel-recovery", "fit"])
 def test_memory_check_counts_the_training_design(tmp_path, capsys, monkeypatch, command):
     # kernel-recovery's 10 x 10^6 training draw alone peaks above 64 MiB, and
-    # so does save_fit's text of a 3 x 10^7 fit design; at p = 10^5 both pass
-    # the check and reach the draw
+    # fit counts 7 n p doubles for its 3 x 10^7 design, 2.1 GB; at p = 10^5
+    # both pass the check and reach the draw
     import gsir.experiments
 
     def drawn(*args):

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 import gsir.modelio
 from gsir.estimator import evaluate_predictors, fit_gsir1, fit_gsir2
 from gsir.kernels import KernelSpec
+from gsir.linalg import NumericalError
 from gsir.modelio import fit_from_json, fit_to_json, load_fit, save_fit, write_csv
 from reference_modelio import reference_csv_text, reference_fit_to_json
 
@@ -182,11 +183,15 @@ def with_arrays(fit, a):
 
 @settings(max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(arrays(float, array_shapes(min_dims=2, max_dims=2, max_side=6)))
-def test_write_csv_and_fit_to_json_match_the_reference_writers(tmp_path, a):
-    # any float, NaN and the infinities included
-    header = [f"c_{j + 1}" for j in range(a.shape[1])]
-    assert written_csv(tmp_path / "a.csv", header, a) == reference_csv_text(header, a)
+@given(arrays(float, array_shapes(min_dims=2, max_dims=2, max_side=6),
+              elements=st.floats(allow_nan=False, allow_infinity=False)),
+       arrays(float, array_shapes(min_dims=2, max_dims=2, max_side=6)))
+def test_write_csv_and_fit_to_json_match_the_reference_writers(tmp_path, finite, a):
+    # any finite float through the CSV writer, which refuses the rest; any
+    # float, NaN and the infinities included, through the model writers
+    header = [f"c_{j + 1}" for j in range(finite.shape[1])]
+    assert (written_csv(tmp_path / "a.csv", header, finite)
+            == reference_csv_text(header, finite))
     fit = with_arrays(make_fit(seed=5), a)
     assert fit_to_json(fit) == reference_fit_to_json(fit)
     save_fit(fit, tmp_path / "model.json")
@@ -207,6 +212,23 @@ def test_write_csv_matches_the_csv_writer_on_mixed_rows(tmp_path):
     a = special_array((40, 3), 0)
     header = ["x_1", "x_2", "y"]
     assert written_csv(path, header, a) == reference_csv_text(header, a)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("as_array", [True, False])
+def test_write_csv_refuses_a_non_finite_cell_and_leaves_no_file(tmp_path, bad, as_array):
+    # also where the path held a file before
+    rows = [[10, "gsir1", 0.5, "na"], [20, "gsir2", bad, "1"]]
+    if as_array:
+        rows = special_array((4, 3), 0)
+        rows[2, 1] = bad
+    path = tmp_path / "report.csv"
+    for _ in range(2):
+        with pytest.raises(NumericalError, match=f"^a cell to write is {bad}; only "
+                           "finite values are written$"):
+            write_csv(path, ["a", "b", "c", "d"][:len(rows[0])], rows)
+        assert not path.exists()
+        path.write_text("old\n")
 
 
 def test_fit_to_json_matches_the_recursive_writer(tmp_path):

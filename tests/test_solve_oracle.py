@@ -10,7 +10,7 @@ from scipy.linalg.lapack import dpstrf, dtpqrt
 import gsir.estimator
 from gsir.datasets import SyntheticModel, generate
 from gsir.estimator import (_STOP_TAU, _ULP, _factor, evaluate_predictors, factorize,
-                            fit_gsir1, fit_gsir2)
+                            fit_gsir1, fit_gsir2, solve)
 from gsir.kernels import KernelSpec, centered_gram, median_bandwidth, reflected_gram
 from gsir.linalg import NumericalError
 from reference_solve import (align_sign, dense_centered_gram, fitted_spectrum,
@@ -497,24 +497,24 @@ def test_shared_factorization_is_bitwise_two_independent_fits(family, q):
     kernel = KernelSpec(family, 0.5)
     shared = factorize(x, y, kernel, kernel, EPS, q)
     for variant in ("gsir1", "gsir2", "gsir1"):
-        assert_bitwise_equal(FIT[variant](x, y, kernel, kernel, EPS, q, shared=shared),
+        assert_bitwise_equal(solve(shared, variant, q),
                              FIT[variant](x, y, kernel, kernel, EPS, q))
 
 
 @pytest.mark.parametrize("variant", ["gsir1", "gsir2"])
 def test_shared_factorization_completes_beyond_the_positive_spectrum(variant):
     # Gy of a linear kernel on a 1-d response has rank 1: d = 3 takes the
-    # orthonormal completion and warns on the gap, the same with or without
+    # orthonormal completion and warns on the gap, the same as a plain fit
     x, y = make_data(200, 1)
     kx, ky = KernelSpec("gaussian", 0.5), KernelSpec("linear")
-    fit = FIT[variant](x, y, kx, ky, EPS, 3, shared=factorize(x, y, kx, ky, EPS, 3))
+    fit = solve(factorize(x, y, kx, ky, EPS, 3), variant, 3)
     assert np.all(fit.eigenvalues[1:] == 0.0) and any("gap" in w for w in fit.warnings)
     assert_bitwise_equal(fit, FIT[variant](x, y, kx, ky, EPS, 3))
 
 
 def test_shared_factorization_refuses_d_beyond_the_rank(monkeypatch):
     # Gx of a linear kernel on two columns has rank 2: the factorization
-    # refuses d = 3 before the QR, and a fit refuses d = 3 on one built for 2
+    # refuses d = 3 before the QR, and solve refuses d = 3 on one built for 2
     heights = []
 
     def spy(l, nb, a, b, **kwargs):
@@ -529,31 +529,21 @@ def test_shared_factorization_refuses_d_beyond_the_rank(monkeypatch):
         factorize(x[:, :2], y, linear, gauss, EPS, 3)
     assert heights == []
     shared = factorize(x[:, :2], y, linear, gauss, EPS, 2)
-    for fit_fn in FIT.values():
+    for variant in FIT:
         with pytest.raises(NumericalError, match=refusal):
-            fit_fn(x[:, :2], y, linear, gauss, EPS, 3, shared=shared)
-        assert fit_fn(x[:, :2], y, linear, gauss, EPS, 2, shared=shared).d == 2
+            solve(shared, variant, 3)
+        assert solve(shared, variant, 2).d == 2
     assert len(heights) == 1
 
 
-@pytest.mark.parametrize("other", ["x", "y", "kernel_x", "kernel_y", "epsilon"])
-def test_shared_factorization_of_other_inputs_is_refused(other):
-    x, y = make_data(50, 1)
-    args = {"x": x, "y": y, "kernel_x": KernelSpec("gaussian", 0.5),
-            "kernel_y": KernelSpec("gaussian", 0.5), "epsilon": EPS}
-    shared = factorize(**args, d=1)
-    args[other] = {"x": x + 1e-9, "y": y[::-1], "kernel_x": KernelSpec("laplace", 0.5),
-                   "kernel_y": KernelSpec("gaussian", 0.25), "epsilon": 2 * EPS}[other]
-    for fit_fn in FIT.values():
-        with pytest.raises(ValueError, match="^the shared factorization was built "
-                           "from a different x, y, kernel or epsilon$"):
-            fit_fn(**args, d=1, shared=shared)
-
-
-def test_shared_factorization_of_points_changed_in_place_is_refused():
+def test_factorization_keeps_its_own_points():
+    # x edited in place after factorize: solve still fits the points it was
+    # factorized from, byte for byte as a plain fit of them
     x, y = make_data(50, 1)
     kernel = KernelSpec("gaussian", 0.5)
     shared = factorize(x, y, kernel, kernel, EPS, 1)
+    plain = fit_gsir1(x, y, kernel, kernel, EPS, 1)
     x[0, 0] += 1.0
-    with pytest.raises(ValueError, match="built from a different x"):
-        fit_gsir1(x, y, kernel, kernel, EPS, 1, shared=shared)
+    fit = solve(shared, "gsir1", 1)
+    assert_bitwise_equal(fit, plain)
+    assert fit.train_points.tobytes() == plain.train_points.tobytes()
