@@ -43,7 +43,8 @@ COMMANDS = tuple((command, config["output_path"], config) for command, config in
       "data_csv": "points.csv", "output_path": "pred.csv"}]))
 
 # Writes the predict command's input rows into the working directory.
-POINTS = ("from gsir.datasets import SyntheticModel, generate, write_dataset_csv;"
+POINTS = ("from gsir.datasets import SyntheticModel, generate;"
+          "from gsir.modelio import write_dataset_csv;"
           "write_dataset_csv('points.csv', *generate("
           "SyntheticModel('m1_ratio', 2, 0.1), 300, 123))")
 

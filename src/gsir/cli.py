@@ -8,10 +8,8 @@ data, model, sizes), a `MemoryError` or an `OSError`.
 """
 
 import argparse
-import csv
 import dataclasses
 import json
-import re
 import sys
 
 import numpy as np
@@ -20,55 +18,7 @@ from .datasets import generate
 from .experiments import (DENSE_FIT_ARRAYS, _seed, check_memory, load_config,
                           resolve_kernel, run_experiment)
 from .linalg import NumericalError
-from .modelio import ConfigError, load_fit, save_fit, write_csv
-
-
-def _columns(header, prefix, path):
-    """Indices of the prefix columns, in order: a lone prefix, or prefix_1..
-    prefix_k in any order; each name once, never both forms.  The lone name
-    is column 0 in the message."""
-    cols = sorted((int(m[1] or 0), idx) for idx, m in enumerate(
-        re.fullmatch(rf"{prefix}(?:_(\d+))?", name) for name in header) if m)
-    found = [j for j, _ in cols]
-    if not found:
-        raise ConfigError(f"data file {path} has no {prefix} or {prefix}_1.. columns")
-    lone = [header[i] for _, i in cols] == [prefix]
-    if not lone and found != list(range(1, len(found) + 1)):
-        raise ConfigError(f"data file {path} has non-contiguous {prefix}_* "
-                          f"columns: {found}")
-    return [idx for _, idx in cols]
-
-
-def read_points_csv(path, need_response):
-    """Read x_1..x_p (and y columns when fitting) from a CSV file as C-contiguous
-    arrays, in one pass that parses each needed cell with float() into one buffer."""
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header, first = next(reader, None), next(reader, None)
-            if first is None:
-                raise ConfigError(f"data file {path} needs a header row and data rows")
-            blocks = [_columns(header, c, path) for c in "xy"[:1 + need_response]]
-            idxs = [i for block in blocks for i in block]
-
-            def cells():
-                for rows in ([first], reader):
-                    for row in rows:
-                        if len(row) != len(header):
-                            raise ValueError(f"line {reader.line_num} has {len(row)} "
-                                             f"cells, the header has {len(header)}")
-                        yield from (float(row[i]) for i in idxs)
-            flat = np.fromiter(cells(), float)
-    except OSError as exc:
-        raise ConfigError(f"cannot read data file {path}: {exc}") from exc
-    except ConfigError:
-        raise
-    except (ValueError, csv.Error) as exc:    # a cell, a row's width, csv's field limit
-        raise ConfigError(f"data file {path} has malformed rows: {exc}") from exc
-    if not np.all(np.isfinite(flat)):
-        raise ConfigError(f"data file {path} contains NaN or infinite values")
-    x, y = np.hsplit(flat.reshape(-1, len(idxs)), [len(blocks[0])])
-    return np.ascontiguousarray(x), np.ascontiguousarray(y) if need_response else None
+from .modelio import ConfigError, load_fit, read_points_csv, save_fit, write_csv
 
 
 def _run_fit(config):

@@ -9,8 +9,6 @@ the truth at any point set.
 import numpy as np
 from dataclasses import dataclass
 
-from .modelio import write_csv
-
 # model name -> number of generating predictors
 MODEL_DIMS = {"m1_ratio": 1, "m2_additive": 2, "m3_symmetric": 1}
 
@@ -84,11 +82,3 @@ def generate(model, n, seed):
         raise ValueError(f"sigma_noise={model.sigma_noise} overflows the response")
     return x, y[:, None], f
 
-
-def write_dataset_csv(path, x, y, f):
-    """Write one dataset as CSV: x_1..x_p, then y (or y_1..y_q), then f_1..f_d."""
-    x, y, f = (np.asarray(a, dtype=float).reshape(len(x), -1) for a in (x, y, f))
-    header = [f"x_{j + 1}" for j in range(x.shape[1])]
-    header += ["y"] if y.shape[1] == 1 else [f"y_{j + 1}" for j in range(y.shape[1])]
-    header += [f"f_{j + 1}" for j in range(f.shape[1])]
-    write_csv(path, header, np.column_stack([x, y, f]))

@@ -9,7 +9,6 @@ do not depend on scheduling and identical configs produce byte-identical
 CSV output.
 """
 
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
@@ -20,7 +19,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from .datasets import SyntheticModel, generate
 from .metrics import max_canonical_correlation, subspace_distance
 from .modelio import (ConfigError, _as_int, _as_kernel, _as_real, _as_text,
-                      _one_of, _reject_unknown, _require, write_csv)
+                      _load_json, _one_of, _reject_unknown, _require, write_csv)
 from .rates import VARIANTS, fit_loglog_slope, optimal_rate_theory, rate_bound_terms
 from .seqsim import (build_model, error_report, estimate_regression_ops,
                      simulate_sample, truncation_tail_fraction,
@@ -258,18 +257,6 @@ def parse_config(doc, command):
                           f"subcommand {command!r} (expected {mode!r})")
     return _build(cls, doc, f"{command} config",
                   header=("schema_version",) + ("mode",) * (mode is not None))
-
-
-def _load_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers malformed JSON, undecodable bytes and integers
-        # longer than Python converts.
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
 
 
 def load_config(path, command):

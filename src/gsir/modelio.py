@@ -1,19 +1,23 @@
-"""The file formats: strict JSON values, saved models, and CSV files.
+"""The file formats, and the one module that opens a file.
 
 Config and model documents are strict JSON: each value is read by a
 converter that maps (JSON value, field name) to a typed value or raises a
-ConfigError naming the field.  There is one writer per format: `write_csv`
-writes every CSV file a line per row, ending each in a bare newline, and
-`save_fit` writes a model a piece per array row (`fit_to_json` joins the
-same pieces).  Floats are written with 17 significant digits, which
-round-trips IEEE doubles exactly, so save -> load -> predict reproduces
-predictions bit-for-bit; `write_csv` refuses a NaN or infinite cell.
+ConfigError naming the field.  Data files are CSV with `x`/`x_1..x_p` and
+`y`/`y_1..y_q` columns.  Every file is read as UTF-8, a BOM skipped, and
+written through one path: `write_csv` writes every CSV file a line per row,
+`save_fit` a model a piece per array row.  Every float is written by `_cell`
+with 17 significant digits, which round-trips IEEE doubles exactly, so save
+-> load -> predict reproduces predictions bit-for-bit; a NaN or infinite
+value raises NumericalError and leaves no file.
 """
 
+import csv
 import json
 import math
 import os
+import re
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -91,8 +95,18 @@ def _as_kernel(doc, name):
 
 
 # --------------------------------------------------------------------------
-# writing: one number format for JSON and CSV
+# reading and writing files
 # --------------------------------------------------------------------------
+
+def _load_json(path):
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:   # bad JSON or UTF-8, huge ints, nesting
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+
 
 def _cell(value):
     """A float with 17 significant digits (NumericalError unless finite), or str()."""
@@ -101,18 +115,78 @@ def _cell(value):
     return format(value, ".17g") if isinstance(value, float) else str(value)
 
 
-def write_csv(path, header, rows):
-    """Write a header and rows of cells (or a 2-d array) to path as CSV, one
-    newline-ended line each, unquoted (no cell the program writes needs it);
-    a NaN or infinite cell raises NumericalError and leaves no file."""
+def _write(path, pieces):
+    """Write text pieces to path as they come; a NumericalError leaves no file."""
     try:
         with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in map(np.ndarray.tolist, rows) if isinstance(rows, np.ndarray) else rows:
-                fh.write(",".join(map(_cell, row)) + "\n")
+            fh.writelines(pieces)
     except NumericalError:
         os.remove(path)
         raise
+
+
+def write_csv(path, header, rows):
+    """Write a header and rows of cells (or a 2-d array) to path as CSV, one
+    newline-ended line each, unquoted (no cell the program writes needs it)."""
+    rows = map(np.ndarray.tolist, rows) if isinstance(rows, np.ndarray) else rows
+    _write(path, (",".join(map(_cell, row)) + "\n" for row in chain([header], rows)))
+
+
+def _columns(header, prefix, path):
+    """Indices of the prefix columns, in order: a lone prefix, or prefix_1..
+    prefix_k in any order; each name once, never both forms.  The lone name
+    is column 0 in the message."""
+    cols = sorted((int(m[1] or 0), idx) for idx, m in enumerate(
+        re.fullmatch(rf"{prefix}(?:_(\d+))?", name) for name in header) if m)
+    found = [j for j, _ in cols]
+    if not found:
+        raise ConfigError(f"data file {path} has no {prefix} or {prefix}_1.. columns")
+    lone = [header[i] for _, i in cols] == [prefix]
+    if not lone and found != list(range(1, len(found) + 1)):
+        raise ConfigError(f"data file {path} has non-contiguous {prefix}_* "
+                          f"columns: {found}")
+    return [idx for _, idx in cols]
+
+
+def read_points_csv(path, need_response):
+    """Read x_1..x_p (and y columns when fitting) from a CSV file as C-contiguous
+    arrays, in one pass that parses each needed cell with float() into one buffer."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header, first = next(reader, None), next(reader, None)
+            if first is None:
+                raise ConfigError(f"data file {path} needs a header row and data rows")
+            blocks = [_columns(header, c, path) for c in "xy"[:1 + need_response]]
+            idxs = [i for block in blocks for i in block]
+
+            def cells():
+                for rows in ([first], reader):
+                    for row in rows:
+                        if len(row) != len(header):
+                            raise ValueError(f"line {reader.line_num} has {len(row)} "
+                                             f"cells, the header has {len(header)}")
+                        yield from (float(row[i]) for i in idxs)
+            flat = np.fromiter(cells(), float)
+    except OSError as exc:
+        raise ConfigError(f"cannot read data file {path}: {exc}") from exc
+    except ConfigError:
+        raise
+    except (ValueError, csv.Error) as exc:    # a cell, a row's width, csv's field limit
+        raise ConfigError(f"data file {path} has malformed rows: {exc}") from exc
+    if not np.all(np.isfinite(flat)):
+        raise ConfigError(f"data file {path} contains NaN or infinite values")
+    x, y = np.hsplit(flat.reshape(-1, len(idxs)), [len(blocks[0])])
+    return np.ascontiguousarray(x), np.ascontiguousarray(y) if need_response else None
+
+
+def write_dataset_csv(path, x, y, f):
+    """Write one dataset as CSV: x_1..x_p, then y (or y_1..y_q), then f_1..f_d."""
+    x, y, f = (np.asarray(a, dtype=float).reshape(len(x), -1) for a in (x, y, f))
+    header = [f"x_{j + 1}" for j in range(x.shape[1])]
+    header += ["y"] if y.shape[1] == 1 else [f"y_{j + 1}" for j in range(y.shape[1])]
+    header += [f"f_{j + 1}" for j in range(f.shape[1])]
+    write_csv(path, header, np.column_stack([x, y, f]))
 
 
 # --------------------------------------------------------------------------
@@ -123,7 +197,7 @@ def _model_text(fit):
     """A model's JSON text in pieces: the scalar fields, then one piece per
     row of train_points and coefficients, then the eigenvalues."""
     def floats(row):
-        return "[" + ",".join(["%.17g" % v for v in row.tolist()]) + "]"
+        return "[" + ",".join(map(_cell, row.tolist())) + "]"
 
     def kernel(spec):
         return f'{{"family":{json.dumps(spec.family)},"gamma":{_cell(float(spec.gamma))}}}'
@@ -145,9 +219,7 @@ def fit_to_json(fit):
 
 def save_fit(fit, path):
     """Write a model's JSON text to path a piece at a time, and a newline."""
-    with open(path, "w") as fh:
-        fh.writelines(_model_text(fit))
-        fh.write("\n")
+    _write(path, chain(_model_text(fit), ["\n"]))
 
 
 def _finite_array(value, name, ndim):
@@ -197,5 +269,5 @@ def fit_from_json(text):
 
 
 def load_fit(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return fit_from_json(fh.read())

@@ -195,16 +195,17 @@ def _orth_columns(a, d):
     return u[:, :d]
 
 
-def span_projection_error(a, b, d):
-    """Operator-norm distance between the rank-d column-span projectors.
-
-    Equals the sine of the largest principal angle between the spans.
-    """
-    ua = _orth_columns(np.asarray(a, float), d)
-    ub = _orth_columns(np.asarray(b, float), d)
-    svals = np.linalg.svd(ua.T @ ub, compute_uv=False)
-    smin = min(1.0, float(svals[-1]))
+def _largest_sine(ua, ub):
+    """Sine of the largest principal angle between two orthonormal bases' spans."""
+    smin = min(1.0, float(np.linalg.svd(ua.T @ ub, compute_uv=False)[-1]))
     return float(np.sqrt(max(0.0, 1.0 - smin * smin)))
+
+
+def span_projection_error(a, b, d):
+    """Operator-norm distance between the rank-d column-span projectors: the
+    sine of the largest principal angle between the spans."""
+    return _largest_sine(_orth_columns(np.asarray(a, float), d),
+                         _orth_columns(np.asarray(b, float), d))
 
 
 def error_report(model, ops):
@@ -241,7 +242,7 @@ def error_report(model, ops):
     if d > 0:
         top = np.linalg.svd(ops.r2, full_matrices=False)[0][:, :d]
         eta_hat = _apply(ops.w, ops.v, inv_sqrt_shift(ops.epsilon), top)
-        eta_err = span_projection_error(eta_hat, model.R, d)
+        eta_err = _largest_sine(_orth_columns(eta_hat, d), vecs)   # vecs: R's basis
 
     return ErrorRecord(epsilon=ops.epsilon, err_r1=err_r1, err_r2=err_r2,
                        err_m=err_m, d=d, proj_err=proj_err, gap=gap,

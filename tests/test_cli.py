@@ -14,8 +14,8 @@ from scipy.linalg.lapack import dpotrf, dsyevd
 
 import gsir
 from gsir.cli import main
-from gsir.datasets import SyntheticModel, generate, write_dataset_csv
-from gsir.modelio import load_fit
+from gsir.datasets import SyntheticModel, generate
+from gsir.modelio import load_fit, write_dataset_csv
 
 
 def write_json(path, doc):
@@ -162,6 +162,38 @@ def test_fit_from_csv_data(tmp_path):
     fit = load_fit(tmp_path / "model.json")
     assert fit.variant == "gsir2"
     assert np.array_equal(fit.train_points, x)
+
+
+BOM = b"\xef\xbb\xbf"   # the UTF-8 BOM, which Excel's "CSV UTF-8" writes first
+
+
+def test_a_data_file_with_a_bom_fits_and_predicts_as_without(tmp_path):
+    x, y, f = generate(SyntheticModel("m3_symmetric", p=2, sigma_noise=0.1), 50, seed=3)
+    write_dataset_csv(tmp_path / "plain.csv", x, y, f)
+    (tmp_path / "bom.csv").write_bytes(BOM + (tmp_path / "plain.csv").read_bytes())
+    out = {}
+    for name in ("plain", "bom"):
+        doc = fit_config_doc(tmp_path, output_path=str(tmp_path / "model.json"))
+        del doc["dataset"]
+        doc["data_csv"] = str(tmp_path / f"{name}.csv")
+        assert main(["fit", "--config", write_json(tmp_path / "fit.json", doc)]) == 0
+        config = predict_config(tmp_path, str(tmp_path / f"{name}.csv"))
+        assert main(["predict", "--config", config]) == 0
+        out[name] = [(tmp_path / f).read_bytes() for f in ("model.json", "pred.csv")]
+    assert out["bom"] == out["plain"]
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("theory", {"schema_version": 1, "mode": "theory_table", "grid": [[2, 1]],
+                "output_path": "out.csv"}),
+    ("fit", {"schema_version": 1, "variant": "gsir1", "epsilon": 0.1, "d": 1,
+             "dataset": {"model": "m1_ratio", "p": 2, "sigma_noise": 0.1, "n": 20},
+             "output_path": "out.csv"})])
+def test_a_config_with_a_bom_parses(tmp_path, command, doc):
+    from gsir.experiments import load_config, parse_config
+    path = tmp_path / "config.json"
+    path.write_bytes(BOM + json.dumps(doc).encode())
+    assert load_config(path, command) == parse_config(doc, command)
 
 
 def test_fit_requires_exactly_one_source(tmp_path):
@@ -976,7 +1008,7 @@ def test_predict_refuses_a_data_column_named_twice(tmp_path, capsys, header):
 
 
 def test_data_columns_are_read_in_index_order(tmp_path):
-    from gsir.cli import read_points_csv
+    from gsir.modelio import read_points_csv
     data = write_points(tmp_path / "d.csv", ["x_2", "y", "x_1"],
                         [[2.0, 0.5, 1.0], [4.0, 0.7, 3.0]])
     x, y = read_points_csv(data, need_response=True)
@@ -988,7 +1020,7 @@ def test_data_columns_are_read_in_index_order(tmp_path):
     *(arrays(float, cols, elements=st.floats(allow_nan=False, allow_infinity=False))
       for cols in (shape, (shape[0], 1))))))
 def test_written_data_reads_back_bit_for_bit(tmp_path_factory, xy):
-    from gsir.cli import read_points_csv
+    from gsir.modelio import read_points_csv
     x, y = xy
     path = tmp_path_factory.mktemp("roundtrip") / "data.csv"
     write_dataset_csv(path, x, y, -y)
@@ -1003,7 +1035,7 @@ def test_reading_data_peaks_near_the_parsed_array(tmp_path):
     # one pass parses each cell into a float buffer, so the traced peak is
     # the buffer's growth and the copies out of it, not one Python str per
     # cell (which peaked at about 20 times the arrays' bytes)
-    from gsir.cli import read_points_csv
+    from gsir.modelio import read_points_csv
     from test_estimator import traced_peak
     path = tmp_path / "data.csv"
     write_dataset_csv(path, *generate(SyntheticModel("m3_symmetric", 5, 0.2), 20000, 0))

@@ -3,9 +3,8 @@ import csv
 import numpy as np
 import pytest
 
-from gsir.cli import read_points_csv
-from gsir.datasets import (MODEL_DIMS, SyntheticModel, generate,
-                           true_predictors, write_dataset_csv)
+from gsir.datasets import MODEL_DIMS, SyntheticModel, generate, true_predictors
+from gsir.modelio import read_points_csv, write_dataset_csv
 
 
 def test_model_catalogue():

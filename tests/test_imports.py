@@ -1,10 +1,11 @@
 """Each subcommand loads only its own stack, checked in fresh interpreters.
 
 `import gsir.cli` loads no SciPy; theory and sim-rate run on numpy alone;
-and the package's lazy re-exports still resolve every name the README
-imports from `gsir`.
+the package's lazy re-exports still resolve every name the README
+imports from `gsir`; and `modelio` is the one module that opens a file.
 """
 
+import ast
 import importlib.util
 import json
 import os
@@ -92,6 +93,20 @@ def test_every_traced_function_resolves():
     assert len(tracing.TRACED) == 24 and set(tracing.COMPUTED) <= set(tracing.TRACED)
     for module, name in tracing.TRACED:
         assert callable(getattr(importlib.import_module(module), name)), (module, name)
+
+
+def test_only_modelio_opens_files():
+    # every file format lives in modelio: no other module of the package
+    # calls open, bare or as a method
+    package = Path(gsir.__file__).parent
+    openers = {}
+    for path in sorted(package.glob("*.py")):
+        calls = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", getattr(node.func, "attr", None)) == "open"]
+        if calls:
+            openers[path.name] = calls
+    assert list(openers) == ["modelio.py"], openers
 
 
 def test_kernel_recovery_calls_both_traced_fits_once_per_replication(monkeypatch):

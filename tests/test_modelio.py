@@ -181,22 +181,35 @@ def with_arrays(fit, a):
                                eigenvalues=a[:, 0])
 
 
+FINITE_ARRAYS = arrays(float, array_shapes(min_dims=2, max_dims=2, max_side=6),
+                       elements=st.floats(allow_nan=False, allow_infinity=False))
+
+
 @settings(max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(arrays(float, array_shapes(min_dims=2, max_dims=2, max_side=6),
-              elements=st.floats(allow_nan=False, allow_infinity=False)),
-       arrays(float, array_shapes(min_dims=2, max_dims=2, max_side=6)))
-def test_write_csv_and_fit_to_json_match_the_reference_writers(tmp_path, finite, a):
-    # any finite float through the CSV writer, which refuses the rest; any
-    # float, NaN and the infinities included, through the model writers
-    header = [f"c_{j + 1}" for j in range(finite.shape[1])]
-    assert (written_csv(tmp_path / "a.csv", header, finite)
-            == reference_csv_text(header, finite))
+@given(FINITE_ARRAYS)
+def test_write_csv_and_fit_to_json_match_the_reference_writers(tmp_path, a):
+    # any finite float through the CSV writer and the model writers
+    header = [f"c_{j + 1}" for j in range(a.shape[1])]
+    assert written_csv(tmp_path / "a.csv", header, a) == reference_csv_text(header, a)
     fit = with_arrays(make_fit(seed=5), a)
     assert fit_to_json(fit) == reference_fit_to_json(fit)
     save_fit(fit, tmp_path / "model.json")
     want = reference_fit_to_json(fit) + "\n"
     assert (tmp_path / "model.json").read_bytes().decode() == want
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(FINITE_ARRAYS, st.sampled_from([np.nan, np.inf, -np.inf]), st.integers(0, 35))
+def test_model_writers_refuse_any_non_finite_draw(tmp_path, a, bad, at):
+    a.flat[at % a.size] = bad
+    fit = with_arrays(make_fit(seed=5), a)
+    with pytest.raises(NumericalError, match=f"^a cell to write is {bad};"):
+        fit_to_json(fit)
+    with pytest.raises(NumericalError, match=f"^a cell to write is {bad};"):
+        save_fit(fit, tmp_path / "model.json")
+    assert not (tmp_path / "model.json").exists()
 
 
 def test_write_csv_matches_the_csv_writer_on_mixed_rows(tmp_path):
@@ -229,6 +242,36 @@ def test_write_csv_refuses_a_non_finite_cell_and_leaves_no_file(tmp_path, bad, a
             write_csv(path, ["a", "b", "c", "d"][:len(rows[0])], rows)
         assert not path.exists()
         path.write_text("old\n")
+
+
+@pytest.mark.parametrize("field,bad", [
+    *((f, b) for f in ("train_points", "coefficients", "eigenvalues")
+      for b in (np.nan, np.inf, -np.inf)),
+    ("kernel_y", KernelSpec("linear", np.nan))])
+def test_save_fit_refuses_a_non_finite_value_and_leaves_no_file(tmp_path, field, bad):
+    # also where the path held a file before
+    fit = make_fit(seed=14)
+    if field != "kernel_y":
+        arr = getattr(fit, field).copy()
+        arr.flat[-1] = bad
+        bad = arr
+    fit = dataclasses.replace(fit, **{field: bad})
+    path = tmp_path / "model.json"
+    for _ in range(2):
+        with pytest.raises(NumericalError, match="only finite values are written$"):
+            fit_to_json(fit)
+        with pytest.raises(NumericalError, match="only finite values are written$"):
+            save_fit(fit, path)
+        assert not path.exists()
+        path.write_text("old\n")
+
+
+def test_a_model_file_with_a_bom_loads_as_without(tmp_path):
+    fit = make_fit(seed=15)
+    save_fit(fit, tmp_path / "model.json")
+    bom = tmp_path / "bom.json"
+    bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "model.json").read_bytes())
+    assert fit_to_json(load_fit(bom)) == fit_to_json(fit)
 
 
 def test_fit_to_json_matches_the_recursive_writer(tmp_path):
