@@ -28,6 +28,7 @@ gaussian kernels, eps=1e-3, d=1 (the benchmark's fit_predict settings):
 - median_bandwidth: `median_bandwidth` of x;
 - centered_gram:   `centered_gram` of x;
 - reflected_gram:  `reflected_gram` of x, the centering a fit runs;
+- factorize:       `estimator.factorize`, the variant-free step of a fit;
 - fit_gsir1, fit_gsir2: one fit each;
 - fit_gsir1_laplace_y: gsir1 with a laplace kernel on y, whose centered Gram
   has full numerical rank, so the thin factor of Gy is as wide as it gets;
@@ -50,6 +51,11 @@ as they are after the first replication of a `sim-rate` run:
 - replication: simulate_sample, estimate_regression_ops and error_report in
   a row, what `sim-rate` does per (n, rep).
 
+Every fit and oracle row records traced_peak_mb, the peak of the bytes that
+Python and numpy allocate during one more, untimed call (tracemalloc, read
+after `ru_maxrss`): what the stage holds live, where peak_rss_mb also
+counts what the allocator keeps resident.
+
 CLI suite (`--suite cli`; `--n` does not apply): the five README commands of
 `bench/digests.py` (theory, sim-rate, kernel-recovery, fit, then predict of
 the fitted model), each as a fresh interpreter that imports `gsir.cli` and
@@ -70,18 +76,19 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 from digests import COMMANDS, POINTS
 
 SUITES = {"fit": ("median_bandwidth", "centered_gram", "reflected_gram",
-                  "fit_gsir1", "fit_gsir2", "fit_gsir1_laplace_y", "recovery_pair",
+                  "factorize", "fit_gsir1", "fit_gsir2", "fit_gsir1_laplace_y", "recovery_pair",
                   "predict_20000"),
           "oracle": ("simulate_sample", "empirical_operators",
                      "estimate_regression_ops", "error_report", "replication"),
           "cli": tuple(command for command, _, _ in COMMANDS)}
 # the fit stages whose rows record r and r_y
-FACTORING = ("fit_gsir1", "fit_gsir2", "fit_gsir1_laplace_y", "recovery_pair")
+FACTORING = ("factorize", "fit_gsir1", "fit_gsir2", "fit_gsir1_laplace_y", "recovery_pair")
 ORACLE_J, ORACLE_Y = 200, 2
 PREDICT_ROWS = 20000
 SEED = 0
@@ -141,8 +148,13 @@ def _recovery_pair(estimator, x, y, kx, ky):
 def _measure(call, repeats):
     cpu, wall, calls, samples = _best(call, repeats)
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    tracemalloc.start()
+    call()
+    traced = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    tracemalloc.stop()
     return {"cpu_s": round(cpu, 6), "wall_s": round(wall, 6), "calls": calls,
-            "samples": samples, "peak_rss_mb": round(rss, 1)}
+            "samples": samples, "peak_rss_mb": round(rss, 1),
+            "traced_peak_mb": round(traced, 2)}
 
 
 def run_cell(stage, n, repeats, model_path):
@@ -165,6 +177,8 @@ def run_cell(stage, n, repeats, model_path):
         call = lambda: centered_gram(kx, x)
     elif stage == "reflected_gram":
         call = lambda: reflected_gram(kx, x)
+    elif stage == "factorize":
+        call = lambda: factorize(x, y, kx, ky, 1e-3, 1)
     elif stage == "fit_gsir1":
         call = lambda: fit_gsir1(x, y, kx, ky, 1e-3, 1)
     elif stage == "fit_gsir2":

@@ -21,8 +21,10 @@ rounding, if that is larger): only the eigenvalues of Gx/n above about eps
 shape T^-1, and T moves by at most _STOP_TAU * eps (see `_factor`).  No
 ridge sits on Gy, so its factor stops at rounding.  The solve lives on
 the range of Fx, so every eigenvalue mu beyond r is exactly 0.  Fx is lower
-trapezoidal: an r x r triangle above n - r >= 1 dense rows.  A copy of the
-triangle with the order of its rows and of its columns reversed is upper,
+trapezoidal: an r x r triangle above n - r >= 1 dense rows.  It is the first
+r n doubles of Gx's buffer, which shrinks to them in place (a realloc)
+before they are copied.  A copy of the triangle with the order of its rows
+and of its columns reversed is upper,
 and a triangular-pentagonal QR (LAPACK dtpqrt, O((n - r) r^2)) eliminates
 only the n - r rows below it; reversing back gives Fx = Qx Lx with Lx lower
 triangular.  With G = Qx^T F, E = Lx^T G / n and S = Lx^T Lx / n + eps I =
@@ -226,15 +228,21 @@ def factorize(x, y, kernel_x, kernel_y, epsilon, d=1):
     # Gy first, so only its factor is alive beside Gx
     f, piv_y = _factor(*reflected_gram(kernel_y, y))
     f = f.copy(order="F")      # frees Gy's n x n
-    fx, piv = _factor(*reflected_gram(kernel_x, x), epsilon)
+    gx, top = reflected_gram(kernel_x, x)
+    fx, piv = _factor(gx, top, epsilon)
     n, r = fx.shape
     _check_d(d, n, r)
+    # Fx is the first r n doubles of Gx's buffer: realloc frees the rest in
+    # place.  fx was the last view of gx, so no view outlives the resize
+    # (refcheck=False: a tracer's copy of the frame's locals is a reference)
+    del fx
+    gx.resize((r, n), refcheck=False)
     # Rows r-1..0, then r..n-1 of x's pivot order, with the columns reversed:
     # the triangle on top is upper, and Q eliminates the n - r >= 1 rows below
     rows = np.concatenate([piv[r - 1::-1], piv[r:]])
-    below = fx[r:, ::-1].copy(order="F")
-    lx = fx[r - 1::-1, ::-1].copy(order="F")
-    del fx                               # frees Gx's n x n
+    below = gx.T[r:, ::-1].copy(order="F")
+    lx = gx.T[r - 1::-1, ::-1].copy(order="F")
+    del gx                               # frees the n x r factor
     lx, v, t, _ = dtpqrt(0, min(r, _QR_BLOCK), lx, below, overwrite_a=1, overwrite_b=1)
     lx = lx[::-1, ::-1].copy(order="F")  # Lx, 0 above the diagonal
     # F with rows in that order (one zero column if Gy = 0), then G = Qx^T F

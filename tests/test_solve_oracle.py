@@ -1,10 +1,13 @@
 """The thin-factor solve against the dense reference in `reference_solve`,
-and its structured QR against the Householder QR of the whole factor."""
+its structured QR against the Householder QR of the whole factor, and, with
+linear kernels on a sequence-space draw, the fit against the oracle."""
 
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg.lapack import dpstrf, dtpqrt
 
 import gsir.estimator
@@ -13,6 +16,8 @@ from gsir.estimator import (_STOP_TAU, _ULP, _factor, evaluate_predictors, facto
                             fit_gsir1, fit_gsir2, solve)
 from gsir.kernels import KernelSpec, centered_gram, median_bandwidth, reflected_gram
 from gsir.linalg import NumericalError
+from gsir.seqsim import (RESIDUAL_KINDS, S_KINDS, build_model, error_report,
+                         estimate_regression_ops, simulate_sample, span_projection_error)
 from reference_solve import (align_sign, dense_centered_gram, fitted_spectrum,
                              reference_fit, reference_qr_solve)
 
@@ -547,3 +552,53 @@ def test_factorization_keeps_its_own_points():
     fit = solve(shared, "gsir1", 1)
     assert_bitwise_equal(fit, plain)
     assert fit.train_points.tobytes() == plain.train_points.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(12, 60), j_dim=st.integers(1, 60), y_dim=st.integers(1, 3),
+       alpha=st.floats(1.1, 6.0), beta=st.floats(0.2, 2.0),
+       s_kind=st.sampled_from(S_KINDS), residual_kind=st.sampled_from(RESIDUAL_KINDS),
+       eps=st.floats(1e-5, 1e-1), seed=st.integers(0, 2 ** 32 - 1))
+def test_linear_kernel_fit_is_the_sequence_space_oracle(n, j_dim, y_dim, alpha, beta,
+                                                        s_kind, residual_kind, eps, seed):
+    # With linear kernels on a draw's coordinates (x = Zx, y = Zy), Gx / n has
+    # the eigenvalues of Sxx, so the fit's mu are the squared singular values
+    # of the oracle's r1 (gsir1) or r2 (gsir2), and its predictors are linear,
+    # a = Zc^T c (Zc the centred Zx): gsir1's lie along r1's top left singular
+    # vectors, and gsir2's span (Sxx + eps I)^-1/2 of r2's, so proj_err and
+    # eta_span_err are the oracle's.  They agree at rounding where the factor
+    # keeps the rank of Zc, min(J, n - 1), and within `tau_bound` of the exact
+    # stop where the stop cuts it
+    model = build_model(j_dim, y_dim, alpha, beta, seed, s_kind)
+    sample = simulate_sample(model, n, seed, residual_kind)
+    x, y = sample.Zx, sample.Zy
+    ops = estimate_regression_ops(sample, eps)
+    report = error_report(model, ops)
+    d, _, vecs = model.m_spectrum
+    linear = KernelSpec("linear")
+    fz = factorize(x, y, linear, linear, eps, d)
+    exact = len(fz.lx) == min(j_dim, n - 1)
+    # relative rounding, which grows with the condition of T = Gx / n + eps I
+    rounding = 1e-12 * (1.0 + np.max(ops.w) / eps)
+    zc = x - x.mean(axis=0)
+    for variant, op in (("gsir1", ops.r1), ("gsir2", ops.r2)):
+        mu = fitted_spectrum(x, y, linear, linear, eps, variant)
+        sv = np.linalg.svd(op, compute_uv=False) ** 2
+        ref, fitted = (np.zeros(max(len(mu), len(sv), d + 1)) for _ in range(2))
+        ref[:len(sv)], fitted[:len(mu)] = sv, mu
+        gaps = np.minimum(ref[:d] - ref[1:d + 1],
+                          np.concatenate([[np.inf], ref[:d - 1] - ref[1:d]]))
+        beta_mu, bound = ((0.0, 0.0) if exact else
+                          tau_bound(x, y, linear, linear, eps, d, variant)[2:])
+        assert np.max(np.abs(fitted - ref)) <= beta_mu + rounding * ref[0]
+        # how far each predictor's direction may turn (Davis-Kahan); sines are
+        # compared squared, as sqrt(1 - cos^2) loses half the digits near 0
+        turn = bound + rounding * ref[0] / gaps
+        a = zc.T @ solve(fz, variant, d).coefficients
+        if variant == "gsir1":
+            cos = np.abs(np.sum(a * vecs, axis=0)) / np.linalg.norm(a, axis=0)
+            sin2 = np.maximum(0.0, 1.0 - cos * cos)
+            assert np.all(np.abs(sin2 - report.proj_err ** 2) <= 2 * turn)
+        else:
+            sin2 = span_projection_error(a, vecs, d) ** 2
+            assert abs(sin2 - report.eta_span_err ** 2) <= 2 * np.max(turn)
