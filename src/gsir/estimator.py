@@ -133,7 +133,7 @@ def _factor(g, top, epsilon=0.0):
     _STOP_TAU unless rounding is larger.  LAPACK applies tol only from the
     second pivot on; a first pivot at or below tol gives r = 0.  A reflected
     Gram has a zero first row and column, so r <= n - 1."""
-    if not np.all(np.isfinite(g)):
+    if not (np.isfinite(g.max()) and np.isfinite(g.min())):    # NaN propagates
         raise NumericalError("centered Gram matrix contains non-finite entries")
     n = g.shape[0]
     tol = max(_STOP_TAU * epsilon, n * _ULP * top)

@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg.lapack import dpotrf, dsyevd
 
 import gsir
+import gsir.estimator
 from gsir.cli import main
 from gsir.datasets import SyntheticModel, generate
 from gsir.modelio import load_fit, write_dataset_csv
@@ -217,6 +218,30 @@ def test_fit_rank_failure_maps_to_exit_3(tmp_path):
     doc["data_csv"] = str(data)
     config = write_json(tmp_path / "fit.json", doc)
     assert main(["fit", "--config", config]) == 3
+
+
+@pytest.mark.parametrize("gram", ["Gy", "Gx"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_reflected_gram_entry_maps_to_exit_3(tmp_path, capsys, monkeypatch,
+                                                        gram, value):
+    # one bad entry in the triangle of a reflected Gram that LAPACK reads
+    # reaches the factorization's check through the Gram's max or min
+    built = []
+
+    def corrupt(kernel, points):
+        g, top = reflected_gram(kernel, points)
+        if len(built) == ("Gy", "Gx").index(gram):     # Gy is built first
+            g[3, 7] = value
+        built.append(gram)
+        return g, top
+
+    reflected_gram = gsir.estimator.reflected_gram
+    monkeypatch.setattr(gsir.estimator, "reflected_gram", corrupt)
+    config = write_json(tmp_path / "fit.json", fit_config_doc(tmp_path))
+    assert main(["fit", "--config", config]) == 3
+    assert capsys.readouterr().err == ("numerical failure: centered Gram matrix "
+                                       "contains non-finite entries\n")
+    assert not (tmp_path / "model.json").exists()
 
 
 def test_fit_unknown_field_rejected(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.spatial.distance import pdist
 
+import gsir.kernels
+from gsir.datasets import SyntheticModel, generate
 from gsir.kernels import (FAMILIES, KernelSpec, centered_gram,
                           centering_reflector, gram_matrix, median_bandwidth,
                           reflected_gram)
@@ -166,6 +170,65 @@ def test_median_bandwidth_is_np_median_bitwise(data, n, p):
             median_bandwidth(x)
     else:
         assert median_bandwidth(x) == 1.0 / (2.0 * m * m)
+
+
+def hard_points(kind, n):
+    """n points whose pairwise distances tie a lot or span many magnitudes."""
+    rng = np.random.default_rng(n)
+    lattice = np.array([[i, j] for i in range(7) for j in range(5)], float)
+    return {"lattice": lambda: lattice[np.arange(n) % len(lattice)],
+            "repeated": lambda: np.tile(rng.standard_normal((30, 3)), (n // 30 + 1, 1))[:n],
+            "clusters": lambda: (1e-6 * rng.standard_normal((n, 2))
+                                 + 5.0 * (np.arange(n) % 2)[:, None]),
+            "rounded": lambda: np.round(generate(SyntheticModel("m3_symmetric", 5, 0.2),
+                                                 n, 0)[1], 1),
+            "cauchy": lambda: rng.standard_cauchy((n, 2))}[kind]()
+
+
+@pytest.mark.parametrize("n", [1025, 1500])
+@pytest.mark.parametrize("kind", ["lattice", "repeated", "clusters", "rounded", "cauchy"])
+def test_blocked_median_bandwidth_is_np_median_bitwise(kind, n):
+    # more pairs than one block holds, so the median is selected in a pass
+    # over row blocks, inside the sampled bracket
+    assert n * (n - 1) // 2 > gsir.kernels._PAIR_BLOCK
+    x = hard_points(kind, n)
+    m = float(np.median(pdist(x)))
+    assert median_bandwidth(x) == 1.0 / (2.0 * m * m)
+
+
+@pytest.mark.parametrize("bracket", [(0.0, 0.0), (np.inf, np.inf)])
+def test_median_bandwidth_opens_a_missed_bracket(monkeypatch, bracket):
+    # a bracket below every distance misses the middle ones on the high side,
+    # one above every distance on the low side: a second pass opens that side
+    x = hard_points("cauchy", 1100)
+    m = float(np.median(pdist(x)))
+    blocks = []
+
+    def spy(*args, **kwargs):
+        blocks.append(args[0].shape[0])
+        return cdist(*args, **kwargs)
+
+    cdist = gsir.kernels.cdist
+    monkeypatch.setattr(gsir.kernels, "cdist", spy)
+    assert median_bandwidth(x) == 1.0 / (2.0 * m * m)
+    one_pass = len(blocks)
+    monkeypatch.setattr(gsir.kernels, "_bracket", lambda x: bracket)
+    assert median_bandwidth(x) == 1.0 / (2.0 * m * m)
+    assert len(blocks) == 3 * one_pass        # the unpatched pass, then two
+
+
+def test_median_bandwidth_scratch_is_not_every_pair():
+    # pdist's n (n - 1) / 2 doubles would be 9.0 MB at n = 1500; one block of
+    # at most 2^19 squared distances and what the bracket keeps are 0.5 of it
+    n = 1500
+    x = generate(SyntheticModel("m3_symmetric", 5, 0.2), n, 0)[0]
+    tracemalloc.start()
+    try:
+        median_bandwidth(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * 8 * n * (n - 1) / 2
 
 
 def test_median_bandwidth_degenerate_points():

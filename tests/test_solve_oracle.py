@@ -14,12 +14,14 @@ import gsir.estimator
 from gsir.datasets import SyntheticModel, generate
 from gsir.estimator import (_STOP_TAU, _ULP, _factor, evaluate_predictors, factorize,
                             fit_gsir1, fit_gsir2, solve)
+from gsir.experiments import derive_seed
 from gsir.kernels import KernelSpec, centered_gram, median_bandwidth, reflected_gram
 from gsir.linalg import NumericalError
 from gsir.seqsim import (RESIDUAL_KINDS, S_KINDS, build_model, error_report,
                          estimate_regression_ops, simulate_sample, span_projection_error)
 from reference_solve import (align_sign, dense_centered_gram, fitted_spectrum,
                              reference_fit, reference_qr_solve)
+from test_acceptance import RATE_DELTA, RATE_N_GRID, RATE_SEED
 
 FIT = {"gsir1": fit_gsir1, "gsir2": fit_gsir2}
 EPS = 0.01
@@ -602,3 +604,28 @@ def test_linear_kernel_fit_is_the_sequence_space_oracle(n, j_dim, y_dim, alpha, 
         else:
             sin2 = span_projection_error(a, vecs, d) ** 2
             assert abs(sin2 - report.eta_span_err ** 2) <= 2 * np.max(turn)
+
+
+def test_linear_kernel_fit_is_the_oracle_on_criterion_2s_draws():
+    # One replication per n of acceptance criterion 2's protocol (J = 200,
+    # alpha = 2, beta = 1, identity S, eps = n^(-2/7)): the fit's gsir1
+    # predictors have the oracle's proj_err, so the rate criterion 2 checks
+    # holds for `factorize` and `solve` too.  The factor keeps r = J at every
+    # n, so the tolerance is the rounding one of the test above
+    model = build_model(200, 2, alpha=2.0, beta=1.0, s_kind="identity", seed=0)
+    d, _, vecs = model.m_spectrum
+    linear = KernelSpec("linear")
+    for n in RATE_N_GRID:
+        eps = float(n) ** (-RATE_DELTA)
+        sample = simulate_sample(model, n, derive_seed(RATE_SEED, n, 0))
+        ops = estimate_regression_ops(sample, eps)
+        fz = factorize(sample.Zx, sample.Zy, linear, linear, eps, d)
+        assert len(fz.lx) == 200
+        a = (sample.Zx - sample.Zx.mean(axis=0)).T @ solve(fz, "gsir1", d).coefficients
+        sin2 = 1.0 - (np.sum(a * vecs, axis=0) / np.linalg.norm(a, axis=0)) ** 2
+        ref = np.zeros(d + 1)
+        sv = np.linalg.svd(ops.r1, compute_uv=False)[:d + 1] ** 2
+        ref[:len(sv)] = sv
+        gaps = np.minimum(ref[:d] - ref[1:], np.concatenate([[np.inf], ref[:d - 1] - ref[1:d]]))
+        turn = 1e-12 * (1.0 + np.max(ops.w) / eps) * ref[0] / gaps
+        assert np.all(np.abs(sin2 - error_report(model, ops).proj_err ** 2) <= 2 * turn)
