@@ -1,10 +1,9 @@
-"""Spectral functional calculus for symmetric positive semidefinite matrices.
+"""Checked linear algebra for symmetric positive semidefinite matrices.
 
-The oracle's regularized inverse and inverse square root apply a scalar
-function to the eigenvalues from `symmetric_eigh` (the kernel estimator uses
-Cholesky solves): one symmetry check, one clamping rule for tiny negative
-eigenvalues.  `spectral_apply` forms the J x J matrix function itself, as a
-dense reference for the oracle's rank-of-R path.
+`NumericalError` (exit 3 on the command line), the checked symmetric
+eigensolve `symmetric_eigh` (one symmetry check, one clamping rule for tiny
+negative eigenvalues) and `operator_norm`.  `spectral_apply` forms a J x J
+matrix function: the tests' dense reference for the oracle.
 """
 
 import numpy as np
@@ -20,25 +19,6 @@ EIGENVALUE_TOL = 1e-8
 
 class NumericalError(ValueError):
     """A failure caused by the numbers (a ValueError, as LinAlgError is)."""
-
-
-def inv_shift(eps):
-    """d -> 1 / (d + eps), the regularized inverse."""
-    if not eps > 0:
-        raise ValueError(f"inv_shift requires a positive shift, got eps={eps}")
-    return lambda d: 1.0 / (d + eps)
-
-
-def inv_sqrt_shift(eps):
-    """d -> (d + eps)^(-1/2), the regularized inverse square root."""
-    if not eps > 0:
-        raise ValueError(f"inv_sqrt_shift requires a positive shift, got eps={eps}")
-    return lambda d: (d + eps) ** -0.5
-
-
-def sqrt():
-    """d -> sqrt(d)."""
-    return np.sqrt
 
 
 def symmetric_eigh(m):

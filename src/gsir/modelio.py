@@ -212,11 +212,6 @@ def _model_text(fit):
     yield f',"eigenvalues":{floats(np.asarray(fit.eigenvalues, dtype=float))}}}'
 
 
-def fit_to_json(fit):
-    """Serialize a fitted model to a JSON string."""
-    return "".join(_model_text(fit))
-
-
 def save_fit(fit, path):
     """Write a model's JSON text to path a piece at a time, and a newline."""
     _write(path, chain(_model_text(fit), ["\n"]))

@@ -13,8 +13,7 @@ import numpy as np
 from dataclasses import dataclass
 from functools import cached_property
 
-from .linalg import (DEFAULT_CLAMP, NumericalError, inv_shift, inv_sqrt_shift,
-                     operator_norm, symmetric_eigh)
+from .linalg import DEFAULT_CLAMP, NumericalError, operator_norm, symmetric_eigh
 
 S_KINDS = ("identity", "random")
 RESIDUAL_KINDS = ("independent", "heteroscedastic")
@@ -174,18 +173,17 @@ def estimate_regression_ops(sample, epsilon):
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     ops = empirical_operators(sample)
-    # Both spectral functions share one eigendecomposition of sxx and act on
-    # sxy directly, J^2 y_dim flops each.
+    # (sxx + eps)^-1 and (sxx + eps)^-1/2 share one eigendecomposition of sxx
+    # and act on sxy directly, J^2 y_dim flops each.
     w, v = symmetric_eigh(ops.sxx)
     return RegressionOps(epsilon=float(epsilon), sxx=ops.sxx, sxy=ops.sxy,
-                         r1=_apply(w, v, inv_shift(epsilon), ops.sxy),
-                         r2=_apply(w, v, inv_sqrt_shift(epsilon), ops.sxy),
-                         w=w, v=v)
+                         r1=_apply(v, 1.0 / (w + epsilon), ops.sxy),
+                         r2=_apply(v, (w + epsilon) ** -0.5, ops.sxy), w=w, v=v)
 
 
-def _apply(w, v, fn, a):
-    """v fn(w) v^T a, without forming the J x J operator."""
-    return v @ (fn(w)[:, None] * (v.T @ a))
+def _apply(v, f, a):
+    """v diag(f) v^T a, without forming the J x J operator."""
+    return v @ (f[:, None] * (v.T @ a))
 
 
 def _orth_columns(a, d):
@@ -201,13 +199,6 @@ def _largest_sine(ua, ub):
     return float(np.sqrt(max(0.0, 1.0 - smin * smin)))
 
 
-def span_projection_error(a, b, d):
-    """Operator-norm distance between the rank-d column-span projectors: the
-    sine of the largest principal angle between the spans."""
-    return _largest_sine(_orth_columns(np.asarray(a, float), d),
-                         _orth_columns(np.asarray(b, float), d))
-
-
 def error_report(model, ops):
     """Compare one estimate to the population operators.
 
@@ -218,12 +209,6 @@ def error_report(model, ops):
     """
     err_r1 = operator_norm(ops.r1 - model.R)
     err_r2 = operator_norm(ops.r2 - model.Rprime)
-    # ||m - M|| = ||D S^T + S D^T|| / 2, D = r1 - R (formed first: no
-    # cancellation), S = r1 + R: a 2k x 2k eigenproblem from the QR of [D S].
-    rds = np.linalg.qr(np.hstack([ops.r1 - model.R, ops.r1 + model.R]), mode="r")
-    mid = rds[:, :model.y_dim] @ rds[:, model.y_dim:].T
-    err_m = float(np.max(np.abs(np.linalg.eigvalsh(mid + mid.T)))) / 2.0
-
     # The top eigenvectors of m and m_prime are the left singular vectors
     # of r1 and r2; the rank-one projector difference is sin(angle).
     d, mu, vecs = model.m_spectrum
@@ -233,15 +218,27 @@ def error_report(model, ops):
     gap = np.minimum(-np.diff(mu[:d + 1]),
                      np.concatenate([[np.inf], -np.diff(mu[:d])]))
     applicable = gap > 0.0
-    bound_ok = applicable & (proj_err <= np.divide(
-        4.0 * err_m, gap, out=np.full(d, np.inf), where=applicable))
+
+    # ||m - M|| = ||D S^T + S D^T|| / 2, D = r1 - R (formed first: no
+    # cancellation), S = r1 + R: a 2k x 2k eigenproblem from the QR of [D S].
+    # An overflow refuses err_m; a quotient overflowing to +inf meets the bound.
+    rds = np.linalg.qr(np.hstack([ops.r1 - model.R, ops.r1 + model.R]), mode="r")
+    with np.errstate(over="ignore", invalid="ignore"):
+        mid = rds[:, :model.y_dim] @ rds[:, model.y_dim:].T
+        mid = mid + mid.T
+        err_m = (float(np.max(np.abs(np.linalg.eigvalsh(mid)))) / 2.0
+                 if np.isfinite(mid).all() else np.inf)
+        bound_ok = applicable & (proj_err <= np.divide(
+            4.0 * err_m, gap, out=np.full(d, np.inf), where=applicable))
+    if not np.isfinite(err_m):
+        raise NumericalError(f"err_m = ||m - M|| is not finite at epsilon {ops.epsilon:.3e}")
 
     # Variant-2 sample predictor span: the half-inverted weighting applied to
     # the leading eigenvectors of m_prime, compared to the columns of R.
     eta_err = 0.0
     if d > 0:
         top = np.linalg.svd(ops.r2, full_matrices=False)[0][:, :d]
-        eta_hat = _apply(ops.w, ops.v, inv_sqrt_shift(ops.epsilon), top)
+        eta_hat = _apply(ops.v, (ops.w + ops.epsilon) ** -0.5, top)
         eta_err = _largest_sine(_orth_columns(eta_hat, d), vecs)   # vecs: R's basis
 
     return ErrorRecord(epsilon=ops.epsilon, err_r1=err_r1, err_r2=err_r2,

@@ -6,15 +6,45 @@ operator explicitly, as `gsir.seqsim` once did: the regularized inverse b and
 the inverse square root q through `spectral_apply`, the dense m = r1 r1^T and
 m' = r2 r2^T, and the eigendecompositions of m, m' and M = R R^T.
 `gsir.seqsim` works at the rank of R instead and is held to these.
+`inv_shift`, `inv_sqrt_shift` and `sqrt` are the scalar functions that
+`spectral_apply` takes; `span_projection_error` compares column spans by SVD.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
 
-from gsir.linalg import (DEFAULT_CLAMP, inv_shift, inv_sqrt_shift,
-                         operator_norm, spectral_apply)
-from gsir.seqsim import EmpiricalOps, ErrorRecord, span_projection_error
+from gsir.linalg import DEFAULT_CLAMP, operator_norm, spectral_apply
+from gsir.seqsim import EmpiricalOps, ErrorRecord
+
+
+def inv_shift(eps):
+    """d -> 1 / (d + eps), the regularized inverse."""
+    return lambda d: 1.0 / (d + eps)
+
+
+def inv_sqrt_shift(eps):
+    """d -> (d + eps)^(-1/2), the regularized inverse square root."""
+    return lambda d: (d + eps) ** -0.5
+
+
+def sqrt():
+    """d -> sqrt(d)."""
+    return np.sqrt
+
+
+def span_projection_error(a, b, d):
+    """Operator-norm distance between the projectors onto the rank-d column
+    spans of a and b: the sine of the largest principal angle between them.
+    ValueError where either matrix has numerical rank below d."""
+    bases = []
+    for m in (a, b):
+        u, s, _ = np.linalg.svd(np.asarray(m, float), full_matrices=False)
+        if s.size < d or not s[d - 1] > DEFAULT_CLAMP * s[0]:
+            raise ValueError(f"matrix has numerical rank below {d}")
+        bases.append(u[:, :d])
+    cos = min(1.0, float(np.linalg.svd(bases[0].T @ bases[1], compute_uv=False)[-1]))
+    return float(np.sqrt(max(0.0, 1.0 - cos * cos)))
 
 
 def descending_eig(m):

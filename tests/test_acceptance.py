@@ -14,12 +14,12 @@ from gsir.cli import main
 from gsir.estimator import fit_gsir1, fit_gsir2
 from gsir.experiments import derive_seed, parse_config, run_kernel_recovery
 from gsir.kernels import KernelSpec, centered_gram
-from gsir.linalg import (inv_shift, inv_sqrt_shift, operator_norm,
-                         spectral_apply, sqrt)
+from gsir.linalg import operator_norm, spectral_apply
 from gsir.rates import fit_loglog_slope, optimal_rate_theory
 from gsir.seqsim import (build_model, empirical_operators, error_report,
                          estimate_regression_ops, lemma_alpha_sum,
                          power_spectrum, simulate_sample)
+from reference_oracle import inv_shift, inv_sqrt_shift, sqrt
 
 RATE_N_GRID = (250, 500, 1000, 2000, 4000, 8000)
 RATE_DELTA = 2.0 / 7.0

@@ -547,6 +547,49 @@ def test_sim_rate_eigh_failure_exits_3_and_writes_no_csv(tmp_path, capsys, monke
                    "Eigenvalues did not converge\n")
 
 
+def tiny_epsilon_sim(tmp_path, epsilon_constant, alpha=2.0, j_dim=30, n_grid=(10, 12, 14)):
+    # n <= J: sxx is singular, and r1 grows like 1 / epsilon along its null space
+    return write_json(tmp_path / "sim.json", {
+        "schema_version": 1, "mode": "sim_rate", "base_seed": 1, "n_grid": list(n_grid),
+        "replications": 2, "alpha": alpha, "beta": 1.0, "delta": "optimal",
+        "epsilon_constant": epsilon_constant, "model": {"j_dim": j_dim, "y_dim": 2},
+        "output_path": str(tmp_path / "sim.csv")})
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sim_rate_overflowing_err_m_exits_3_with_one_line(tmp_path, capsys):
+    # through main() and in a fresh interpreter, where numpy's RuntimeWarnings
+    # would show
+    config = tiny_epsilon_sim(tmp_path, 1e-200)
+    err = assert_numerical_failure(capsys, ["sim-rate", "--config", config],
+                                   tmp_path / "sim.csv")
+    assert err == "numerical failure: err_m = ||m - M|| is not finite at epsilon 5.179e-201\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(gsir.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "gsir.cli", "sim-rate", "--config", config],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 3 and proc.stderr == err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("j_dim", [12, 30])
+def test_sim_rate_tiny_epsilon_warns_nowhere(tmp_path, capsys, j_dim):
+    # below a constant of about 1e-170 err_m overflows (exit 3); no run warns
+    for constant in np.logspace(-200, -150, 26):
+        code = main(["sim-rate", "--config", tiny_epsilon_sim(tmp_path, constant,
+                                                               j_dim=j_dim)])
+        err = capsys.readouterr().err
+        assert (code, err) == (0, "") or (code == 3 and err.count("\n") == 1), constant
+
+
+def test_sim_rate_rank_deficient_predictor_span_exits_3(tmp_path, capsys):
+    # at n <= J and epsilon ~ 1e-60, eta_hat's weights span about 30 orders of
+    # magnitude and its columns lose rank
+    config = tiny_epsilon_sim(tmp_path, 1e-60, alpha=1.1, j_dim=12, n_grid=(10, 15, 20))
+    err = assert_numerical_failure(capsys, ["sim-rate", "--config", config],
+                                   tmp_path / "sim.csv")
+    assert err == "numerical failure: matrix has numerical rank below 2\n"
+
+
 def test_non_finite_report_cell_exits_3_and_writes_no_csv(tmp_path, capsys, monkeypatch):
     # the CSV writer refuses the NaN that a runner let through
     monkeypatch.setattr("gsir.experiments.rate_bound_terms",

@@ -109,6 +109,35 @@ def test_only_modelio_opens_files():
     assert list(openers) == ["modelio.py"], openers
 
 
+def test_every_public_function_has_a_program_caller():
+    # A public top-level function or class of the package is used by the
+    # program: its own module refers to it, another module, a demo or a bench
+    # script imports it or names it as `module.name` (in code or in a
+    # command string), or the package re-exports it.  spectral_apply is the
+    # tests' dense reference; it leaves with the next benchmark revision
+    # (ROADMAP item 4), which stops tracing it.
+    root = Path(gsir.__file__).parents[2]
+    package = Path(gsir.__file__).parent
+    texts = {path: path.read_text() for path in [*package.glob("*.py"),
+                                                 *root.glob("demos/*.py"),
+                                                 *root.glob("bench/*.py")]}
+    uncalled = []
+    for path in sorted(package.glob("*.py")):
+        module, tree = path.stem, ast.parse(texts[path])
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for other, text in texts.items():
+            if other != path:
+                for names in re.findall(rf"from\s+(?:gsir)?\.{module}\s+import\s+"
+                                        r"(\([^)]*\)|[^\n;]*)", text):
+                    used.update(re.findall(r"\w+", names))
+                used.update(re.findall(rf"\b{module}\.(\w+)", text))
+        uncalled += [f"{module}.{node.name}" for node in tree.body
+                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                     and not node.name.startswith("_")
+                     and node.name not in used and node.name not in gsir._EXPORTS]
+    assert uncalled == ["linalg.spectral_apply"], uncalled
+
+
 def test_kernel_recovery_calls_both_traced_fits_once_per_replication(monkeypatch):
     # each replication factorizes once and solves that factorization for
     # each variant, in order.  The perfbench tracer wraps fit_gsir1 and

@@ -12,7 +12,7 @@ import gsir.modelio
 from gsir.estimator import evaluate_predictors, fit_gsir1, fit_gsir2
 from gsir.kernels import KernelSpec
 from gsir.linalg import NumericalError
-from gsir.modelio import fit_from_json, fit_to_json, load_fit, save_fit, write_csv
+from gsir.modelio import fit_from_json, load_fit, save_fit, write_csv
 from reference_modelio import reference_csv_text, reference_fit_to_json
 
 GAUSS = KernelSpec("gaussian", 0.7)
@@ -26,10 +26,16 @@ def make_fit(seed=0, variant=1):
     return fit_fn(x, y, GAUSS, KernelSpec("gaussian", 1.3), 0.05, 2)
 
 
+def model_text(fit, path):
+    """The text save_fit writes to path, without its final newline."""
+    save_fit(fit, path)
+    return path.read_bytes().decode()[:-1]
+
+
 @pytest.mark.parametrize("variant", [1, 2])
-def test_roundtrip_preserves_fields(variant):
+def test_roundtrip_preserves_fields(tmp_path, variant):
     fit = make_fit(variant=variant)
-    back = fit_from_json(fit_to_json(fit))
+    back = fit_from_json(model_text(fit, tmp_path / "model.json"))
     assert back.variant == fit.variant
     assert back.kernel_x == fit.kernel_x
     assert back.kernel_y == fit.kernel_y
@@ -65,44 +71,44 @@ def test_document_is_json_with_expected_fields(tmp_path):
     assert doc["kernel_x"] == {"family": "gaussian", "gamma": 0.7}
 
 
-def test_floats_are_written_in_full_precision():
+def test_floats_are_written_in_full_precision(tmp_path):
     fit = make_fit(seed=6)
-    text = fit_to_json(fit)
+    text = model_text(fit, tmp_path / "model.json")
     value = fit.coefficients[0, 0]
     assert format(value, ".17g") in text
 
 
-def test_version_mismatch_rejected():
+def test_version_mismatch_rejected(tmp_path):
     fit = make_fit(seed=7)
-    doc = json.loads(fit_to_json(fit))
+    doc = json.loads(model_text(fit, tmp_path / "model.json"))
     doc["version"] = 99
     with pytest.raises(ValueError, match="version"):
         fit_from_json(json.dumps(doc))
 
 
-def test_missing_field_rejected():
-    doc = json.loads(fit_to_json(make_fit(seed=8)))
+def test_missing_field_rejected(tmp_path):
+    doc = json.loads(model_text(make_fit(seed=8), tmp_path / "model.json"))
     del doc["eigenvalues"]
     with pytest.raises(ValueError, match="missing"):
         fit_from_json(json.dumps(doc))
 
 
-def test_unknown_field_rejected():
-    doc = json.loads(fit_to_json(make_fit(seed=9)))
+def test_unknown_field_rejected(tmp_path):
+    doc = json.loads(model_text(make_fit(seed=9), tmp_path / "model.json"))
     doc["comment"] = "hello"
     with pytest.raises(ValueError, match="unknown"):
         fit_from_json(json.dumps(doc))
 
 
-def test_inconsistent_shapes_rejected():
-    doc = json.loads(fit_to_json(make_fit(seed=10)))
+def test_inconsistent_shapes_rejected(tmp_path):
+    doc = json.loads(model_text(make_fit(seed=10), tmp_path / "model.json"))
     doc["eigenvalues"] = [1.0, 0.5, 0.1]
     with pytest.raises(ValueError, match="shapes"):
         fit_from_json(json.dumps(doc))
 
 
-def test_unknown_variant_rejected():
-    doc = json.loads(fit_to_json(make_fit(seed=11)))
+def test_unknown_variant_rejected(tmp_path):
+    doc = json.loads(model_text(make_fit(seed=11), tmp_path / "model.json"))
     doc["variant"] = "gsir9"
     with pytest.raises(ValueError, match="variant"):
         fit_from_json(json.dumps(doc))
@@ -115,17 +121,17 @@ def test_unknown_variant_rejected():
     ("epsilon", 0, "positive"),
     ("epsilon", -0.05, "positive"),
 ])
-def test_config_value_rules_apply_to_models(field, value, fragment):
-    doc = json.loads(fit_to_json(make_fit(seed=12)))
+def test_config_value_rules_apply_to_models(tmp_path, field, value, fragment):
+    doc = json.loads(model_text(make_fit(seed=12), tmp_path / "model.json"))
     doc[field] = value
     with pytest.raises(ValueError, match=fragment):
         fit_from_json(json.dumps(doc))
 
 
 @pytest.mark.parametrize("field", ["train_points", "coefficients", "eigenvalues"])
-def test_bool_inside_model_array_rejected(field):
+def test_bool_inside_model_array_rejected(tmp_path, field):
     # a mixed list of numbers and true reads as a float array with 1.0
-    doc = json.loads(fit_to_json(make_fit(seed=13)))
+    doc = json.loads(model_text(make_fit(seed=13), tmp_path / "model.json"))
     if field == "eigenvalues":
         doc[field][-1] = True
     else:
@@ -193,7 +199,6 @@ def test_write_csv_and_fit_to_json_match_the_reference_writers(tmp_path, a):
     header = [f"c_{j + 1}" for j in range(a.shape[1])]
     assert written_csv(tmp_path / "a.csv", header, a) == reference_csv_text(header, a)
     fit = with_arrays(make_fit(seed=5), a)
-    assert fit_to_json(fit) == reference_fit_to_json(fit)
     save_fit(fit, tmp_path / "model.json")
     want = reference_fit_to_json(fit) + "\n"
     assert (tmp_path / "model.json").read_bytes().decode() == want
@@ -205,8 +210,6 @@ def test_write_csv_and_fit_to_json_match_the_reference_writers(tmp_path, a):
 def test_model_writers_refuse_any_non_finite_draw(tmp_path, a, bad, at):
     a.flat[at % a.size] = bad
     fit = with_arrays(make_fit(seed=5), a)
-    with pytest.raises(NumericalError, match=f"^a cell to write is {bad};"):
-        fit_to_json(fit)
     with pytest.raises(NumericalError, match=f"^a cell to write is {bad};"):
         save_fit(fit, tmp_path / "model.json")
     assert not (tmp_path / "model.json").exists()
@@ -259,8 +262,6 @@ def test_save_fit_refuses_a_non_finite_value_and_leaves_no_file(tmp_path, field,
     path = tmp_path / "model.json"
     for _ in range(2):
         with pytest.raises(NumericalError, match="only finite values are written$"):
-            fit_to_json(fit)
-        with pytest.raises(NumericalError, match="only finite values are written$"):
             save_fit(fit, path)
         assert not path.exists()
         path.write_text("old\n")
@@ -271,17 +272,17 @@ def test_a_model_file_with_a_bom_loads_as_without(tmp_path):
     save_fit(fit, tmp_path / "model.json")
     bom = tmp_path / "bom.json"
     bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "model.json").read_bytes())
-    assert fit_to_json(load_fit(bom)) == fit_to_json(fit)
+    assert model_text(load_fit(bom), tmp_path / "back.json") == \
+        model_text(fit, tmp_path / "model.json")
 
 
 def test_fit_to_json_matches_the_recursive_writer(tmp_path):
     fit = dataclasses.replace(make_fit(seed=6), train_points=special_array((20, 2), 1),
                               coefficients=special_array((20, 2), 2),
                               eigenvalues=special_array(2, 3))
-    text = fit_to_json(fit)
-    assert text == reference_fit_to_json(fit)
     save_fit(fit, tmp_path / "model.json")
-    assert (tmp_path / "model.json").read_bytes() == (text + "\n").encode()
+    assert (tmp_path / "model.json").read_bytes() == \
+        (reference_fit_to_json(fit) + "\n").encode()
 
 
 def test_save_fit_holds_one_row_of_text(tmp_path):

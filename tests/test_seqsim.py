@@ -4,14 +4,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta
 
-from gsir.linalg import inv_sqrt_shift, operator_norm, spectral_apply
+from gsir.linalg import operator_norm, spectral_apply
 from gsir.rates import fit_loglog_slope
 from gsir.seqsim import (RegressionOps, SpectralModel, SpectralSample,
                          build_model, empirical_operators, error_report,
                          estimate_regression_ops, hurwitz_zeta, lemma_alpha_sum,
-                         power_spectrum, simulate_sample, span_projection_error,
-                         truncation_tail_fraction)
-from reference_oracle import (reference_error_report, reference_regression_ops,
+                         power_spectrum, simulate_sample, truncation_tail_fraction)
+from reference_oracle import (inv_sqrt_shift, reference_error_report,
+                              reference_regression_ops, span_projection_error,
                               top_eigenvectors)
 
 REL = 1e-12
@@ -291,6 +291,17 @@ def test_error_report_projection_bound(seed):
     assert rec.d == 2
     assert np.all(rec.gap > 0)
     assert np.all(rec.bound_applicable)
+    assert np.all(rec.bound_ok)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_error_report_bound_quotient_may_overflow():
+    # at n <= J and a tiny epsilon, err_m (2.1e307) is finite but
+    # 4 err_m / delta_2 overflows: +inf, so the bound holds, with no warning
+    model = build_model(12, 2, alpha=2.0, beta=1.0)
+    rec = error_report(model, estimate_regression_ops(simulate_sample(model, 10, seed=1),
+                                                      1e-170))
+    assert 1e307 < rec.err_m < np.inf
     assert np.all(rec.bound_ok)
 
 

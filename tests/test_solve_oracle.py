@@ -18,7 +18,8 @@ from gsir.experiments import derive_seed
 from gsir.kernels import KernelSpec, centered_gram, median_bandwidth, reflected_gram
 from gsir.linalg import NumericalError
 from gsir.seqsim import (RESIDUAL_KINDS, S_KINDS, build_model, error_report,
-                         estimate_regression_ops, simulate_sample, span_projection_error)
+                         estimate_regression_ops, simulate_sample)
+from reference_oracle import span_projection_error
 from reference_solve import (align_sign, dense_centered_gram, fitted_spectrum,
                              reference_fit, reference_qr_solve)
 from test_acceptance import RATE_DELTA, RATE_N_GRID, RATE_SEED
