@@ -134,7 +134,6 @@ class SimModelParams:
     y_dim: int = _field(_count, 2)
     s_kind: str = _field(_one_of(S_KINDS), "identity")
     residual_kind: str = _field(_one_of(RESIDUAL_KINDS), "independent")
-    alpha_u: float = _field(_above_one, 2.0)
 
     def __post_init__(self):
         if self.j_dim <= self.y_dim:
@@ -363,9 +362,7 @@ def run_sim_rate(config, threads=1):
                  + len(tasks) * len(deltas) * (1280 + 64 * y),
                  f"sim-rate at n={n}, j_dim={j}, {len(tasks) * len(deltas)} rows")
     model = build_model(config.model.j_dim, config.model.y_dim, config.alpha,
-                        config.beta, seed=config.base_seed,
-                        s_kind=config.model.s_kind,
-                        alpha_u=config.model.alpha_u)
+                        config.beta, seed=config.base_seed, s_kind=config.model.s_kind)
 
     def one(task):
         n, rep = task

@@ -18,8 +18,6 @@ VARIANTS = ("gsir1", "gsir2")
 class RateTheory:
     """Optimal tuning exponent and rate exponent for one (alpha, beta)."""
 
-    alpha: float
-    beta: float
     branch: str          # 'smooth' above the threshold, 'rough' at or below
     delta_opt: float     # epsilon = n^-delta_opt
     exponent_opt: float  # error = n^-exponent_opt
@@ -30,7 +28,6 @@ class SlopeFit:
     """Least-squares line through (log n, log error)."""
 
     slope: float
-    intercept: float
     r_squared: float
 
 
@@ -55,10 +52,9 @@ def optimal_rate_theory(alpha, beta):
     bc = min(beta, 1.0)
     if beta > threshold:
         denom = 2.0 * alpha * bc + alpha + 1.0
-        return RateTheory(alpha=float(alpha), beta=float(beta), branch="smooth",
-                          delta_opt=alpha / denom, exponent_opt=alpha * bc / denom)
-    return RateTheory(alpha=float(alpha), beta=float(beta), branch="rough",
-                      delta_opt=0.5, exponent_opt=beta / 2.0)
+        return RateTheory(branch="smooth", delta_opt=alpha / denom,
+                          exponent_opt=alpha * bc / denom)
+    return RateTheory(branch="rough", delta_opt=0.5, exponent_opt=beta / 2.0)
 
 
 def rate_bound_terms(n, epsilon, alpha, beta, variant="gsir1"):
@@ -118,5 +114,4 @@ def fit_loglog_slope(ns, errors):
     ss_res = float(resid @ resid)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return SlopeFit(slope=float(coeffs[0]), intercept=float(coeffs[1]),
-                    r_squared=float(r2))
+    return SlopeFit(slope=float(coeffs[0]), r_squared=float(r2))

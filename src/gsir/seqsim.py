@@ -27,15 +27,11 @@ class SpectralModel:
 
     j_dim: int
     y_dim: int
-    alpha: float
-    beta: float
-    alpha_u: float
-    s_kind: str
     lambdas: np.ndarray      # (j_dim,) eigenvalues j^-alpha
     S: np.ndarray            # (j_dim, y_dim), operator norm 1
     R: np.ndarray            # Lambda^beta S
     Rprime: np.ndarray       # Lambda^(beta + 1/2) S
-    noise_scales: np.ndarray  # (y_dim,) residual scales k^-alpha_u
+    noise_scales: np.ndarray  # (y_dim,) residual scales k^-2
 
     @cached_property
     def m_spectrum(self):
@@ -53,14 +49,12 @@ class SpectralSample:
     Zx: np.ndarray
     Zu: np.ndarray
     Zy: np.ndarray
-    residual_kind: str
 
 
 @dataclass(frozen=True)
 class EmpiricalOps:
     """Column-centered second-moment estimates from one sample."""
 
-    n: int
     sxx: np.ndarray
     sxy: np.ndarray
     sxu: np.ndarray
@@ -95,7 +89,7 @@ class ErrorRecord:
     eta_span_err: float           # variant-2 predictor-span projection error
 
 
-def build_model(j_dim, y_dim, alpha, beta, seed=0, s_kind="identity", alpha_u=2.0):
+def build_model(j_dim, y_dim, alpha, beta, seed=0, s_kind="identity"):
     """Construct the population model.
 
     s_kind 'identity' places an identity block in S (rank min(j_dim, y_dim));
@@ -105,8 +99,6 @@ def build_model(j_dim, y_dim, alpha, beta, seed=0, s_kind="identity", alpha_u=2.
         raise ValueError(f"dimensions must be positive, got j_dim={j_dim}, y_dim={y_dim}")
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    if not alpha_u > 1:
-        raise ValueError(f"alpha_u must exceed 1, got {alpha_u}")
     if s_kind not in S_KINDS:
         raise ValueError(f"unknown s_kind {s_kind!r}; expected one of {S_KINDS}")
     lambdas = power_spectrum(alpha, j_dim)
@@ -123,10 +115,8 @@ def build_model(j_dim, y_dim, alpha, beta, seed=0, s_kind="identity", alpha_u=2.
     # exact arithmetic.
     rprime_op = np.sqrt(lambdas)[:, None] * r_op
     k = np.arange(1, y_dim + 1, dtype=float)
-    return SpectralModel(j_dim=j_dim, y_dim=y_dim, alpha=float(alpha),
-                         beta=float(beta), alpha_u=float(alpha_u), s_kind=s_kind,
-                         lambdas=lambdas, S=s, R=r_op, Rprime=rprime_op,
-                         noise_scales=k ** -alpha_u)
+    return SpectralModel(j_dim=j_dim, y_dim=y_dim, lambdas=lambdas, S=s, R=r_op,
+                         Rprime=rprime_op, noise_scales=k ** -2.0)
 
 
 def simulate_sample(model, n, seed, residual_kind="independent"):
@@ -151,7 +141,7 @@ def simulate_sample(model, n, seed, residual_kind="independent"):
         zu = zu * (1.0 + zx[:, :1]) / 2.0
     zx *= np.sqrt(model.lambdas)     # the scores become coordinates in place
     zy = zx @ model.R + zu
-    return SpectralSample(n=n, Zx=zx, Zu=zu, Zy=zy, residual_kind=residual_kind)
+    return SpectralSample(n=n, Zx=zx, Zu=zu, Zy=zy)
 
 
 def empirical_operators(sample):
@@ -164,8 +154,7 @@ def empirical_operators(sample):
     cols = zx.T @ np.hstack([np.ones((n, 1)), sample.Zy - sample.Zy.mean(axis=0),
                              sample.Zu - sample.Zu.mean(axis=0)]) / n
     sxx = zx.T @ zx / n - np.outer(cols[:, 0], cols[:, 0])
-    return EmpiricalOps(n=n, sxx=(sxx + sxx.T) / 2.0, sxy=cols[:, 1:k + 1],
-                        sxu=cols[:, k + 1:])
+    return EmpiricalOps(sxx=(sxx + sxx.T) / 2.0, sxy=cols[:, 1:k + 1], sxu=cols[:, k + 1:])
 
 
 def estimate_regression_ops(sample, epsilon):

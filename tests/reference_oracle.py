@@ -67,7 +67,7 @@ def reference_empirical_operators(sample):
     zy = sample.Zy - sample.Zy.mean(axis=0)
     zu = sample.Zu - sample.Zu.mean(axis=0)
     n = sample.n
-    return EmpiricalOps(n=n, sxx=_sym(zx.T @ zx / n), sxy=zx.T @ zy / n,
+    return EmpiricalOps(sxx=_sym(zx.T @ zx / n), sxy=zx.T @ zy / n,
                         sxu=zx.T @ zu / n)
 
 

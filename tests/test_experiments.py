@@ -95,6 +95,7 @@ def test_parse_sim_rate_defaults():
     ({k: v for k, v in SIM_DOC.items() if k != "alpha"},
      "missing required field 'alpha' in sim-rate config"),
     ([1, 2], "config must be a JSON object"),
+    (sim_doc(model={"alpha_u": 2.0}), "alpha_u"),
 ])
 def test_config_errors_name_the_field(doc, fragment):
     with pytest.raises(ConfigError, match=fragment):

@@ -81,13 +81,12 @@ def test_build_model_random_s_norm():
 
 
 @pytest.mark.parametrize("kwargs", [dict(alpha=1.0), dict(alpha=0.5),
-                                    dict(beta=0.0), dict(beta=-1.0),
-                                    dict(alpha_u=1.0)])
+                                    dict(beta=0.0), dict(beta=-1.0)])
 def test_build_model_rejects_bad_exponents(kwargs):
-    base = dict(alpha=2.0, beta=1.0, alpha_u=2.0)
+    base = dict(alpha=2.0, beta=1.0)
     base.update(kwargs)
     with pytest.raises(ValueError):
-        build_model(5, 2, base["alpha"], base["beta"], alpha_u=base["alpha_u"])
+        build_model(5, 2, base["alpha"], base["beta"])
 
 
 def test_simulate_sample_deterministic():
@@ -141,7 +140,8 @@ def test_simulate_sample_residual_decorrelated():
 
 @pytest.mark.parametrize("kind", ["independent", "heteroscedastic"])
 def test_residual_rows_bounded(kind):
-    model = build_model(10, 4, alpha=2.0, beta=1.0, alpha_u=2.0)
+    model = build_model(10, 4, alpha=2.0, beta=1.0)
+    assert np.array_equal(model.noise_scales, np.arange(1.0, 5.0) ** -2.0)
     s = simulate_sample(model, 2000, seed=5, residual_kind=kind)
     # |w| <= sqrt(3), heteroscedastic factor <= (1 + sqrt(3))/2
     factor = (1.0 + np.sqrt(3.0)) / 2.0 if kind == "heteroscedastic" else 1.0
@@ -153,7 +153,7 @@ def test_zero_residual_reduces_to_exact_regression():
     model = build_model(6, 2, alpha=2.0, beta=1.0)
     base = simulate_sample(model, 200, seed=6)
     zeroed = SpectralSample(n=base.n, Zx=base.Zx, Zu=np.zeros_like(base.Zu),
-                            Zy=base.Zx @ model.R, residual_kind="independent")
+                            Zy=base.Zx @ model.R)
     ops = empirical_operators(zeroed)
     assert np.max(np.abs(ops.sxu)) == 0.0
     gap = operator_norm(ops.sxy - ops.sxx @ model.R)
@@ -201,8 +201,7 @@ def test_sxu_norm_scales_at_root_n():
 def test_regression_ops_hand_case():
     model = build_model(1, 1, alpha=2.0, beta=1.0)
     sample = SpectralSample(n=2, Zx=np.array([[1.0], [-1.0]]),
-                            Zu=np.zeros((2, 1)), Zy=np.array([[1.0], [-1.0]]),
-                            residual_kind="independent")
+                            Zu=np.zeros((2, 1)), Zy=np.array([[1.0], [-1.0]]))
     ops = estimate_regression_ops(sample, 0.1)
     assert abs(ops.sxx[0, 0] - 1.0) < REL
     assert abs(ops.sxy[0, 0] - 1.0) < REL
@@ -252,7 +251,7 @@ def test_r1_error_shrinks_with_epsilon_when_noise_free():
     model = build_model(3, 2, alpha=2.0, beta=1.0)
     base = simulate_sample(model, 400, seed=8)
     zeroed = SpectralSample(n=base.n, Zx=base.Zx, Zu=np.zeros_like(base.Zu),
-                            Zy=base.Zx @ model.R, residual_kind="independent")
+                            Zy=base.Zx @ model.R)
     errs = [operator_norm(estimate_regression_ops(zeroed, eps).r1 - model.R)
             for eps in (1e-1, 1e-2, 1e-3)]
     assert errs[0] > errs[1] > errs[2]
@@ -319,8 +318,7 @@ def test_error_report_tied_eigenvalues_not_applicable():
     s[0, 0] = lam[1] / lam[0]  # lambda_1 s_1 = lambda_2 s_2 with s_2 = 1
     s[1, 1] = 1.0
     r = lam[:, None] * s
-    model = SpectralModel(j_dim=5, y_dim=2, alpha=2.0, beta=1.0, alpha_u=2.0,
-                          s_kind="identity", lambdas=lam, S=s, R=r,
+    model = SpectralModel(j_dim=5, y_dim=2, lambdas=lam, S=s, R=r,
                           Rprime=np.sqrt(lam)[:, None] * r,
                           noise_scales=np.array([1.0, 0.25]))
     sample = simulate_sample(model, 100, seed=11)
